@@ -126,7 +126,7 @@ def feed_status(
             "behind": max(0, last - position),
         }
         if status["behind"]:
-            for record in feed.events(after=position):
+            for record in feed.events(after=position, limit=1):
                 reference = time.time() if now is None else now
                 status["oldest_pending_age"] = max(0.0, reference - record.ts)
                 break
@@ -238,7 +238,9 @@ class ChangeConsumer:
         processed = int(data["processed"]) if data else 0
         if processed <= 0:
             return
-        for record in self.feed.events():
+        # Sequence numbers may skip (a hand-edited JSONL feed), so the limit
+        # bounds the read and the check still stops at the cursor.
+        for record in self.feed.events(limit=processed):
             if record.seq > processed:
                 break
             self.state.apply(record.event)
@@ -263,12 +265,8 @@ class ChangeConsumer:
             self._delta_reuses,
             self._full_encodes,
         )
-        applied = 0
-        for record in self.feed.events(after=self._position):
-            if max_events is not None and applied >= max_events:
-                break
+        for record in self.feed.events(after=self._position, limit=max_events):
             self._apply(record)
-            applied += 1
         return ConsumeReport(
             applied=self._applied - before[0],
             position=self._position,

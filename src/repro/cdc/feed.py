@@ -23,20 +23,24 @@ equivalence):
 
 * :class:`MemoryChangeFeed` — an in-process list, for tests;
 * :class:`JsonlChangeFeed` — one envelope per line in an append-only file,
-  human-readable and `tail -f`-able;
+  human-readable and `tail -f`-able, indexed by byte offset so a poll reads
+  only the lines it returns;
 * :class:`SqliteChangeFeed` — a SQLite file in WAL mode, safe for concurrent
   appenders across processes (same journal settings as the result store).
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import json
+import os
 import sqlite3
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.core.errors import ReproError
 from repro.core.values import Value, is_null
@@ -147,6 +151,11 @@ def decode_event(text: str) -> ChangeEvent:
         payload = json.loads(text)
     except json.JSONDecodeError as error:
         raise FeedError(f"event is not valid JSON: {error}") from None
+    return _event_from_payload(payload)
+
+
+def _event_from_payload(payload: Any) -> ChangeEvent:
+    """Validate one parsed event object and build the event it encodes."""
     if not isinstance(payload, dict):
         raise FeedError(f"event must be a JSON object, got {type(payload).__name__}")
     kind = payload.get("kind")
@@ -190,18 +199,24 @@ def encode_envelope(record: FeedRecord) -> str:
     )
 
 
-def _decode_envelope(text: str, where: str) -> FeedRecord:
+def _decode_envelope(text: Union[str, bytes], where: str) -> FeedRecord:
+    """One stored line back into a record, parsed once and fully validated."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as error:
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
         raise FeedError(f"{where}: envelope is not valid JSON: {error}") from None
     if not isinstance(payload, dict) or "seq" not in payload or "data" not in payload:
         raise FeedError(f"{where}: envelope needs 'seq' and 'data' fields")
-    return FeedRecord(
-        seq=int(payload["seq"]),
-        ts=float(payload.get("ts", 0.0)),
-        event=decode_event(_canonical(payload["data"])),
-    )
+    seq, ts = payload["seq"], payload.get("ts", 0.0)
+    if not isinstance(seq, int) or isinstance(seq, bool) or seq < 1:
+        raise FeedError(f"{where}: envelope 'seq' must be a positive integer, got {seq!r}")
+    if not isinstance(ts, (int, float)) or isinstance(ts, bool):
+        raise FeedError(f"{where}: envelope 'ts' must be a number, got {ts!r}")
+    try:
+        event = _event_from_payload(payload["data"])
+    except FeedError as error:
+        raise FeedError(f"{where}: {error}") from None
+    return FeedRecord(seq=seq, ts=float(ts), event=event)
 
 
 class ChangeFeed:
@@ -227,7 +242,7 @@ class ChangeFeed:
     def _last_sequence(self) -> int:
         raise NotImplementedError
 
-    def _records(self, after: int) -> Iterator[FeedRecord]:
+    def _records(self, after: int, limit: Optional[int]) -> Iterator[FeedRecord]:
         raise NotImplementedError
 
     # -- public API ------------------------------------------------------------
@@ -240,8 +255,14 @@ class ChangeFeed:
             self._append(FeedRecord(seq=seq, ts=time.time(), event=event))
         return seq
 
-    def events(self, after: int = 0) -> Iterator[FeedRecord]:
+    def events(self, after: int = 0, limit: Optional[int] = None) -> Iterator[FeedRecord]:
         """Replay the feed strictly after position *after*, in order.
+
+        *limit* caps the number of records returned (``None`` returns them
+        all).  Every backend reads and decodes only the records it returns
+        (a JSONL handle also validates, once, the lines other handles
+        appended since it last looked), so polling the tail of a long feed
+        costs what the poll returns, not what the feed holds.
 
         The records are materialised under the lock, so the iteration is a
         stable snapshot: appends racing the replay are simply not part of it
@@ -249,8 +270,10 @@ class ChangeFeed:
         """
         if after < 0:
             raise FeedError(f"feed position must be >= 0, got {after}")
+        if limit is not None and limit < 0:
+            raise FeedError(f"read limit must be >= 0, got {limit}")
         with self._lock:
-            records = list(self._records(after))
+            records = list(self._records(after, limit))
         return iter(records)
 
     def last_sequence(self) -> int:
@@ -291,20 +314,31 @@ class MemoryChangeFeed(ChangeFeed):
     def _last_sequence(self) -> int:
         return self._data[-1].seq if self._data else 0
 
-    def _records(self, after: int) -> Iterator[FeedRecord]:
-        for record in self._data:
-            if record.seq > after:
-                yield record
+    def _records(self, after: int, limit: Optional[int]) -> Iterator[FeedRecord]:
+        # Sequence numbers are list positions + 1: slicing is the seek.
+        return iter(self._data[after : None if limit is None else after + limit])
 
 
 class JsonlChangeFeed(ChangeFeed):
     """One envelope per line in an append-only text file.
 
-    Appends go through one handle opened in append mode and are flushed per
-    event; replay reopens the file read-only, so a reader never disturbs the
-    writer.  On open, the existing tail is scanned to recover the last
-    assigned sequence number (the envelope carries it, so recovery is a scan,
-    not a rewrite).
+    A record exists once its newline lands.  An unterminated last line is a
+    write still in progress (or one torn by a crash): reads skip it, and
+    :meth:`append` raises :class:`FeedError` rather than glue a record onto
+    it.
+
+    Each handle keeps an index from sequence number to the byte offset of
+    the record's line.  Opening the feed builds it in one scan, which
+    validates every envelope and the sequence chain.  Every later read,
+    append and :meth:`last_sequence` first extends the index over the bytes
+    appended since — by this handle or by any other, in this process or
+    another — validating those lines the same way, so handles taking turns
+    never reuse a sequence number.  A read then seeks straight to the first
+    record past ``after`` and decodes only the records it returns.
+
+    Appends are flushed per event.  Sequence assignment is not serialised
+    across processes: concurrent appenders belong on
+    :class:`SqliteChangeFeed`.
     """
 
     backend = "jsonl"
@@ -313,44 +347,93 @@ class JsonlChangeFeed(ChangeFeed):
         super().__init__()
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._last = 0
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as handle:
-                for number, line in enumerate(handle, start=1):
-                    stripped = line.strip()
-                    if not stripped:
-                        continue
-                    record = _decode_envelope(stripped, f"{self.path}:{number}")
-                    if record.seq <= self._last:
-                        raise FeedError(
-                            f"{self.path}:{number}: sequence {record.seq} is not "
-                            f"monotonic (last was {self._last})"
-                        )
-                    self._last = record.seq
-        self._handle = self.path.open("a", encoding="utf-8")
+        #: Sequence number and line offset of each indexed record, ascending.
+        self._seqs: List[int] = []
+        self._offsets: List[int] = []
+        #: Bytes indexed so far (always the end of a complete line), and the
+        #: lines they hold.
+        self._end = 0
+        self._lines = 0
         self._closed = False
+        with contextlib.ExitStack() as handles:
+            self._writer = handles.enter_context(self.path.open("ab"))  # creates the file
+            self._reader = handles.enter_context(self.path.open("rb"))
+            self._catch_up()
+            handles.pop_all()  # from here on, close() releases them
+
+    def _catch_up(self) -> None:
+        """Index the complete lines appended since the last scan."""
+        self._require_open()
+        size = os.fstat(self._reader.fileno()).st_size
+        if size == self._end:
+            return
+        if size < self._end:
+            raise FeedError(
+                f"{self.path}: the file shrank from {self._end} to {size} bytes; "
+                "a change feed is append-only"
+            )
+        self._reader.seek(self._end)
+        for line in self._reader:
+            if not line.endswith(b"\n"):
+                break  # not a record until its newline lands
+            number = self._lines + 1
+            if line.strip():
+                record = _decode_envelope(line, f"{self.path}:{number}")
+                last = self._seqs[-1] if self._seqs else 0
+                if record.seq <= last:
+                    raise FeedError(
+                        f"{self.path}:{number}: sequence {record.seq} is not "
+                        f"monotonic (last was {last})"
+                    )
+                self._seqs.append(record.seq)
+                self._offsets.append(self._end)
+            self._lines = number
+            self._end += len(line)
 
     def _append(self, record: FeedRecord) -> None:
-        self._require_open()
-        self._handle.write(encode_envelope(record) + "\n")
-        self._handle.flush()
-        self._last = record.seq
+        # ``append`` assigned the sequence number right after a catch-up, so
+        # any byte past the index is an unterminated line.
+        if os.fstat(self._writer.fileno()).st_size != self._end:
+            raise FeedError(
+                f"{self.path}: unterminated line at byte {self._end}; a record "
+                "exists only once its newline lands, so nothing is appended after it"
+            )
+        line = (encode_envelope(record) + "\n").encode("utf-8")
+        self._writer.write(line)
+        self._writer.flush()
+        self._seqs.append(record.seq)
+        self._offsets.append(self._end)
+        self._lines += 1
+        self._end += len(line)
 
     def _last_sequence(self) -> int:
-        return self._last
+        self._catch_up()
+        return self._seqs[-1] if self._seqs else 0
 
-    def _records(self, after: int) -> Iterator[FeedRecord]:
-        self._require_open()
-        if not self.path.exists():
+    def _records(self, after: int, limit: Optional[int]) -> Iterator[FeedRecord]:
+        self._catch_up()
+        first = bisect.bisect_right(self._seqs, after)
+        stop = len(self._seqs) if limit is None else min(len(self._seqs), first + limit)
+        if first >= stop:
             return
-        with self.path.open("r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                record = _decode_envelope(stripped, f"{self.path}:{number}")
-                if record.seq > after:
-                    yield record
+        # A record's bytes run to the next record's offset (blank lines in
+        # between are whitespace to the JSON parser).
+        ends = self._offsets[first + 1 : stop + 1]
+        if stop == len(self._offsets):
+            ends.append(self._end)
+        start = self._offsets[first]
+        self._reader.seek(start)
+        block = self._reader.read(ends[-1] - start)
+        for seq, offset, end in zip(self._seqs[first:stop], self._offsets[first:stop], ends):
+            record = _decode_envelope(
+                block[offset - start : end - start], f"{self.path}: byte {offset}"
+            )
+            if record.seq != seq:
+                raise FeedError(
+                    f"{self.path}: byte {offset}: expected sequence {seq}, found "
+                    f"{record.seq}; the file was rewritten under the feed"
+                )
+            yield record
 
     def _require_open(self) -> None:
         if self._closed:
@@ -360,7 +443,8 @@ class JsonlChangeFeed(ChangeFeed):
         with self._lock:
             if not self._closed:
                 self._closed = True
-                self._handle.close()
+                self._writer.close()
+                self._reader.close()
 
 
 class SqliteChangeFeed(ChangeFeed):
@@ -412,10 +496,11 @@ class SqliteChangeFeed(ChangeFeed):
         row = self._connection.execute("SELECT MAX(seq) FROM events").fetchone()
         return int(row[0]) if row and row[0] is not None else 0
 
-    def _records(self, after: int) -> Iterator[FeedRecord]:
+    def _records(self, after: int, limit: Optional[int]) -> Iterator[FeedRecord]:
         self._require_open()
         cursor = self._connection.execute(
-            "SELECT seq, ts, data FROM events WHERE seq > ? ORDER BY seq", (after,)
+            "SELECT seq, ts, data FROM events WHERE seq > ? ORDER BY seq LIMIT ?",
+            (after, -1 if limit is None else limit),  # a negative LIMIT is none
         )
         for seq, ts, data in cursor.fetchall():
             yield FeedRecord(seq=int(seq), ts=float(ts), event=decode_event(data))

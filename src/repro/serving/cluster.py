@@ -959,7 +959,9 @@ class ServingCluster:
             if checkpoint is not None:
                 data = checkpoint.load()
                 processed = int(data["processed"]) if data else 0
-                for record in follower["feed"].events():
+                # The limit bounds the read; the check stops at the cursor
+                # even where sequence numbers skip.
+                for record in follower["feed"].events(limit=max(0, processed)):
                     if record.seq > processed:
                         break
                     state.apply(record.event)
@@ -968,9 +970,9 @@ class ServingCluster:
 
         state = follower["state"]
         applied = re_resolved = invalidated = 0
-        for record in follower["feed"].events(after=follower["position"]):
-            if max_events is not None and applied >= max_events:
-                break
+        for record in follower["feed"].events(
+            after=follower["position"], limit=max_events
+        ):
             event = record.event
             if isinstance(event, ConstraintChanged):
                 raise ReproError(

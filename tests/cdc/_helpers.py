@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.api import RunConfig
 from repro.cdc import TupleAdded, TupleRetracted, open_change_feed
+from repro.cdc import feed as feed_module
 from repro.datasets import mutate_rows
 from repro.resolution import ResolverOptions
 
@@ -35,6 +36,21 @@ def make_feed(target, events):
     for event in events:
         feed.append(event)
     return feed
+
+
+def record_decodes(monkeypatch):
+    """Count JSONL envelope decodes: returns the list of decoded sequence
+    numbers, which grows as the feed decodes stored lines."""
+    decoded = []
+    original = feed_module._decode_envelope
+
+    def counting(text, where):
+        record = original(text, where)
+        decoded.append(record.seq)
+        return record
+
+    monkeypatch.setattr(feed_module, "_decode_envelope", counting)
+    return decoded
 
 
 def cdc_run_config(store) -> RunConfig:

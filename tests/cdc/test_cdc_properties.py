@@ -62,27 +62,40 @@ class TestCodecProperties:
         assert decoded == event
         assert encode_event(decoded) == encoded
 
-    @given(events=st.lists(EVENTS, max_size=8), after=st.integers(0, 10))
+    @given(
+        events=st.lists(st.tuples(EVENTS, st.booleans()), max_size=8),
+        after=st.integers(0, 10),
+        limit=st.none() | st.integers(0, 10),
+    )
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_feed_reads_are_position_independent(self, events, after):
-        """Any backend, any cursor: events(after=k) is exactly the suffix."""
+    def test_feed_reads_are_position_independent(self, events, after, limit):
+        """Any backend, cursor and limit, either of two appending handles:
+        events(after=k, limit=n) is exactly the first n records past k."""
         expected = [
             (seq, event)
-            for seq, event in enumerate(events, start=1)
+            for seq, (event, _second) in enumerate(events, start=1)
             if seq > after
-        ]
+        ][:limit]
         with tempfile.TemporaryDirectory() as tmp:
-            feeds = [
-                MemoryChangeFeed(),
-                JsonlChangeFeed(Path(tmp) / "feed.jsonl"),
-                SqliteChangeFeed(Path(tmp) / "feed.db"),
-            ]
-            for feed in feeds:
-                with feed:
-                    for event in events:
-                        feed.append(event)
-                    got = [(r.seq, r.event) for r in feed.events(after=after)]
-                    assert got == expected
+            for first, second in _handle_pairs(Path(tmp)):
+                with first, second:
+                    for event, by_second in events:
+                        (second if by_second else first).append(event)
+                    for handle in (first, second):
+                        got = [
+                            (r.seq, r.event)
+                            for r in handle.events(after=after, limit=limit)
+                        ]
+                        assert got == expected
+                    assert first.last_sequence() == second.last_sequence() == len(events)
+
+
+def _handle_pairs(tmp):
+    """Two handles on one feed per backend; a memory feed is its only handle."""
+    memory = MemoryChangeFeed()
+    yield memory, memory
+    yield JsonlChangeFeed(tmp / "feed.jsonl"), JsonlChangeFeed(tmp / "feed.jsonl")
+    yield SqliteChangeFeed(tmp / "feed.db"), SqliteChangeFeed(tmp / "feed.db")
 
 
 def _datasets():

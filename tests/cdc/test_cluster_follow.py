@@ -14,11 +14,17 @@ from repro.api import ResolutionClient, RunConfig, SqliteResultStore
 from repro.cdc import ChangeConsumer, ConstraintChanged
 from repro.core.errors import ReproError
 from repro.io.constraints_io import dump_constraints
+from repro.pipeline.checkpoint import Checkpoint
 from repro.resolution import ResolverOptions
 from repro.serving.cluster import ServingCluster
 from repro.serving.wire import SpecificationBuilder
 
-from tests.cdc._helpers import canonical_store, cdc_run_config, make_feed
+from tests.cdc._helpers import (
+    canonical_store,
+    cdc_run_config,
+    make_feed,
+    record_decodes,
+)
 
 
 def _builder(dataset):
@@ -88,6 +94,29 @@ class TestClusterFollow:
         assert len(clustered) == len(
             {entity for entity, _digest in clustered}
         ), "one live result per entity"
+
+    def test_resumed_follow_decodes_each_record_once(
+        self, cdc_nba_dataset, nba_events, tmp_path, monkeypatch
+    ):
+        """Recovery reads up to the cursor, the poll reads past it."""
+        dataset = cdc_nba_dataset
+        feed = make_feed(tmp_path / "feed.jsonl", nba_events)
+        cursor = tmp_path / "cursor.json"
+        Checkpoint(cursor).save(len(nba_events) - 2)
+        decoded = record_decodes(monkeypatch)
+
+        async def follow():
+            async with ServingCluster(
+                _builder(dataset), _cluster_config(tmp_path / "s.db"), workers=2
+            ) as cluster:
+                report = await cluster.follow(feed, cursor=str(cursor))
+                stats = await cluster.stats()
+            return report, stats
+
+        report, stats = _run(follow())
+        feed.close()
+        assert report["applied"] == 2 and stats["cdc"]["behind"] == 0
+        assert decoded == list(range(1, len(nba_events) + 1))
 
     def test_constraint_changed_is_rejected_while_running(
         self, cdc_nba_dataset, tmp_path

@@ -14,6 +14,7 @@ from repro.api import MemoryResultStore, ResolutionClient
 from repro.cdc import (
     ChangeConsumer,
     ConstraintChanged,
+    JsonlChangeFeed,
     MemoryChangeFeed,
     TupleAdded,
     feed_status,
@@ -21,12 +22,14 @@ from repro.cdc import (
 from repro.cdc.impact import RegistryState
 from repro.faults import FaultPlan, InjectedCrash
 from repro.io.constraints_io import dump_constraints
+from repro.pipeline.checkpoint import Checkpoint
 
 from tests.cdc._helpers import (
     bootstrap_events,
     canonical_store,
     cdc_run_config,
     make_feed,
+    record_decodes,
 )
 
 
@@ -165,6 +168,36 @@ class TestExactlyOnce:
                 report = again.consume()
         assert report.applied == 0 and report.re_resolved == 0
         assert canonical_store(store) == before
+
+
+class TestReadCost:
+    def test_poll_decodes_only_what_it_reads(self, tmp_path, monkeypatch):
+        """A poll on a long JSONL feed decodes the records it returns."""
+        from repro.core import Attribute, AttributeType, RelationSchema
+
+        schema = RelationSchema("t", [Attribute("a", AttributeType.STRING)])
+        path = tmp_path / "feed.jsonl"
+        with JsonlChangeFeed(path) as writer:
+            for index in range(1000):
+                writer.append(TupleAdded(entity=f"e{index}", row={"a": f"v{index}"}))
+        Checkpoint(tmp_path / "cursor.json").save(999)
+        decoded = record_decodes(monkeypatch)
+        with JsonlChangeFeed(path) as feed:
+            assert len(decoded) == 1000  # the open scan validates every line
+            decoded.clear()
+            with ResolutionClient(cdc_run_config(MemoryResultStore())) as client:
+                with ChangeConsumer(
+                    feed, client, schema, cursor=tmp_path / "cursor.json"
+                ) as consumer:
+                    assert consumer.position == 999
+                    assert decoded == list(range(1, 1000))  # none past the cursor
+                    decoded.clear()
+                    assert feed_status(feed, 999)["behind"] == 1
+                    assert len(decoded) <= 1
+                    decoded.clear()
+                    report = consumer.consume(max_events=1)
+                    assert report.applied == 1 and report.position == 1000
+                    assert decoded == [1000]
 
 
 class TestReports:
