@@ -156,10 +156,7 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and int(value) < 1:
                 raise ReproError(f"{name} must be >= 1, got {value}")
-        if self.options.fallback not in ("pick", "none"):
-            raise ReproError(
-                f"options.fallback must be 'pick' or 'none', got {self.options.fallback!r}"
-            )
+        self.options.check_fallback()
         if self.options.solver_backend not in available_backends():
             raise ReproError(
                 f"unknown solver backend {self.options.solver_backend!r}; "

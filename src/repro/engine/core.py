@@ -237,6 +237,8 @@ class ResolutionEngine:
         max_inflight_chunks: Optional[int] = None,
     ) -> None:
         self.options = options or ResolverOptions()
+        # Before any worker spawns: each would fail building its resolver.
+        self.options.check_fallback()
         # Validate up front: a bad worker count used to be clamped silently (or
         # surface as an opaque failure deep inside the pool machinery).
         if int(workers) < 1:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Protocol, Tuple
 
 from repro import faults
-from repro.core.errors import BudgetExceededError, EntityFailure
+from repro.core.errors import BudgetExceededError, EntityFailure, ReproError
 from repro.core.instance import TemporalOrderDelta
 from repro.core.partial_order import PartialOrder
 from repro.core.specification import Specification, TrueValueAssignment
@@ -176,6 +176,10 @@ class ResolverOptions:
     max_attempts:
         How many times the supervision layer may attempt one entity
         (crashed workers, retryable failures) before quarantining it.
+    fallback:
+        What fills the attributes left open: ``"pick"`` draws a ``Pick``
+        value, ``"none"`` leaves them NULL.  Any other name is refused by
+        :meth:`check_fallback`.
     """
 
     instantiation: InstantiationOptions = field(default_factory=InstantiationOptions)
@@ -189,6 +193,16 @@ class ResolverOptions:
     budget: Optional[SolverBudget] = None
     max_attempts: int = 3
 
+    def check_fallback(self) -> None:
+        """Raise :class:`ReproError` unless :attr:`fallback` is ``"pick"`` or ``"none"``.
+
+        The one fallback check, run by :class:`ConflictResolver`, the engine
+        and :class:`~repro.api.RunConfig` alike: any other name used to
+        leave the open attributes NULL without a word.
+        """
+        if self.fallback not in ("pick", "none"):
+            raise ReproError(f"options.fallback must be 'pick' or 'none', got {self.fallback!r}")
+
 
 class ConflictResolver:
     """Drives the interactive conflict-resolution loop of Fig. 4.
@@ -201,6 +215,7 @@ class ConflictResolver:
 
     def __init__(self, options: Optional[ResolverOptions] = None) -> None:
         self.options = options or ResolverOptions()
+        self.options.check_fallback()
         #: Compiled constraint programs shared across resolve() calls.
         self.program_cache = ConstraintProgramCache()
 

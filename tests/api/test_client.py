@@ -9,7 +9,7 @@ from repro.api import (
     ResolutionClient,
     RunConfig,
 )
-from repro.core import ReproError
+from repro.core import ReproError, Specification, is_null
 from repro.datasets import PersonConfig, generate_person_dataset
 from repro.pipeline import CollectSink, MapStage
 from repro.resolution import ConflictResolver, ResolverOptions
@@ -60,6 +60,16 @@ class TestResolveModes:
         assert [r.resolved_tuple for r in streamed] == [
             r.resolved_tuple for r in reference_results
         ]
+
+    def test_pick_on_an_entity_without_tuples(self, person_dataset):
+        spec = Specification.from_rows(
+            person_dataset.schema, [], person_dataset.currency_constraints, name="empty"
+        )
+        config = RunConfig(options=ResolverOptions(max_rounds=0, fallback="pick"))
+        with ResolutionClient(config) as client:
+            result = client.resolve(spec)
+        assert result.valid and not result.failure
+        assert all(is_null(value) for value in result.resolved_tuple.values())
 
     def test_accepts_key_spec_pairs_and_rejects_junk(self, person_specs):
         with ResolutionClient(RunConfig(options=OPTIONS)) as client:

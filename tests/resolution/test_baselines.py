@@ -71,3 +71,31 @@ class TestOtherBaselines:
     def test_any_returns_values_from_the_domain(self, spec):
         resolved = any_resolution(spec, rng=random.Random(3))
         assert resolved["kids"] in (0, 1, 3)
+
+
+class TestEntityWithoutTuples:
+    """An empty active domain resolves to NULL under every strategy."""
+
+    @pytest.fixture
+    def empty(self, schema):
+        sigma = [
+            CurrencyConstraint.value_transition("status", "working", "retired"),
+            CurrencyConstraint.monotone("kids"),
+        ]
+        return Specification.from_rows(schema, [], sigma)
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            lambda spec: pick_resolution(spec, rng=random.Random(0)),
+            lambda spec: any_resolution(spec, rng=random.Random(0)),
+            vote_resolution,
+            min_resolution,
+            max_resolution,
+        ],
+        ids=["pick", "any", "vote", "min", "max"],
+    )
+    def test_every_attribute_is_null(self, empty, schema, strategy):
+        resolved = strategy(empty)
+        assert list(resolved) == list(schema.attribute_names)
+        assert all(is_null(value) for value in resolved.values())

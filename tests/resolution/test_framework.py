@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.core import CurrencyConstraint, RelationSchema, Specification, values_equal
+from repro.api import RunConfig
+from repro.core import (
+    CurrencyConstraint,
+    RelationSchema,
+    ReproError,
+    Specification,
+    is_null,
+    values_equal,
+)
+from repro.engine import ResolutionEngine
 from repro.resolution import ConflictResolver, ResolverOptions, SilentOracle
 
 from tests.conftest import GEORGE_TRUTH, EDITH_TRUTH
@@ -63,10 +72,33 @@ class TestAutomaticResolution:
         assert all(attribute in result.resolved_tuple for attribute in george_spec.schema.attribute_names)
 
     def test_george_without_fallback_leaves_nulls(self, george_spec):
-        from repro.core import is_null
-
         result = ConflictResolver(ResolverOptions(fallback="none")).resolve(george_spec)
         assert any(is_null(value) for value in result.resolved_tuple.values())
+
+    @pytest.mark.parametrize("fallback", ["pick", "none"])
+    def test_entity_without_tuples_resolves_to_nulls(self, vj_schema, fallback):
+        sigma = [CurrencyConstraint.value_transition("status", "working", "retired")]
+        spec = Specification.from_rows(vj_schema, [], sigma, name="empty")
+        result = ConflictResolver(ResolverOptions(fallback=fallback)).resolve(spec)
+        assert result.valid
+        assert result.fallback_attributes == vj_schema.attribute_names
+        assert all(is_null(value) for value in result.resolved_tuple.values())
+
+
+class TestFallbackCheck:
+    """A misspelled fallback is refused by the one check RunConfig also runs."""
+
+    def test_resolver_refuses_an_unknown_fallback(self, george_spec):
+        with pytest.raises(ReproError) as from_resolver:
+            ConflictResolver(ResolverOptions(fallback="Pick", max_rounds=0)).resolve(george_spec)
+        with pytest.raises(ReproError) as from_config:
+            RunConfig(options=ResolverOptions(fallback="Pick", max_rounds=0))
+        assert str(from_resolver.value) == str(from_config.value)
+        assert "'Pick'" in str(from_resolver.value)
+
+    def test_engine_refuses_an_unknown_fallback_before_spawning(self):
+        with pytest.raises(ReproError, match="fallback"):
+            ResolutionEngine(ResolverOptions(fallback="nul"), workers=2)
 
 
 class TestInteractiveResolution:
