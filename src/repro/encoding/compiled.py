@@ -24,10 +24,11 @@ pass:
 
 :func:`instantiate_compiled` is **equivalence-guaranteed**: it produces an
 :class:`~repro.encoding.instance_constraints.InstanceConstraintSet` whose
-constraint list, ``used_values`` and validity flags are element-for-element
-identical to what ``instantiate`` produces for the same specification and
-options (the cross-check suite in ``tests/encoding/test_compiled.py`` and the
-end-to-end equivalence tests enforce this).
+constraint list, ``used_values``, ``conditional_keys`` and validity flags are
+element-for-element identical to what ``instantiate`` produces for the same
+specification and options (the cross-check suite in
+``tests/encoding/test_compiled.py`` and the end-to-end equivalence tests
+enforce this).
 
 :class:`ConstraintProgramCache` keys programs *structurally* (constraints are
 frozen dataclasses, hence hashable by value), so a cache hit survives
@@ -57,6 +58,7 @@ from repro.encoding.instance_constraints import (
     InstanceConstraintSet,
     InstantiationOptions,
     _close_ground_facts,
+    _constraint_key,
 )
 from repro.encoding.variables import OrderLiteral, canonical_value
 
@@ -342,8 +344,8 @@ def instantiate_compiled(
     """Build Ω(S_e) by stamping *program* onto *spec*.
 
     Produces exactly the constraint list ``instantiate(spec, program.options)``
-    would produce (same constraints, same order, same ``used_values``); only
-    the per-entity analysis work is skipped.
+    would produce (same constraints, same order, same ``used_values`` and
+    ``conditional_keys``); only the per-entity analysis work is skipped.
     """
     options = program.options
     program.instantiations += 1
@@ -535,11 +537,7 @@ def instantiate_compiled(
             note(head.attribute, head.newer, False)
             return
         if dedup:
-            key = (
-                frozenset((lit.attribute, lit.older, lit.newer) for lit in constraint.body),
-                None if head is None else (head.attribute, head.older, head.newer),
-                constraint.negated_head,
-            )
+            key = _constraint_key(constraint)
             if key in general_seen:
                 return
             general_seen.add(key)
@@ -554,52 +552,5 @@ def instantiate_compiled(
 
     _close_ground_facts(result, emit_closed)
     result.used_values = used
-
-    # -- structural axioms --------------------------------------------------
-    for attribute, values in used.items():
-        if options.include_asymmetry:
-            # Within one attribute the value pairs are distinct and no earlier
-            # constraint carries a negated head, so every asymmetry axiom is
-            # admitted; the dedup bookkeeping can be skipped.
-            for older_value, newer_value in itertools.combinations(values, 2):
-                constraints.append(
-                    InstanceConstraint(
-                        body=(OrderLiteral(attribute, older_value, newer_value),),
-                        head=OrderLiteral(attribute, newer_value, older_value),
-                        negated_head=True,
-                        source_kind="asymmetry",
-                        source_name=attribute,
-                    )
-                )
-        if not options.include_transitivity:
-            continue
-        transitive_values = values
-        cap = options.transitivity_cap
-        if cap is not None and len(values) > cap:
-            keys = conditional.get(attribute, set())
-            transitive_values = [value for value in values if canonical_value(value) in keys]
-        for first, second, third in itertools.permutations(transitive_values, 3):
-            if dedup:
-                # A conditional currency instance could in principle coincide
-                # with a transitivity axiom; check (but triples are unique
-                # within the stage and nothing is emitted after it, so the
-                # keys need not be recorded).
-                key = (
-                    frozenset(((attribute, first, second), (attribute, second, third))),
-                    (attribute, first, third),
-                    False,
-                )
-                if key in general_seen:
-                    continue
-            constraints.append(
-                InstanceConstraint(
-                    body=(
-                        OrderLiteral(attribute, first, second),
-                        OrderLiteral(attribute, second, third),
-                    ),
-                    head=OrderLiteral(attribute, first, third),
-                    source_kind="transitivity",
-                    source_name=attribute,
-                )
-            )
+    result.conditional_keys = conditional
     return result

@@ -16,8 +16,10 @@ for the whole resolve loop and, given a :class:`TemporalOrderDelta`, emits
 * **ground-fact closure** — maintained per attribute, emitting only the
   closure pairs the new facts introduce (a cycle marks the specification
   inherently invalid, exactly as in the from-scratch path);
-* **structural axioms** — asymmetry pairs and transitivity triples involving
-  at least one newly used value.
+* **order axioms** — asymmetry pairs and transitivity triples involving at
+  least one newly used value, written straight into Φ as integer clauses
+  (they are not part of Ω; see
+  :func:`~repro.encoding.cnf_encoder.emit_order_axioms`).
 
 Constant CFDs are the one non-monotone ingredient: their instance constraints
 enumerate the active domain, so a new value (e.g. a user answer outside the
@@ -30,17 +32,18 @@ are retired simply by no longer assuming their guards, and replacements are
 appended under fresh guards; nothing is ever removed from the solver, so
 learned clauses stay sound.
 
-The encoder deduplicates at the instance-constraint level (the same keys the
-from-scratch :class:`~repro.encoding.instance_constraints._Deduplicator`
-uses), which makes the incremental Φ logically equivalent to a from-scratch
-encoding of the extended specification.
+The encoder deduplicates Ω at the instance-constraint level (the keys of
+the from-scratch :class:`~repro.encoding.instance_constraints._Deduplicator`)
+and enumerates each order axiom once, which makes the incremental Φ
+logically equivalent to a from-scratch encoding of the extended
+specification.
 """
 
 from __future__ import annotations
 
 import itertools
 from time import perf_counter
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import profiling
 
@@ -48,12 +51,19 @@ from repro.core.errors import CyclicOrderError
 from repro.core.instance import TemporalOrderDelta
 from repro.core.partial_order import PartialOrder
 from repro.core.specification import Specification
-from repro.core.values import Value, values_equal
-from repro.encoding.cnf_encoder import SpecificationEncoding, _constraint_to_clause
+from repro.core.values import Value
+from repro.encoding.cnf_encoder import (
+    OrderAxioms,
+    SpecificationEncoding,
+    _constraint_to_clause,
+    _transitive_positions,
+    emit_order_axioms,
+)
 from repro.encoding.instance_constraints import (
     InstanceConstraint,
     InstanceConstraintSet,
     InstantiationOptions,
+    _constraint_key,
     _instantiate_cfds,
     _instantiate_one_pair,
     instantiate,
@@ -64,20 +74,6 @@ from repro.solvers.cnf import CNF
 from repro.solvers.session import SolverSession, create_session
 
 __all__ = ["IncrementalEncoder"]
-
-#: Structural-axiom kinds (never contribute used values or derivation rules).
-_STRUCTURAL_KINDS = ("asymmetry", "transitivity")
-
-
-def _constraint_key(constraint: InstanceConstraint) -> Tuple:
-    """Deduplication key, identical to the from-scratch ``_Deduplicator``'s."""
-    return (
-        frozenset((lit.attribute, lit.older, lit.newer) for lit in constraint.body),
-        None
-        if constraint.head is None
-        else (constraint.head.attribute, constraint.head.older, constraint.head.newer),
-        constraint.negated_head,
-    )
 
 
 class IncrementalEncoder:
@@ -104,6 +100,12 @@ class IncrementalEncoder:
         specification's schema and Σ ∪ Γ; the initial full encoding then
         stamps the program instead of re-analysing the constraints.  The
         program's options take precedence over *options*.
+
+    Clause order, variable numbers and the solver counters depend on
+    ``PYTHONHASHSEED``: :class:`~repro.core.partial_order.PartialOrder`
+    keeps successors in sets of tuple identifiers, so the order facts come
+    out in hash order.  Outcomes do not (resolved tuples, deduced attributes
+    and suggestions agree across seeds; ``tests/encoding/test_hash_seed.py``).
     """
 
     def __init__(
@@ -132,7 +134,6 @@ class IncrementalEncoder:
         self._used_values: Dict[str, List[Value]] = {}
         self._used_keys: Dict[str, Set[Hashable]] = {}
         self._conditional: Dict[str, Set[Hashable]] = {}
-        self._asym_pairs: Dict[str, Set[frozenset]] = {}
         self._transitive_applied: Dict[str, Set[Hashable]] = {}
         self._adom_keys: Dict[str, Set[Hashable]] = {}
         # Statistics.
@@ -202,13 +203,17 @@ class IncrementalEncoder:
     # -- clause plumbing -------------------------------------------------------
 
     def _push_clause(self, literals: Sequence[int], initial: bool) -> None:
-        self._cnf.add_clause(literals)
-        self._session.add_clause(literals)
+        self._add_clause(literals)
         if initial:
             self._initial_clauses += 1
         else:
             self._incremental_clauses += 1
             self._last_delta_clauses += 1
+
+    def _add_clause(self, literals: Sequence[int]) -> None:
+        """Append a clause to the CNF mirror and the session, uncounted."""
+        self._cnf.add_clause(literals)
+        self._session.add_clause(literals)
 
     def _push_constraint(self, constraint: InstanceConstraint, initial: bool) -> None:
         """Append an unguarded constraint to Ω and its clause to Φ/session."""
@@ -245,7 +250,9 @@ class IncrementalEncoder:
         self._omega.inherently_invalid = omega.inherently_invalid
         self._omega.invalid_reason = omega.invalid_reason
         self._omega.used_values = omega.used_values
+        self._omega.conditional_keys = omega.conditional_keys
         self._used_values = omega.used_values
+        self._conditional = omega.conditional_keys
 
         for constraint in omega.constraints:
             if constraint.source_kind == "cfd":
@@ -259,6 +266,9 @@ class IncrementalEncoder:
                     continue
                 self._keys.add(key)
                 self._push_constraint(constraint, initial=True)
+        self._initial_clauses += emit_order_axioms(
+            self._registry, self._add_clause, self._options, self._used_values, self._conditional
+        )
         self._cnf.num_variables = max(self._cnf.num_variables, self._registry.num_variables)
         self._session.ensure_variables(self._registry.num_variables)
         if self._omega.inherently_invalid:
@@ -268,39 +278,18 @@ class IncrementalEncoder:
         for attribute, values in self._used_values.items():
             self._used_keys[attribute] = {canonical_value(value) for value in values}
         for constraint in self._omega.constraints:
-            if constraint.source_kind in _STRUCTURAL_KINDS:
-                continue
-            is_conditional = bool(constraint.body) or constraint.head is None
-            if not is_conditional:
-                continue
-            for literal in constraint.body:
-                bucket = self._conditional.setdefault(literal.attribute, set())
-                bucket.add(literal.older)
-                bucket.add(literal.newer)
-            if constraint.head is not None:
-                bucket = self._conditional.setdefault(constraint.head.attribute, set())
-                bucket.add(constraint.head.older)
-                bucket.add(constraint.head.newer)
-        for constraint in self._omega.constraints:
             if constraint.source_kind == "cfd" or not constraint.is_fact():
                 continue
             order = self._fact_orders.setdefault(constraint.head.attribute, PartialOrder())
             order.try_add(
                 canonical_value(constraint.head.older), canonical_value(constraint.head.newer)
             )
-        for attribute, values in self._used_values.items():
-            keys = [canonical_value(value) for value in values]
-            if self._options.include_asymmetry:
-                self._asym_pairs[attribute] = {
-                    frozenset(pair) for pair in itertools.combinations(keys, 2)
-                }
-            if self._options.include_transitivity:
-                cap = self._options.transitivity_cap
-                if cap is not None and len(values) > cap:
-                    applicable = self._conditional.get(attribute, set())
-                    self._transitive_applied[attribute] = {k for k in keys if k in applicable}
-                else:
-                    self._transitive_applied[attribute] = set(keys)
+        if self._options.include_transitivity:
+            cap = self._options.transitivity_cap
+            for attribute, values in self._used_values.items():
+                keys = [canonical_value(value) for value in values]
+                positions = _transitive_positions(keys, cap, self._conditional.get(attribute, ()))
+                self._transitive_applied[attribute] = {keys[position] for position in positions}
         for attribute in spec.schema.attribute_names:
             self._adom_keys[attribute] = {
                 canonical_value(value) for value in spec.instance.active_domain(attribute)
@@ -343,10 +332,10 @@ class IncrementalEncoder:
             # the collected fresh constraints never entered Ω or Φ.
             self._last_delta_constraints = len(new_cfd_constraints) + 1
             return self._delta_report()
-        structural = self._delta_structural_axioms(fresh + new_cfd_constraints)
-        for constraint in fresh + structural:
+        for constraint in fresh:
             self._push_constraint(constraint, initial=False)
-        self._last_delta_constraints = len(fresh) + len(new_cfd_constraints) + len(structural)
+        axioms = self._delta_order_axioms(fresh + new_cfd_constraints)
+        self._last_delta_constraints = len(fresh) + len(new_cfd_constraints) + axioms
         self._cnf.num_variables = max(self._cnf.num_variables, self._registry.num_variables)
         self._session.ensure_variables(self._registry.num_variables)
         self._omega.used_values = self._used_values
@@ -549,7 +538,7 @@ class IncrementalEncoder:
         fresh.extend(closure_facts)
         return True
 
-    # -- delta: used values and structural axioms -------------------------------------
+    # -- delta: used values and order axioms -----------------------------------------
 
     def _note_used(self, attribute: str, value: Value, is_conditional: bool) -> bool:
         """Record a used value; returns ``True`` when the value is new for *attribute*."""
@@ -563,94 +552,61 @@ class IncrementalEncoder:
             self._conditional.setdefault(attribute, set()).add(key)
         return new
 
-    def _delta_structural_axioms(
-        self, new_constraints: List[InstanceConstraint]
-    ) -> List[InstanceConstraint]:
-        touched: Set[str] = set()
-        newly_used: Dict[str, List[Value]] = {}
+    def _delta_order_axioms(self, new_constraints: List[InstanceConstraint]) -> int:
+        """Note the used values of *new_constraints*, push the axioms they add; return how many.
+
+        A newly used value joins the tail of its attribute's used values.
+        Asymmetry pairs it with the old values and the new values after it.
+        Transitivity pins each fresh value (one that entered the capped range
+        now) at each place of a triple, skipping the fresh values pinned
+        before it, so each new triple comes out once; no earlier triple holds
+        a fresh value, and no Ω key is an axiom's (see :func:`emit_order_axioms`).
+        """
+        new_counts: Dict[str, int] = {}  # touched attribute → how many values it newly uses
         for constraint in new_constraints:
             is_conditional = bool(constraint.body) or constraint.head is None
-            literals = list(constraint.body)
-            if constraint.head is not None:
-                literals.append(constraint.head)
-            for literal in literals:
-                touched.add(literal.attribute)
+            head = () if constraint.head is None else (constraint.head,)
+            for literal in constraint.body + head:
+                count = new_counts.get(literal.attribute, 0)
                 for value in (literal.older, literal.newer):
-                    if self._note_used(literal.attribute, value, is_conditional):
-                        newly_used.setdefault(literal.attribute, []).append(value)
+                    count += self._note_used(literal.attribute, value, is_conditional)
+                new_counts[literal.attribute] = count
 
-        out: List[InstanceConstraint] = []
         options = self._options
-        for attribute in sorted(touched):
+        pushed = 0
+        for attribute in sorted(new_counts):
             values = self._used_values.get(attribute, [])
+            axioms = OrderAxioms(self._registry, attribute, values, self._add_clause)
             if options.include_asymmetry:
-                pairs = self._asym_pairs.setdefault(attribute, set())
-                for new_value in newly_used.get(attribute, []):
-                    new_key = canonical_value(new_value)
-                    for other in values:
-                        other_key = canonical_value(other)
-                        if other_key == new_key:
-                            continue
-                        pair = frozenset((new_key, other_key))
-                        if pair in pairs:
-                            continue
-                        pairs.add(pair)
-                        self._admit(
-                            InstanceConstraint(
-                                body=(OrderLiteral(attribute, other, new_value),),
-                                head=OrderLiteral(attribute, new_value, other),
-                                negated_head=True,
-                                source_kind="asymmetry",
-                                source_name=attribute,
-                            ),
-                            out,
-                        )
+                old = len(values) - new_counts[attribute]
+                pushed += axioms.asymmetry(
+                    (other, new)
+                    for new in range(old, len(values))
+                    for other in itertools.chain(range(old), range(new + 1, len(values)))
+                )
             if not options.include_transitivity:
                 continue
-            cap = options.transitivity_cap
-            if cap is not None and len(values) > cap:
-                conditional = self._conditional.get(attribute, set())
-                applicable = [v for v in values if canonical_value(v) in conditional]
-            else:
-                applicable = list(values)
+            keys = axioms.keys
+            positions = _transitive_positions(
+                keys, options.transitivity_cap, self._conditional.get(attribute, ())
+            )
             applied = self._transitive_applied.setdefault(attribute, set())
-            fresh_values = [
-                value for value in applicable if canonical_value(value) not in applied
-            ]
-            if not fresh_values:
-                continue
-            # Enumerate only the ordered triples containing at least one fresh
-            # value, by pinning a fresh value at each of the three positions
-            # (3·|fresh|·n² instead of n³ per delta); triples with several
-            # fresh values are generated more than once and deduplicated by
-            # the admission key set.
-            for fresh_value in fresh_values:
-                for left, right in itertools.permutations(applicable, 2):
-                    for first, second, third in (
-                        (fresh_value, left, right),
-                        (left, fresh_value, right),
-                        (left, right, fresh_value),
-                    ):
-                        first_key = canonical_value(first)
-                        second_key = canonical_value(second)
-                        third_key = canonical_value(third)
-                        if (
-                            first_key == second_key
-                            or second_key == third_key
-                            or first_key == third_key
-                        ):
-                            continue
-                        self._admit(
-                            InstanceConstraint(
-                                body=(
-                                    OrderLiteral(attribute, first, second),
-                                    OrderLiteral(attribute, second, third),
-                                ),
-                                head=OrderLiteral(attribute, first, third),
-                                source_kind="transitivity",
-                                source_name=attribute,
-                            ),
-                            out,
-                        )
-            applied.update(canonical_value(value) for value in fresh_values)
-        return out
+            fresh = [position for position in positions if keys[position] not in applied]
+            if fresh:
+                pushed += axioms.transitivity(_fresh_triples(positions, fresh))
+                applied.update(keys[position] for position in fresh)
+        self._incremental_clauses += pushed
+        self._last_delta_clauses += pushed
+        return pushed
+
+
+def _fresh_triples(positions: List[int], fresh: List[int]) -> Iterator[Tuple[int, int, int]]:
+    """Ordered triples over *positions* holding a *fresh* one, each at its first fresh one."""
+    done: Set[int] = set()
+    for pinned in fresh:
+        others = [position for position in positions if position != pinned and position not in done]
+        for left, right in itertools.permutations(others, 2):
+            yield pinned, left, right
+            yield left, pinned, right
+            yield left, right, pinned
+        done.add(pinned)

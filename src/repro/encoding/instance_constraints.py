@@ -7,13 +7,19 @@ value-level ordering atoms ``a1 ≺^v_A a2``:
 
 * **currency orders** — every recorded edge ``t1 ⪯_A t2`` with differing
   values becomes the fact ``true → t1[A] ≺^v t2[A]``;
-* **structural axioms** — transitivity and asymmetry of each ``≺^v_A``;
 * **currency constraints** — each constraint is instantiated on tuple pairs:
   the comparison predicates are evaluated to truth values and the order
   predicates are replaced by value-level atoms;
 * **constant CFDs** — ``t_p[X] → t_p[B]`` becomes, for every other value ``b``
   of ``B``'s active domain, the implication "if every other X value is less
   current than the pattern values then ``b ≺^v t_p[B]``".
+
+Ω holds the constraints that carry information: these three kinds, the
+closure of the ground facts and, when the facts form a cycle, a conflict.
+The structural axioms (asymmetry and transitivity of each ``≺^v_A``) follow
+from the used values, so Ω keeps only their inputs — ``used_values`` and, for
+the transitivity cap, ``conditional_keys`` — and the encoder writes them
+straight into Φ (:func:`~repro.encoding.cnf_encoder.emit_order_axioms`).
 
 Two instantiation modes are provided.  The *naive* mode follows the paper
 literally and enumerates ordered pairs of tuples — O(|Σ|·|I_t|²).  The
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cfd import ConstantCFD
 from repro.core.constraints import (
@@ -49,7 +55,8 @@ class InstanceConstraint:
     """One instance constraint: ``body → head`` over ordering atoms.
 
     ``head is None`` encodes an implication to *false* (the body must not hold);
-    ``negated_head`` encodes a negative conclusion (used for asymmetry).
+    ``negated_head`` encodes a negative conclusion (no kind in Ω has one: the
+    asymmetry axioms go straight into Φ).
     """
 
     body: Tuple[OrderLiteral, ...]
@@ -87,7 +94,8 @@ class InstantiationOptions:
         Drop duplicate instance constraints (always safe; the naive mode with
         deduplication disabled matches the paper's cost model).
     include_transitivity / include_asymmetry:
-        Emit the structural axioms of ``≺^v_A``.
+        Emit the structural axioms of ``≺^v_A`` (into Φ; they are not part of
+        Ω).
     transitivity_cap:
         When an attribute has more than this many *used* values, transitivity
         axioms are restricted to the values appearing in conditional
@@ -105,10 +113,16 @@ class InstantiationOptions:
 
 @dataclass
 class InstanceConstraintSet:
-    """The result of instantiation: Ω(S_e) plus bookkeeping used by the encoder."""
+    """The result of instantiation: Ω(S_e) plus bookkeeping used by the encoder.
+
+    The order axioms' inputs: ``used_values`` per attribute in first-use
+    order, and the canonical ``conditional_keys`` of those used in a
+    constraint with a body (or a conflict).
+    """
 
     constraints: List[InstanceConstraint] = field(default_factory=list)
     used_values: Dict[str, List[Value]] = field(default_factory=dict)
+    conditional_keys: Dict[str, Set[Hashable]] = field(default_factory=dict)
     inherently_invalid: bool = False
     invalid_reason: str = ""
 
@@ -128,6 +142,16 @@ class InstanceConstraintSet:
         return [constraint for constraint in self.constraints if constraint.is_fact()]
 
 
+def _constraint_key(constraint: InstanceConstraint) -> Tuple:
+    """Deduplication key: the body atoms as a set, the head atom and its sign."""
+    head = constraint.head
+    return (
+        frozenset((lit.attribute, lit.older, lit.newer) for lit in constraint.body),
+        None if head is None else (head.attribute, head.older, head.newer),
+        constraint.negated_head,
+    )
+
+
 class _Deduplicator:
     """Tracks emitted constraints so duplicates are filtered out."""
 
@@ -138,13 +162,7 @@ class _Deduplicator:
     def admit(self, constraint: InstanceConstraint) -> bool:
         if not self._enabled:
             return True
-        key = (
-            frozenset((lit.attribute, lit.older, lit.newer) for lit in constraint.body),
-            None
-            if constraint.head is None
-            else (constraint.head.attribute, constraint.head.older, constraint.head.newer),
-            constraint.negated_head,
-        )
+        key = _constraint_key(constraint)
         if key in self._seen:
             return False
         self._seen.add(key)
@@ -189,8 +207,7 @@ def instantiate(spec: Specification, options: InstantiationOptions | None = None
             note(constraint.head.attribute, constraint.head.older, is_conditional)
             note(constraint.head.attribute, constraint.head.newer, is_conditional)
     result.used_values = used
-
-    _add_structural_axioms(result, options, conditional, emit)
+    result.conditional_keys = conditional
     return result
 
 
@@ -421,48 +438,6 @@ def _close_ground_facts(result: InstanceConstraintSet, emit) -> None:
                     body=(),
                     head=OrderLiteral(attribute, older, newer),
                     source_kind="closure",
-                    source_name=attribute,
-                )
-            )
-
-
-# -- structural axioms -----------------------------------------------------------
-
-
-def _add_structural_axioms(
-    result: InstanceConstraintSet,
-    options: InstantiationOptions,
-    conditional: Dict[str, Set[Hashable]],
-    emit,
-) -> None:
-    for attribute, values in result.used_values.items():
-        if options.include_asymmetry:
-            for older, newer in itertools.combinations(values, 2):
-                emit(
-                    InstanceConstraint(
-                        body=(OrderLiteral(attribute, older, newer),),
-                        head=OrderLiteral(attribute, newer, older),
-                        negated_head=True,
-                        source_kind="asymmetry",
-                        source_name=attribute,
-                    )
-                )
-        if not options.include_transitivity:
-            continue
-        transitive_values = values
-        cap = options.transitivity_cap
-        if cap is not None and len(values) > cap:
-            keys = conditional.get(attribute, set())
-            transitive_values = [value for value in values if canonical_value(value) in keys]
-        for first, second, third in itertools.permutations(transitive_values, 3):
-            emit(
-                InstanceConstraint(
-                    body=(
-                        OrderLiteral(attribute, first, second),
-                        OrderLiteral(attribute, second, third),
-                    ),
-                    head=OrderLiteral(attribute, first, third),
-                    source_kind="transitivity",
                     source_name=attribute,
                 )
             )

@@ -75,13 +75,25 @@ class OrderVariableRegistry:
 
     def variable(self, literal: OrderLiteral) -> int:
         """Return the variable for *literal*, allocating it on first use."""
-        key = (literal.attribute, literal.older, literal.newer)
+        return self.variable_for(literal.attribute, literal.older, literal.newer, literal)
+
+    def variable_for(
+        self, attribute: str, older: Hashable, newer: Hashable, label: Optional[OrderLiteral] = None
+    ) -> int:
+        """Return the variable for ``older ≺ newer`` on *attribute*, allocating it on first use.
+
+        The values must be canonical and distinct.  Only a new variable builds
+        an :class:`OrderLiteral`, as its label, when no *label* is given.
+        """
+        key = (attribute, older, newer)
         existing = self._by_literal.get(key)
         if existing is not None:
             return existing
-        variable = self._pool.new_variable(label=literal)
+        if label is None:
+            label = OrderLiteral._trusted(attribute, older, newer)
+        variable = self._pool.new_variable(label=label)
         self._by_literal[key] = variable
-        self._by_variable[variable] = literal
+        self._by_variable[variable] = label
         return variable
 
     def find(self, literal: OrderLiteral) -> Optional[int]:

@@ -131,10 +131,14 @@ def deduce_order(
     propagation as a positive unit, so that constraint bodies mentioning it
     can fire.  Each injected literal holds in every valid completion, so the
     extension is sound; it only makes the deduced order O_d larger.
+
+    The loop ends: the injected set only grows, each round but the last adds
+    at least one positive ordering variable to it, and it holds nothing but
+    *extra_literals* and ordering variables.  So there are at most
+    ``registry.num_variables + 1`` rounds.
     """
-    result = DeducedOrders()
     injected = {int(literal) for literal in extra_literals}
-    for _ in range(_MAX_FIXPOINT_ROUNDS):
+    while True:
         result = DeducedOrders()
         propagation = propagate_units(encoding.cnf, extra_units=sorted(injected))
         result.forced_literals = list(propagation.forced_literals)
@@ -152,14 +156,8 @@ def deduce_order(
                 if variable is not None:
                     new_units.add(variable)
         if new_units == injected:
-            break
+            return result
         injected = new_units
-    return result
-
-
-#: Upper bound on the totality-feedback iterations of :func:`deduce_order`
-#: (each round only adds literals, so the loop terminates long before this).
-_MAX_FIXPOINT_ROUNDS = 10
 
 
 def naive_deduce(

@@ -47,7 +47,11 @@ class TestEncoding:
     def test_clause_count_matches_omega(self, schema, rows, sigma, gamma):
         spec = Specification.from_rows(schema, rows, sigma, gamma)
         encoding = encode_specification(spec)
-        assert len(encoding.cnf) == len(encoding.omega)
+        # One clause per instance constraint of Ω, then one per asymmetry pair
+        # and transitivity triple of each attribute's used values.
+        sizes = [len(values) for values in encoding.omega.used_values.values()]
+        axioms = sum(n * (n - 1) // 2 + n * (n - 1) * (n - 2) for n in sizes)
+        assert len(encoding.cnf) == len(encoding.omega) + axioms
 
     def test_lemma5_satisfiable_for_valid_specification(self, schema, rows, sigma, gamma):
         spec = Specification.from_rows(schema, rows, sigma, gamma)

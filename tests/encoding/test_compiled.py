@@ -39,6 +39,7 @@ def assert_omega_identical(spec, options):
     assert list(cold.used_values) == list(stamped.used_values)
     for attribute in cold.used_values:
         assert cold.used_values[attribute] == stamped.used_values[attribute]
+    assert cold.conditional_keys == stamped.conditional_keys
 
 
 class TestInstantiateEquivalence:

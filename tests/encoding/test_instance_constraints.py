@@ -12,7 +12,7 @@ from repro.core import (
     Specification,
     TemporalInstance,
 )
-from repro.encoding import InstantiationOptions, instantiate
+from repro.encoding import InstantiationOptions, encode_specification, instantiate
 from repro.encoding.variables import OrderLiteral
 
 
@@ -25,6 +25,31 @@ def spec_from_rows(schema, rows, sigma=(), gamma=(), orders=None):
     tuples = [EntityTuple(schema, row) for row in rows]
     instance = EntityInstance(schema, tuples)
     return Specification(TemporalInstance(instance, orders or {}), sigma, gamma)
+
+
+def order_axiom_clauses(encoding):
+    """Φ's asymmetry and transitivity clauses, each as a set of signed atoms.
+
+    Asymmetry is ``¬(a ≺ b) ∨ ¬(b ≺ a)``; transitivity is
+    ``¬(a ≺ b) ∨ ¬(b ≺ c) ∨ (a ≺ c)`` on one attribute.  No instance
+    constraint of Ω has either shape.
+    """
+    asymmetry, transitivity = set(), set()
+    for clause in encoding.cnf:
+        signed = [encoding.decode(literal) for literal in clause]
+        negative = [atom for atom, positive in signed if not positive]
+        positive = [atom for atom, positive in signed if positive]
+        if len(clause) == 2 and len(negative) == 2 and negative[0].reversed() == negative[1]:
+            asymmetry.add(frozenset(signed))
+        elif len(clause) == 3 and len(negative) == 2 and len(positive) == 1:
+            head = positive[0]
+            for first, second in (negative, negative[::-1]):
+                chained = (first.newer, first.older, second.newer) == (
+                    second.older, head.older, head.newer
+                )
+                if chained and first.attribute == second.attribute == head.attribute:
+                    transitivity.add(frozenset(signed))
+    return asymmetry, transitivity
 
 
 class TestCurrencyOrderInstantiation:
@@ -204,9 +229,11 @@ class TestStructuralAxioms:
             CurrencyConstraint.value_transition("status", "a", "b"),
             CurrencyConstraint.value_transition("status", "b", "c"),
         ]
-        omega = instantiate(spec_from_rows(schema, rows, sigma))
-        assert omega.by_kind("asymmetry")
-        assert omega.by_kind("transitivity")
+        encoding = encode_specification(spec_from_rows(schema, rows, sigma))
+        asymmetry, transitivity = order_axiom_clauses(encoding)
+        a, b, c = (OrderLiteral("status", *pair) for pair in (("a", "b"), ("b", "c"), ("a", "c")))
+        assert frozenset({(a, False), (a.reversed(), False)}) in asymmetry
+        assert frozenset({(a, False), (b, False), (c, True)}) in transitivity
 
     def test_axioms_can_be_disabled(self, schema):
         rows = [
@@ -215,9 +242,9 @@ class TestStructuralAxioms:
         ]
         sigma = [CurrencyConstraint.value_transition("status", "a", "b")]
         options = InstantiationOptions(include_transitivity=False, include_asymmetry=False)
-        omega = instantiate(spec_from_rows(schema, rows, sigma), options)
-        assert not omega.by_kind("asymmetry")
-        assert not omega.by_kind("transitivity")
+        encoding = encode_specification(spec_from_rows(schema, rows, sigma), options)
+        assert order_axiom_clauses(encoding) == (set(), set())
+        assert len(encoding.cnf) == len(encoding.omega)
 
     def test_ground_fact_closure(self, schema):
         rows = [

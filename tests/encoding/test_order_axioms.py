@@ -1,0 +1,232 @@
+"""The integer order-axiom emitter against the object-based reference.
+
+``emit_order_axioms`` (full and cold encodes) and the incremental encoder's
+delta path write the asymmetry and transitivity clauses of each ``≺^v_A``
+straight into Φ.  The reference in ``_order_axioms_reference.py`` builds the
+same axioms as ``InstanceConstraint`` objects, deduplicates them by their
+instance-constraint key and converts them with ``_constraint_to_clause``:
+both must give the same clauses, in the same order, over the same variables.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import (
+    ConstantCFD,
+    CurrencyConstraint,
+    EntityInstance,
+    EntityTuple,
+    PartialOrder,
+    RelationSchema,
+    Specification,
+    TemporalInstance,
+    TemporalOrderDelta,
+)
+from repro.datasets import PersonConfig, generate_person_dataset
+from repro.encoding import (
+    ConstraintProgramCache,
+    IncrementalEncoder,
+    InstantiationOptions,
+    encode_specification,
+    instantiate,
+)
+from repro.encoding.instance_constraints import _constraint_key
+from repro.encoding.variables import OrderLiteral
+from repro.resolution.framework import ResolverOptions
+
+from tests.encoding._order_axioms_reference import (
+    ReferenceIncrementalEncoder,
+    reference_encoding,
+    structural_axioms,
+)
+
+OPTION_VARIANTS = (
+    InstantiationOptions(),
+    InstantiationOptions(include_asymmetry=False),
+    InstantiationOptions(include_transitivity=False),
+    InstantiationOptions(transitivity_cap=3),
+    InstantiationOptions(deduplicate=False),
+)
+
+ATTRIBUTES = ("status", "city", "kids")
+VALUES = {"status": ("s0", "s1", "s2", "s3"), "city": ("c0", "c1", "c2"), "kids": (0, 1, 2, 3)}
+#: Values outside every drawn row, so a delta can grow an active domain.
+NEW_VALUES = {"status": ("s9",), "city": ("c9",), "kids": (9,)}
+
+
+def _value(attribute, extra=()):
+    return st.one_of(st.none(), st.sampled_from(VALUES[attribute] + tuple(extra)))
+
+
+@st.composite
+def _currency_constraint(draw, attributes):
+    kind = draw(st.sampled_from(("transition", "monotone", "propagation")))
+    if kind == "transition":
+        attribute = draw(st.sampled_from(attributes))
+        values = st.sampled_from(VALUES[attribute])
+        older, newer = draw(st.tuples(values, values).filter(lambda pair: pair[0] != pair[1]))
+        return CurrencyConstraint.value_transition(attribute, older, newer)
+    if kind == "monotone":
+        return CurrencyConstraint.monotone(draw(st.sampled_from(attributes)))
+    target = draw(st.sampled_from(attributes))
+    sources = draw(st.lists(st.sampled_from(attributes), min_size=1, max_size=2, unique=True))
+    return CurrencyConstraint.order_propagation(sources, target)
+
+
+@st.composite
+def _cfd(draw, attributes):
+    rhs = draw(st.sampled_from(attributes))
+    others = [attribute for attribute in attributes if attribute != rhs]
+    lhs_attributes = draw(st.lists(st.sampled_from(others), min_size=1, max_size=2, unique=True))
+    lhs = {attribute: draw(st.sampled_from(VALUES[attribute])) for attribute in lhs_attributes}
+    return ConstantCFD(lhs, rhs, draw(st.sampled_from(VALUES[rhs] + NEW_VALUES[rhs])))
+
+
+@st.composite
+def specs_with_deltas(draw):
+    """≤6 tuples over ≤3 attributes with NULLs, Σ, Γ, order edges and ≤2 deltas."""
+    attributes = ATTRIBUTES[: draw(st.integers(2, 3))]
+    schema = RelationSchema("r", list(attributes))
+    rows = [
+        {attribute: draw(_value(attribute)) for attribute in attributes}
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    sigma = draw(st.lists(_currency_constraint(attributes), max_size=4))
+    gamma = draw(st.lists(_cfd(attributes), max_size=2)) if len(attributes) > 1 else []
+    orders = {}
+    positions = st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True)
+    for _ in range(draw(st.integers(0, 2 if len(rows) > 1 else 0))):
+        older, newer = sorted(draw(positions))
+        attribute = draw(st.sampled_from(attributes))
+        orders.setdefault(attribute, PartialOrder()).add(f"t{older}", f"t{newer}")
+    instance = EntityInstance(schema, [EntityTuple(schema, row) for row in rows])
+    spec = Specification(TemporalInstance(instance, orders), sigma, gamma)
+    deltas = []
+    for _ in range(draw(st.integers(0, 2))):
+        row = {a: draw(_value(a, NEW_VALUES[a])) for a in attributes}
+        deltas.append(TemporalOrderDelta(new_tuples=[EntityTuple(schema, row)]))
+    return spec, deltas
+
+
+def _registry_map(registry):
+    atoms = [(variable, literal) for literal, variable in registry.literals()]
+    return atoms, registry.num_variables
+
+
+def _assert_same_encoder(encoder, reference):
+    assert encoder.encoding.cnf.clauses == reference.encoding.cnf.clauses
+    assert encoder.encoding.cnf.num_variables == reference.encoding.cnf.num_variables
+    assert _registry_map(encoder.encoding.registry) == _registry_map(reference.encoding.registry)
+    assert list(encoder._guards.items()) == list(reference._guards.items())
+    assert encoder.statistics() == reference.statistics()
+
+
+@given(specs_with_deltas())
+@settings(max_examples=150, deadline=None)
+def test_emitter_matches_the_object_reference(case):
+    spec, deltas = case
+    for options in OPTION_VARIANTS:
+        expected_cnf, expected_registry = reference_encoding(spec, options)
+        programs = ConstraintProgramCache()
+        for program in (None, programs.program_for(spec, options)):
+            encoding = encode_specification(spec, options, program=program)
+            assert encoding.cnf.clauses == expected_cnf.clauses
+            assert encoding.cnf.num_variables == expected_cnf.num_variables
+            assert _registry_map(encoding.registry) == _registry_map(expected_registry)
+
+            encoder = IncrementalEncoder(spec, options, program=program)
+            reference = ReferenceIncrementalEncoder(spec, options, program=program)
+            _assert_same_encoder(encoder, reference)
+            for delta in deltas:
+                assert encoder.apply_delta(delta) == reference.apply_delta(delta)
+                _assert_same_encoder(encoder, reference)
+
+
+@given(specs_with_deltas())
+@settings(max_examples=100, deadline=None)
+def test_no_omega_key_is_an_axiom_key(case):
+    spec, deltas = case
+    for options in OPTION_VARIANTS:
+        for current in [spec] + [spec.extend(delta) for delta in deltas]:
+            omega = instantiate(current, options)
+            axiom_keys = [_constraint_key(axiom) for axiom in structural_axioms(omega, options)]
+            assert len(set(axiom_keys)) == len(axiom_keys)
+            assert not {_constraint_key(constraint) for constraint in omega} & set(axiom_keys)
+
+
+# -- atom objects per full encode ---------------------------------------------------
+
+#: (tuples per entity, entities) of the batch benchmark's Person size mix; its
+#: populations hold three times as many entities, seeded 1000 + tuples.
+_BATCH_SIZE_MIX = ((4, 150), (12, 50), (24, 10), (48, 2))
+#: Atom objects one full encode may build per registered ordering variable.
+LITERALS_PER_VARIABLE = 3
+
+
+def _population(tuples, entities):
+    return generate_person_dataset(
+        PersonConfig(
+            num_entities=entities,
+            tuples_per_entity=tuples,
+            versions_per_entity=min(24, max(6, tuples // 6)),
+            seed=1000 + tuples,
+        )
+    )
+
+
+def _whole_population(tuples, entities):
+    dataset = _population(tuples, entities)
+    return [(dataset, entity) for entity in dataset.entities]
+
+
+def _batch_pool(seed):
+    rng = random.Random(seed)
+    pool = []
+    for tuples, count in _BATCH_SIZE_MIX:
+        dataset = _population(tuples, count * 3)
+        pool.extend((dataset, entity) for entity in rng.sample(dataset.entities, count))
+    return pool
+
+
+@pytest.fixture
+def literal_counter(monkeypatch):
+    """Count :class:`OrderLiteral` constructions, through the constructor and ``_trusted``."""
+    built = [0]
+    post_init = OrderLiteral.__post_init__
+    trusted = OrderLiteral._trusted.__func__
+
+    def counting_post_init(self):
+        built[0] += 1
+        post_init(self)
+
+    def counting_trusted(cls, attribute, older, newer):
+        built[0] += 1
+        return trusted(cls, attribute, older, newer)
+
+    monkeypatch.setattr(OrderLiteral, "__post_init__", counting_post_init)
+    monkeypatch.setattr(OrderLiteral, "_trusted", classmethod(counting_trusted))
+    return built
+
+
+@pytest.mark.parametrize(
+    "pool",
+    [
+        pytest.param(lambda: _batch_pool(1), id="batch-seed-1"),
+        pytest.param(lambda: _whole_population(48, 6), id="person-48"),
+    ],
+)
+def test_full_encode_builds_at_most_three_literals_per_variable(pool, literal_counter):
+    options = ResolverOptions().instantiation
+    programs = ConstraintProgramCache()
+    for dataset, entity in pool():
+        spec = dataset.specification_for(entity)
+        program = programs.program_for(spec, options)
+        literal_counter[0] = 0
+        encoder = IncrementalEncoder(spec, program=program)
+        variables = sum(1 for _ in encoder.encoding.registry.literals())
+        assert literal_counter[0] <= LITERALS_PER_VARIABLE * variables, (
+            f"{entity.name}: {literal_counter[0]} literals for {variables} variables"
+        )

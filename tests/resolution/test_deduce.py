@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import CurrencyConstraint, RelationSchema, Specification, values_equal
-from repro.encoding import encode_specification
+from repro.encoding import (
+    InstanceConstraintSet,
+    OrderLiteral,
+    OrderVariableRegistry,
+    SpecificationEncoding,
+    encode_specification,
+)
 from repro.resolution import deduce_order, extract_true_values, naive_deduce
+from repro.solvers import CNF
 
 from tests.resolution.test_validity import random_specification
 
@@ -85,6 +92,29 @@ class TestExtraLiterals:
             )
         enriched = deduce_order(encoding, extra_literals=[literal])
         assert enriched.holds("status", "unemployed", "retired")
+
+
+class TestFixpoint:
+    def test_feedback_chain_runs_to_the_fixpoint(self):
+        """A chain that feeds one more order back per round is followed to its end.
+
+        ``¬(hi ≺ lo)`` on ``A0`` gives ``lo ≺ hi`` on ``A0``; each clause
+        ``(lo ≺ hi on A_i) → ¬(hi ≺ lo on A_i+1)`` fires only once the order
+        before it was fed back, so twelve links take twelve rounds.
+        """
+        attributes = [f"A{index}" for index in range(12)]
+        registry = OrderVariableRegistry()
+        up = {a: registry.variable(OrderLiteral(a, "lo", "hi")) for a in attributes}
+        down = {a: registry.variable(OrderLiteral(a, "hi", "lo")) for a in attributes}
+        cnf = CNF([[-down["A0"]]])
+        for attribute, following in zip(attributes, attributes[1:]):
+            cnf.add_clause([-up[attribute], -down[following]])
+        encoding = SpecificationEncoding(
+            specification=None, omega=InstanceConstraintSet(), registry=registry, cnf=cnf
+        )
+        deduced = deduce_order(encoding)
+        assert not deduced.conflict
+        assert [a for a in attributes if deduced.holds(a, "lo", "hi")] == attributes
 
 
 # -- property-based soundness check ------------------------------------------------
