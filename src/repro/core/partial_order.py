@@ -11,7 +11,7 @@ restriction operations, and extension to a total order (topological sort).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping, Set, Tuple
 
 from repro.core.errors import CyclicOrderError
 
@@ -81,6 +81,24 @@ class PartialOrder:
         """Union *other* into this order (raises on cycles)."""
         for smaller, larger in other.pairs():
             self.add(smaller, larger)
+
+    @classmethod
+    def from_acyclic(cls, successors: Mapping[Hashable, Iterable[Hashable]]) -> "PartialOrder":
+        """Build the order with the direct edges ``a ≺ b`` for each ``b`` in ``successors[a]``.
+
+        The per-edge cycle check of :meth:`add` is skipped: the caller
+        guarantees the edges are acyclic (e.g. a transitive closure it has
+        already checked for cycles).
+        """
+        order = cls()
+        order._successors = {smaller: set(larger) for smaller, larger in successors.items()}
+        predecessors = order._predecessors = {element: set() for element in order._successors}
+        for smaller, larger_elements in order._successors.items():
+            for larger in larger_elements:
+                predecessors.setdefault(larger, set()).add(smaller)
+        for element in predecessors:
+            order._successors.setdefault(element, set())
+        return order
 
     def copy(self) -> "PartialOrder":
         """Return an independent copy of this order.

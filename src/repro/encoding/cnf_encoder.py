@@ -11,6 +11,8 @@ after Ω's.  The result Φ(S_e) is satisfiable iff the specification is valid
 
 :class:`SpecificationEncoding` bundles the specification, Ω(S_e), the variable
 registry and Φ(S_e); it is the object every resolution algorithm works on.
+The incremental encoder's encodings hold no CNF: their Φ lives only in the
+encoder's solver session.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import (
     Callable, Collection, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
+from repro.core.errors import ReproError
 from repro.core.specification import Specification
 from repro.core.values import Value
 from repro.encoding.instance_constraints import (
@@ -48,16 +51,33 @@ class SpecificationEncoding:
     registry:
         Mapping between ordering atoms and propositional variables.
     cnf:
-        The CNF Φ(S_e).
+        The CNF Φ(S_e), or ``None`` when Φ lives only in a solver session
+        (the :class:`~repro.encoding.incremental.IncrementalEncoder`'s).
     options:
         The instantiation options used.
+    session_clauses:
+        Clauses pushed into the session so far, when ``cnf`` is ``None``.
     """
 
     specification: Specification
     omega: InstanceConstraintSet
     registry: OrderVariableRegistry
-    cnf: CNF
+    cnf: Optional[CNF]
     options: InstantiationOptions = field(default_factory=InstantiationOptions)
+    session_clauses: int = 0
+
+    def require_cnf(self, consumer: str) -> CNF:
+        """Φ as a CNF, for *consumer* running without a solver session.
+
+        Raises :class:`~repro.core.errors.ReproError` for a session-backed
+        encoding: its clauses are only in the session, so pass that.
+        """
+        if self.cnf is None:
+            raise ReproError(
+                f"{consumer} needs the solver session: this encoding keeps Φ only in "
+                "its IncrementalEncoder's session (pass session=encoder.session)"
+            )
+        return self.cnf
 
     # -- literal helpers ------------------------------------------------------
 
@@ -87,7 +107,7 @@ class SpecificationEncoding:
             "cfds": len(self.specification.cfds),
             "instance_constraints": len(self.omega),
             "variables": self.registry.num_variables,
-            "clauses": len(self.cnf),
+            "clauses": self.session_clauses if self.cnf is None else len(self.cnf),
         }
 
 

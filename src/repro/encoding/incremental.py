@@ -5,9 +5,10 @@ user round and re-runs ``IsValid`` → ``DeduceOrder`` → ``Suggest`` on the
 result.  Re-instantiating Ω(S_e ⊕ O_t) and rebuilding Φ from scratch each
 round throws away everything the previous round computed, including all the
 conflicts the SAT solver learned.  :class:`IncrementalEncoder` keeps one
-registry, one CNF and one :class:`~repro.solvers.session.SolverSession` alive
-for the whole resolve loop and, given a :class:`TemporalOrderDelta`, emits
-*only the new* instance constraints and clauses:
+registry and one :class:`~repro.solvers.session.SolverSession` alive for the
+whole resolve loop — the session is the only store of Φ's clauses — and,
+given a :class:`TemporalOrderDelta`, emits *only the new* instance
+constraints and clauses:
 
 * **currency-order facts** — the diff of the per-attribute tuple orders
   (including the NULL-lowest edges the extended temporal instance adds);
@@ -70,7 +71,6 @@ from repro.encoding.instance_constraints import (
 )
 from repro.encoding.variables import OrderLiteral, OrderVariableRegistry, canonical_value
 from repro.solvers.budget import SolverBudget
-from repro.solvers.cnf import CNF
 from repro.solvers.session import SolverSession, create_session
 
 __all__ = ["IncrementalEncoder"]
@@ -93,7 +93,8 @@ class IncrementalEncoder:
         :func:`repro.solvers.session.create_session`); ignored when *session*
         is given.
     session:
-        An existing :class:`SolverSession` to load the clauses into.
+        An existing :class:`SolverSession` to load the clauses into.  It is
+        the only place Φ is kept: the encoding's ``cnf`` is ``None``.
     program:
         Optional pre-compiled constraint program
         (:class:`~repro.encoding.compiled.CompiledConstraintProgram`) for the
@@ -121,7 +122,6 @@ class IncrementalEncoder:
         self._options = program.options if program is not None else (options or InstantiationOptions())
         self._session = session if session is not None else create_session(backend, budget=budget)
         self._registry = OrderVariableRegistry()
-        self._cnf = CNF()
         self._spec = spec
         # Delta-tracking state.
         self._keys: Set[Tuple] = set()
@@ -148,7 +148,7 @@ class IncrementalEncoder:
             specification=spec,
             omega=self._omega,
             registry=self._registry,
-            cnf=self._cnf,
+            cnf=None,
             options=self._options,
         )
         if profiling.enabled():
@@ -157,6 +157,7 @@ class IncrementalEncoder:
             profiling.add("encode", perf_counter() - encode_start)
         else:
             self._full_encode()
+        self._encoding.session_clauses = self._initial_clauses
 
     # -- public accessors ------------------------------------------------------
 
@@ -179,8 +180,8 @@ class IncrementalEncoder:
     def assumptions(self) -> Tuple[int, ...]:
         """Guard literals of the currently valid CFD clauses.
 
-        Every SAT query (and every unit-propagation run) over the incremental
-        encoding must assume these; retired guards are simply absent.
+        Every session call over the incremental encoding (each ``solve`` and
+        each ``propagate``) must assume these; retired guards are simply absent.
         """
         return tuple(sorted(self._guards.values()))
 
@@ -203,17 +204,12 @@ class IncrementalEncoder:
     # -- clause plumbing -------------------------------------------------------
 
     def _push_clause(self, literals: Sequence[int], initial: bool) -> None:
-        self._add_clause(literals)
+        self._session.add_clause(literals)
         if initial:
             self._initial_clauses += 1
         else:
             self._incremental_clauses += 1
             self._last_delta_clauses += 1
-
-    def _add_clause(self, literals: Sequence[int]) -> None:
-        """Append a clause to the CNF mirror and the session, uncounted."""
-        self._cnf.add_clause(literals)
-        self._session.add_clause(literals)
 
     def _push_constraint(self, constraint: InstanceConstraint, initial: bool) -> None:
         """Append an unguarded constraint to Ω and its clause to Φ/session."""
@@ -267,9 +263,12 @@ class IncrementalEncoder:
                 self._keys.add(key)
                 self._push_constraint(constraint, initial=True)
         self._initial_clauses += emit_order_axioms(
-            self._registry, self._add_clause, self._options, self._used_values, self._conditional
+            self._registry,
+            self._session.add_clause,
+            self._options,
+            self._used_values,
+            self._conditional,
         )
-        self._cnf.num_variables = max(self._cnf.num_variables, self._registry.num_variables)
         self._session.ensure_variables(self._registry.num_variables)
         if self._omega.inherently_invalid:
             return  # the encoding is permanently unsatisfiable; no delta state needed
@@ -336,12 +335,13 @@ class IncrementalEncoder:
             self._push_constraint(constraint, initial=False)
         axioms = self._delta_order_axioms(fresh + new_cfd_constraints)
         self._last_delta_constraints = len(fresh) + len(new_cfd_constraints) + axioms
-        self._cnf.num_variables = max(self._cnf.num_variables, self._registry.num_variables)
         self._session.ensure_variables(self._registry.num_variables)
         self._omega.used_values = self._used_values
         return self._delta_report()
 
     def _delta_report(self) -> Dict[str, int]:
+        # Every exit of a delta passes here: keep the encoding's count current.
+        self._encoding.session_clauses = self._initial_clauses + self._incremental_clauses
         return {
             "constraints_added": self._last_delta_constraints,
             "clauses_added": self._last_delta_clauses,
@@ -576,7 +576,7 @@ class IncrementalEncoder:
         pushed = 0
         for attribute in sorted(new_counts):
             values = self._used_values.get(attribute, [])
-            axioms = OrderAxioms(self._registry, attribute, values, self._add_clause)
+            axioms = OrderAxioms(self._registry, attribute, values, self._session.add_clause)
             if options.include_asymmetry:
                 old = len(values) - new_counts[attribute]
                 pushed += axioms.asymmetry(

@@ -100,6 +100,13 @@ class OrderVariableRegistry:
         """Return the variable for *literal* if it was registered, else ``None``."""
         return self._by_literal.get((literal.attribute, literal.older, literal.newer))
 
+    def find_for(self, attribute: str, older: Hashable, newer: Hashable) -> Optional[int]:
+        """Return the variable for ``older ≺ newer`` on *attribute* if registered, else ``None``.
+
+        The values must be canonical; no :class:`OrderLiteral` is built.
+        """
+        return self._by_literal.get((attribute, older, newer))
+
     def auxiliary_variable(self, label: object | None = None) -> int:
         """Allocate a fresh variable that does *not* stand for an ordering atom.
 

@@ -6,8 +6,10 @@ each forced positive literal ``x^A_{a1,a2}`` contributes the order
 ``a1 ≺^v a2`` to the deduced order O_d, each forced negative literal
 contributes the reversed order (distinct values are totally ordered in every
 completion), and the formula is reduced by the literal.  The loop is exactly
-unit propagation, so the implementation delegates to the shared propagation
-engine and then transitively closes the per-attribute orders.
+unit propagation, so the implementation runs it as a propagate-only call on
+the solver session that already holds Φ(S_e) (see
+:meth:`~repro.solvers.session.SolverSession.propagate`) and then transitively
+closes the per-attribute orders.
 
 ``NaiveDeduce`` is the baseline the paper compares against: for every ordered
 pair of values it asks the SAT solver whether Φ(S_e) ∧ ¬x is unsatisfiable
@@ -17,16 +19,16 @@ pair of values it asks the SAT solver whether Φ(S_e) ∧ ¬x is unsatisfiable
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set
 
 from repro.core.errors import CyclicOrderError
 from repro.core.partial_order import PartialOrder
 from repro.core.values import Value
 from repro.encoding.cnf_encoder import SpecificationEncoding
 from repro.encoding.variables import OrderLiteral, canonical_value
+from repro.solvers.arena import loaded_solver
 from repro.solvers.sat import solve
 from repro.solvers.session import SolverSession
-from repro.solvers.unit_propagation import propagate_units
 
 __all__ = ["DeducedOrders", "deduce_order", "naive_deduce"]
 
@@ -91,39 +93,49 @@ class DeducedOrders:
         return [value for value in domain if canonical_value(value) not in dominated]
 
 
-def _record_forced_literal(result: DeducedOrders, encoding: SpecificationEncoding, literal: int) -> None:
-    atom = encoding.registry.get(abs(literal))
-    if atom is None:
-        # Guard/auxiliary literal of the incremental encoding: carries no
-        # ordering information.
-        return
-    if literal > 0:
-        result.add(atom.attribute, atom.older, atom.newer)
-    else:
-        # ¬(a1 ≺ a2) together with totality of completions gives a2 ≺ a1.
-        result.add(atom.attribute, atom.newer, atom.older)
+#: Per attribute, each value → the values deduced more current than it.
+_Successors = Dict[Hashable, Set[Hashable]]
+
+
+def _closure(successors: _Successors) -> Optional[_Successors]:
+    """Each value's successors in the transitive closure; ``None`` on a cycle."""
+    closure: _Successors = {}
+    for start, direct in successors.items():
+        reached: Set[Hashable] = set()
+        stack = list(direct)
+        while stack:
+            node = stack.pop()
+            if node not in reached:
+                reached.add(node)
+                stack.extend(successors.get(node, ()))
+        if start in reached:
+            return None
+        closure[start] = reached
+    return closure
 
 
 def _close_orders(result: DeducedOrders) -> None:
-    """Transitively close the deduced per-attribute orders."""
-    for attribute, order in list(result.orders.items()):
-        closed = PartialOrder()
-        try:
-            for older, newer in order.transitive_closure_pairs():
-                closed.add(older, newer)
-        except CyclicOrderError:
-            result.conflict = True
-            continue
-        result.orders[attribute] = closed
+    """Transitively close the deduced per-attribute orders (acyclic by construction)."""
+    for attribute, order in result.orders.items():
+        result.orders[attribute] = PartialOrder.from_acyclic(_closure(order.successor_map()))
 
 
 def deduce_order(
-    encoding: SpecificationEncoding, extra_literals: Iterable[int] = ()
+    encoding: SpecificationEncoding,
+    extra_literals: Iterable[int] = (),
+    session: Optional[SolverSession] = None,
 ) -> DeducedOrders:
     """Run ``DeduceOrder`` on an encoded specification.
 
-    *extra_literals* may inject additional facts (the framework uses this to
-    assert user-validated true values without rebuilding the encoding).
+    *extra_literals* may inject additional facts: the framework passes the
+    guard literals of the incremental encoding, and a caller may assert
+    user-validated orders without rebuilding the encoding.  Propagation runs
+    on *session*, which must hold Φ(S_e) (the framework passes its
+    incremental encoder's); without one, on a pooled arena solver loaded
+    with ``encoding.cnf``.  A session that learned clauses in earlier solves
+    propagates them too.  They are implied by Φ(S_e), so every literal they
+    add to the forced set still holds in every model: O_d can only grow, and
+    stays sound.
 
     Beyond the literal loop of Fig. 5, the implementation iterates to a
     fixpoint: every order obtained from a forced *negative* literal (via the
@@ -132,32 +144,71 @@ def deduce_order(
     can fire.  Each injected literal holds in every valid completion, so the
     extension is sound; it only makes the deduced order O_d larger.
 
+    A propagation conflict, or forced orders that form a cycle, mean that no
+    valid completion exists: the result then has ``conflict`` set and no
+    orders.
+
     The loop ends: the injected set only grows, each round but the last adds
     at least one positive ordering variable to it, and it holds nothing but
     *extra_literals* and ordering variables.  So there are at most
     ``registry.num_variables + 1`` rounds.
     """
+    if session is not None:
+        return _deduce_fixpoint(encoding, session, extra_literals)
+    with loaded_solver(encoding.require_cnf("deduce_order")) as solver:
+        return _deduce_fixpoint(encoding, solver, extra_literals)
+
+
+def _deduce_fixpoint(encoding: SpecificationEncoding, propagator, extra_literals) -> DeducedOrders:
+    """The fixpoint of :func:`deduce_order` over *propagator*'s ``propagate``.
+
+    The forced set only grows from round to round, so each round records
+    only the literals no earlier round forced, and closes only the
+    attributes they touch.
+    """
+    registry = encoding.registry
     injected = {int(literal) for literal in extra_literals}
+    recorded: Set[int] = set()
+    successors: Dict[str, _Successors] = {}
+    closures: Dict[str, _Successors] = {}
     while True:
-        result = DeducedOrders()
-        propagation = propagate_units(encoding.cnf, extra_units=sorted(injected))
-        result.forced_literals = list(propagation.forced_literals)
-        if propagation.conflict:
-            result.conflict = True
-        for literal in propagation.forced_literals:
-            _record_forced_literal(result, encoding, literal)
-        _close_orders(result)
-        if result.conflict:
-            return result
-        new_units = set(injected)
-        for attribute, order in result.orders.items():
-            for older, newer in order.transitive_closure_pairs():
-                variable = encoding.find_literal(OrderLiteral(attribute, older, newer))
-                if variable is not None:
-                    new_units.add(variable)
-        if new_units == injected:
-            return result
-        injected = new_units
+        forced, conflict = propagator.propagate(sorted(injected))
+        if conflict:
+            return DeducedOrders(conflict=True, forced_literals=forced)
+        touched: Set[str] = set()
+        for literal in forced:
+            if literal in recorded:
+                continue
+            recorded.add(literal)
+            atom = registry.get(abs(literal))
+            if atom is None:
+                # Guard/auxiliary literal of the incremental encoding: carries
+                # no ordering information.
+                continue
+            # ¬(a1 ≺ a2) together with totality of completions gives a2 ≺ a1.
+            older, newer = (atom.older, atom.newer) if literal > 0 else (atom.newer, atom.older)
+            successors.setdefault(atom.attribute, {}).setdefault(older, set()).add(newer)
+            touched.add(atom.attribute)
+        fed_back: List[int] = []
+        for attribute in touched:
+            closure = _closure(successors[attribute])
+            if closure is None:
+                return DeducedOrders(conflict=True, forced_literals=forced)
+            closures[attribute] = closure
+            for older, reached in closure.items():
+                for newer in reached:
+                    variable = registry.find_for(attribute, older, newer)
+                    if variable is not None and variable not in injected:
+                        fed_back.append(variable)
+        if not fed_back:
+            break
+        injected.update(fed_back)
+    return DeducedOrders(
+        orders={
+            attribute: PartialOrder.from_acyclic(closure) for attribute, closure in closures.items()
+        },
+        forced_literals=forced,
+    )
 
 
 def naive_deduce(
@@ -186,10 +237,12 @@ def naive_deduce(
     """
     base_assumptions = [int(literal) for literal in assumptions]
 
+    cnf = encoding.require_cnf("naive_deduce") if session is None else None
+
     def query(extra: List[int]):
         if session is not None:
             return session.solve(base_assumptions + extra)
-        return solve(encoding.cnf, assumptions=base_assumptions + extra)
+        return solve(cnf, assumptions=base_assumptions + extra)
 
     result = DeducedOrders()
     base = query([])

@@ -369,7 +369,15 @@ class ConflictResolver:
                 budget=options.budget,
             )
             validity_seconds = time.perf_counter() - start
-            if not validity.valid:
+            deduce_seconds = 0.0
+            if validity.valid:
+                start = time.perf_counter()
+                deduced = deduce_order(encoding, extra_literals=guard_assumptions, session=session)
+                deduce_seconds = time.perf_counter() - start
+            if not validity.valid or deduced.conflict:
+                # Φ has no totality clauses, so IsValid can pass a
+                # specification whose deduced orders contradict each other;
+                # either way no valid completion exists.
                 valid = False
                 rounds.append(
                     RoundReport(
@@ -378,13 +386,11 @@ class ConflictResolver:
                         deduced_attributes=(),
                         suggestion=None,
                         validity_seconds=validity_seconds,
+                        deduce_seconds=deduce_seconds,
                         encoding_statistics=self._round_statistics(encoding, encoder),
                     )
                 )
                 break
-
-            start = time.perf_counter()
-            deduced = deduce_order(encoding, extra_literals=guard_assumptions)
             known = extract_true_values(current, deduced)
             deduce_seconds = time.perf_counter() - start
 

@@ -157,6 +157,7 @@ def suggest(
     the validity check and earlier rounds already learned about Φ(S_e).
     """
     options = options or SuggestOptions()
+    hard = encoding.cnf if session is not None else encoding.require_cnf("suggest")
     spec = encoding.specification
     schema_attributes = list(spec.schema.attribute_names)
     unresolved = [attribute for attribute in schema_attributes if attribute not in known]
@@ -174,7 +175,7 @@ def suggest(
             _rule_assumption_literals(rule, encoding, candidates) for rule in clique_rules
         ]
         maxsat = solve_group_maxsat(
-            encoding.cnf,
+            hard,
             groups,
             strategy=options.maxsat_strategy,
             session=session,

@@ -71,7 +71,8 @@ def check_validity(
     if session is not None:
         result = session.solve(assumptions)
     else:
-        result = solve(encoding.cnf, assumptions=list(assumptions), budget=budget)
+        cnf = encoding.require_cnf("check_validity")
+        result = solve(cnf, assumptions=list(assumptions), budget=budget)
         if result.budget_exceeded:
             raise BudgetExceededError(
                 f"solver budget {budget} exhausted after {result.conflicts} conflicts "

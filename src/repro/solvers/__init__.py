@@ -1,5 +1,5 @@
-"""Constraint-solving substrate: SAT (CDCL and DPLL), unit propagation,
-group MaxSAT and maximum clique.
+"""Constraint-solving substrate: SAT (CDCL and DPLL) with propagate-only
+session calls, group MaxSAT and maximum clique.
 
 These modules replace the external tools used in the paper's experimental
 study (MiniSAT, WalkSAT-based MaxSAT, and the clique approximation of [16])
@@ -22,7 +22,6 @@ from repro.solvers.session import (
     create_session,
     register_backend,
 )
-from repro.solvers.unit_propagation import PropagationResult, propagate_units
 
 __all__ = [
     "ArenaSession",
@@ -33,7 +32,6 @@ __all__ = [
     "Clause",
     "DPLLSession",
     "MaxSATResult",
-    "PropagationResult",
     "SATResult",
     "SolverBudget",
     "SolverSession",
@@ -45,7 +43,6 @@ __all__ = [
     "dpll_solve",
     "greedy_clique",
     "max_clique",
-    "propagate_units",
     "register_backend",
     "solve",
     "solve_batch",

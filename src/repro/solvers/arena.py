@@ -32,8 +32,9 @@ The fuzz tests in ``tests/solvers/test_arena.py`` check both.
 from __future__ import annotations
 
 from array import array
+from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import profiling
 from repro.core.errors import SolverError
@@ -41,7 +42,7 @@ from repro.solvers.budget import SolverBudget
 from repro.solvers.cnf import CNF
 from repro.solvers.sat import _LUBY_UNIT, CDCLSolver, SATResult, _luby, _SolverStats
 
-__all__ = ["ArenaSolver", "acquire_solver", "release_solver", "solve", "solve_batch"]
+__all__ = ["ArenaSolver", "acquire_solver", "loaded_solver", "release_solver", "solve", "solve_batch"]
 
 _UNASSIGNED = 0
 _TRUE = 1
@@ -591,7 +592,37 @@ class ArenaSolver:
             # Geometric growth of the budget, as in MiniSat.
             self._max_learned = int(self._max_learned * 1.3) + 1
 
-    # -- main entry point -----------------------------------------------------
+    # -- main entry points ----------------------------------------------------
+
+    def propagate(self, assumptions: Sequence[int] = ()) -> Tuple[List[int], bool]:
+        """Unit-propagate under *assumptions* without searching.
+
+        Same contract as :meth:`CDCLSolver.propagate`: one level holds every
+        assumption, the whole trail comes back with the conflict flag, and
+        the trail, queue head and saved phases are restored; no counter moves.
+        """
+        if self._unsat:
+            return [], True
+        assumptions = [int(literal) for literal in assumptions]
+        for literal in assumptions:
+            if literal == 0:
+                raise SolverError("0 is not a valid assumption literal")
+            self.ensure_variables(abs(literal))
+        self._backtrack(0)
+        queue_head, phase = self._queue_head, self._phase[:]
+        stats = _SolverStats()
+        self._new_level()
+        conflict = False
+        for literal in assumptions:
+            if not self._enqueue(literal, -1, stats):
+                conflict = True
+                break
+        if not conflict:
+            conflict = self._propagate(stats) >= 0
+        forced = list(self._trail)
+        self._backtrack(0)
+        self._queue_head, self._phase = queue_head, phase
+        return forced, conflict
 
     def solve(
         self,
@@ -770,6 +801,17 @@ def release_solver(solver: ArenaSolver) -> None:
         _SOLVER_POOL.append(solver)
 
 
+@contextmanager
+def loaded_solver(cnf: CNF) -> Iterator[ArenaSolver]:
+    """A pooled solver loaded with *cnf*, handed back to the pool on exit."""
+    solver = acquire_solver()
+    try:
+        solver.load(cnf)
+        yield solver
+    finally:
+        release_solver(solver)
+
+
 def solve(
     cnf: CNF,
     assumptions: Sequence[int] = (),
@@ -777,12 +819,8 @@ def solve(
     budget: Optional[SolverBudget] = None,
 ) -> SATResult:
     """Solve *cnf* under *assumptions* with a pooled :class:`ArenaSolver`."""
-    solver = acquire_solver()
-    try:
-        solver.load(cnf)
+    with loaded_solver(cnf) as solver:
         return solver.solve(assumptions, conflict_limit=conflict_limit, budget=budget)
-    finally:
-        release_solver(solver)
 
 
 def solve_batch(

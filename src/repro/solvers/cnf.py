@@ -4,9 +4,6 @@ Literals follow the DIMACS convention: variables are positive integers
 ``1, 2, ...``; a literal is a variable (positive occurrence) or its negation
 (negative integer).  A clause is a tuple of literals; a :class:`CNF` is a list
 of clauses plus the variable count.
-
-The class also supports *reduction* by a literal (used by ``DeduceOrder``,
-paper Fig. 5): satisfied clauses are dropped and falsified literals removed.
 """
 
 from __future__ import annotations
@@ -114,33 +111,11 @@ class CNF:
         """Set of variables that actually occur in some clause."""
         return {abs(lit) for clause in self._clauses for lit in clause}
 
-    def unit_clauses(self) -> List[int]:
-        """Return the literals of all one-literal clauses."""
-        return [clause[0] for clause in self._clauses if len(clause) == 1]
-
     def has_empty_clause(self) -> bool:
         """Return ``True`` when the formula contains the empty (unsatisfiable) clause."""
         return any(len(clause) == 0 for clause in self._clauses)
 
-    # -- transformation -------------------------------------------------------
-
-    def reduced_by(self, literal: int) -> "CNF":
-        """Return the formula simplified under the assumption that *literal* is true.
-
-        Clauses containing *literal* are removed; occurrences of the negated
-        literal are deleted from the remaining clauses (possibly producing the
-        empty clause).  This is the reduction step of ``DeduceOrder``.
-        """
-        reduced = CNF(num_variables=self._num_variables)
-        negated = -literal
-        for clause in self._clauses:
-            if literal in clause:
-                continue
-            if negated in clause:
-                reduced._clauses.append(tuple(lit for lit in clause if lit != negated))
-            else:
-                reduced._clauses.append(clause)
-        return reduced
+    # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, assignment: Dict[int, bool]) -> Optional[bool]:
         """Evaluate the formula under a (possibly partial) assignment.

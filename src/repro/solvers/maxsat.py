@@ -55,7 +55,7 @@ class MaxSATResult:
 
 
 def solve_group_maxsat(
-    hard: CNF,
+    hard: Optional[CNF],
     groups: Sequence[Sequence[int]],
     strategy: str = "exact",
     session: Optional[SolverSession] = None,
@@ -66,8 +66,8 @@ def solve_group_maxsat(
     Parameters
     ----------
     hard:
-        Hard clauses that must be satisfied (ignored when *session* is given —
-        the session is assumed to already hold them).
+        Hard clauses that must be satisfied (ignored, and may be ``None``, when
+        *session* is given — the session is assumed to already hold them).
     groups:
         Each group is a sequence of literals; a group is "kept" only when all
         of its literals can be made true together with the hard clauses and

@@ -29,8 +29,8 @@ Public API
 ``solve(cnf, assumptions=())`` returns a :class:`SATResult` whose
 ``satisfiable`` flag and ``model`` (a ``{variable: bool}`` dict) mirror what a
 MiniSAT-style incremental interface would return.  ``CDCLSolver`` exposes the
-stateful interface (``add_clause`` / ``solve(assumptions)``) used by
-:mod:`repro.solvers.session`.
+stateful interface (``add_clause`` / ``solve(assumptions)`` /
+``propagate(assumptions)``) used by :mod:`repro.solvers.session`.
 """
 
 from __future__ import annotations
@@ -548,7 +548,43 @@ class CDCLSolver:
             # Geometric growth of the budget, as in MiniSat.
             self._max_learned = int(self._max_learned * 1.3) + 1
 
-    # -- main entry point -----------------------------------------------------
+    # -- main entry points ----------------------------------------------------
+
+    def propagate(self, assumptions: Sequence[int] = ()) -> Tuple[List[int], bool]:
+        """Unit-propagate the clause database under *assumptions* without searching.
+
+        Backtracks to level zero, enqueues every assumption on one new level
+        and runs :meth:`_propagate`.  Returns the whole trail (the root-level
+        literals, then the assumptions and what they force) and whether
+        propagation reached a conflict; after a conflict the trail is
+        partial.  The trail, the queue head (root units added since the last
+        solve stay pending) and the saved phases are then restored and no
+        counter moves, so a later solve that meets no conflict runs exactly as
+        it would have without this call.  Watch lists may be reordered, which
+        can steer the conflict analysis of a later solve that does conflict.
+        """
+        if self._unsat:
+            return [], True
+        assumptions = [int(literal) for literal in assumptions]
+        for literal in assumptions:
+            if literal == 0:
+                raise SolverError("0 is not a valid assumption literal")
+            self.ensure_variables(abs(literal))
+        self._backtrack(0)
+        queue_head, phase = self._queue_head, self._phase[:]
+        stats = _SolverStats()
+        self._new_level()
+        conflict = False
+        for literal in assumptions:
+            if not self._enqueue(literal, None, stats):
+                conflict = True
+                break
+        if not conflict:
+            conflict = self._propagate(stats) is not None
+        forced = list(self._trail)
+        self._backtrack(0)
+        self._queue_head, self._phase = queue_head, phase
+        return forced, conflict
 
     def solve(
         self,

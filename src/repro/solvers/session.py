@@ -11,6 +11,8 @@ solver alive for that whole lifecycle:
 * ``solve(assumptions)`` answers a query under per-call assumptions; the CDCL
   backend retains learned clauses, variable activities and saved phases
   between calls, so later queries reuse the conflicts of earlier ones;
+* ``propagate(assumptions)`` runs unit propagation alone (``DeduceOrder``'s
+  loop) on the same clauses, counting no solve;
 * ``statistics()`` reports the reuse counters (cold vs. incremental solves,
   clauses carried over, learned clauses retained) that the benchmark harness
   surfaces.
@@ -26,10 +28,10 @@ scratch — useful for cross-checking the incremental machinery) ship built-in;
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import BudgetExceededError, SolverError
-from repro.solvers.arena import ArenaSolver, acquire_solver, release_solver
+from repro.solvers.arena import ArenaSolver, acquire_solver, loaded_solver, release_solver
 from repro.solvers.budget import SolverBudget
 from repro.solvers.cnf import CNF
 from repro.solvers.dpll import dpll_solve
@@ -49,8 +51,8 @@ __all__ = [
 class SolverSession:
     """Base class for stateful solver sessions.
 
-    Subclasses implement ``_add_clause`` and ``_solve``; the base class keeps
-    the reuse statistics uniform across backends.
+    Subclasses implement ``_add_clause``, ``_solve`` and ``propagate``; the
+    base class keeps the reuse statistics uniform across backends.
     """
 
     #: Registry name of the backend (set by subclasses).
@@ -118,6 +120,17 @@ class SolverSession:
     def _solve(self, assumptions: Sequence[int], conflict_limit: Optional[int]) -> SATResult:
         raise NotImplementedError
 
+    def propagate(self, assumptions: Sequence[int] = ()) -> Tuple[List[int], bool]:
+        """Unit-propagate the session formula under *assumptions*, without search.
+
+        Returns the literals forced true (the root-level ones included) and
+        whether propagation reached a conflict.  No solve is counted and no
+        counter moves (see :meth:`~repro.solvers.sat.CDCLSolver.propagate`).
+        Learned clauses take part: they are implied by the formula, so what
+        they add to the forced set still holds in every model.
+        """
+        raise NotImplementedError
+
     @property
     def learned_clauses(self) -> int:
         """Learned clauses currently held by the backend (0 when stateless)."""
@@ -182,6 +195,9 @@ class CDCLSession(SolverSession):
     def _solve(self, assumptions: Sequence[int], conflict_limit: Optional[int]) -> SATResult:
         return self._solver.solve(assumptions, conflict_limit=conflict_limit, budget=self.budget)
 
+    def propagate(self, assumptions: Sequence[int] = ()) -> Tuple[List[int], bool]:
+        return self._solver.propagate(assumptions)
+
     def statistics(self) -> Dict[str, int]:
         stats = super().statistics()
         stats["conflicts"] = self._solver.total_conflicts
@@ -232,6 +248,9 @@ class ArenaSession(SolverSession):
     def _solve(self, assumptions: Sequence[int], conflict_limit: Optional[int]) -> SATResult:
         return self._solver.solve(assumptions, conflict_limit=conflict_limit, budget=self.budget)
 
+    def propagate(self, assumptions: Sequence[int] = ()) -> Tuple[List[int], bool]:
+        return self._solver.propagate(assumptions)
+
     def statistics(self) -> Dict[str, int]:
         stats = super().statistics()
         stats["conflicts"] = self._solver.total_conflicts
@@ -273,6 +292,11 @@ class DPLLSession(SolverSession):
         if highest > self._cnf.num_variables:
             self._cnf.num_variables = highest
         return dpll_solve(self._cnf, assumptions)
+
+    def propagate(self, assumptions: Sequence[int] = ()) -> Tuple[List[int], bool]:
+        """Propagate the stored CNF on a pooled arena solver (DPLL has no trail to reuse)."""
+        with loaded_solver(self._cnf) as solver:
+            return solver.propagate(assumptions)
 
 
 _BACKENDS: Dict[str, Callable[[], SolverSession]] = {}

@@ -128,7 +128,6 @@ class ReferenceIncrementalEncoder(IncrementalEncoder):
                     continue
                 self._keys.add(key)
                 self._push_constraint(constraint, initial=True)
-        self._cnf.num_variables = max(self._cnf.num_variables, self._registry.num_variables)
         self._session.ensure_variables(self._registry.num_variables)
         if self._omega.inherently_invalid:
             return  # the encoding is permanently unsatisfiable; no delta state needed
@@ -197,7 +196,6 @@ class ReferenceIncrementalEncoder(IncrementalEncoder):
         for constraint in fresh + structural:
             self._push_constraint(constraint, initial=False)
         self._last_delta_constraints = len(fresh) + len(new_cfd_constraints) + len(structural)
-        self._cnf.num_variables = max(self._cnf.num_variables, self._registry.num_variables)
         self._session.ensure_variables(self._registry.num_variables)
         self._omega.used_values = self._used_values
         return self._delta_report()

@@ -2,25 +2,38 @@
 
 import pytest
 
-from repro.core import TemporalOrderDelta
+from repro.core import ReproError, TemporalOrderDelta
 from repro.core.specification import TrueValueAssignment
 from repro.encoding import IncrementalEncoder, encode_specification
-from repro.resolution import ConflictResolver, deduce_order
+from repro.resolution import (
+    ConflictResolver,
+    DeducedOrders,
+    check_validity,
+    deduce_order,
+    naive_deduce,
+    suggest,
+)
 from repro.resolution.true_values import extract_true_values
 from repro.solvers.sat import solve
 
+from tests.encoding._recording_session import RecordingSession
 
-def _decoded_clauses(encoding, active_guards=()):
+
+def _recording_encoder(spec):
+    """An encoder whose Φ can be read back from ``encoder.session.cnf``."""
+    return IncrementalEncoder(spec, session=RecordingSession())
+
+
+def _decoded_clauses(registry, cnf, active_guards=()):
     """Φ as a set of clauses over signed atoms, guards resolved.
 
     A guarded clause counts, without its guard, only while the guard is
     active; a retired guard's clause is left out.  Each clause is a set, so
     an asymmetry clause reads the same in either orientation.
     """
-    registry = encoding.registry
     active = set(active_guards)
     clauses = set()
-    for clause in encoding.cnf:
+    for clause in cnf:
         atoms = [(registry.get(abs(literal)), literal > 0) for literal in clause]
         guards = {-literal for literal, (atom, _) in zip(clause, atoms) if atom is None}
         if guards <= active:
@@ -30,9 +43,10 @@ def _decoded_clauses(encoding, active_guards=()):
 
 def _matches_from_scratch(encoder, spec):
     """The encoder's live Φ equals a from-scratch encoding of *spec*, clause for clause."""
-    return _decoded_clauses(encoder.encoding, encoder.assumptions) == _decoded_clauses(
-        encode_specification(spec)
-    )
+    reference = encode_specification(spec)
+    return _decoded_clauses(
+        encoder.encoding.registry, encoder.session.cnf, encoder.assumptions
+    ) == _decoded_clauses(reference.registry, reference.cnf)
 
 
 def _delta_for(spec, answers, known=None, round_index=1):
@@ -45,29 +59,43 @@ def _delta_for(spec, answers, known=None, round_index=1):
 
 class TestInitialEncoding:
     def test_matches_from_scratch(self, george_spec):
-        encoder = IncrementalEncoder(george_spec)
+        encoder = _recording_encoder(george_spec)
         reference = encode_specification(george_spec)
         assert _matches_from_scratch(encoder, george_spec)
-        assert len(encoder.encoding.cnf) == len(reference.cnf)
+        assert len(encoder.session.cnf) == len(reference.cnf)
         # Same validity verdict through the session as through a cold solve.
         assert (
             encoder.session.solve(encoder.assumptions).satisfiable
             == solve(reference.cnf).satisfiable
         )
 
+    def test_cold_consumers_name_the_missing_session(self, george_spec):
+        """Φ lives only in the session, so a session-less consumer must say so."""
+        encoding = IncrementalEncoder(george_spec).encoding
+        assert encoding.cnf is None
+        consumers = (
+            lambda: check_validity(george_spec, encoding=encoding),
+            lambda: deduce_order(encoding),
+            lambda: naive_deduce(encoding),
+            lambda: suggest(encoding, DeducedOrders(), TrueValueAssignment({})),
+        )
+        for consume in consumers:
+            with pytest.raises(ReproError, match="session"):
+                consume()
+
     def test_empty_delta_is_noop(self, george_spec):
-        encoder = IncrementalEncoder(george_spec)
-        clauses_before = len(encoder.encoding.cnf)
+        encoder = _recording_encoder(george_spec)
+        clauses_before = len(encoder.session.cnf)
         report = encoder.apply_delta(TemporalOrderDelta())
         assert report["clauses_added"] == 0
-        assert len(encoder.encoding.cnf) == clauses_before
+        assert len(encoder.session.cnf) == clauses_before
         assert encoder.specification is george_spec
 
 
 class TestDeltaEncoding:
     def test_known_value_delta_matches_from_scratch(self, george_spec):
         delta = _delta_for(george_spec, {"status": "retired"})
-        encoder = IncrementalEncoder(george_spec)
+        encoder = _recording_encoder(george_spec)
         report = encoder.apply_delta(delta)
         assert report["clauses_added"] > 0
 
@@ -80,7 +108,7 @@ class TestDeltaEncoding:
         # that enumerate adom(status) grow: their old clauses must be retired
         # (guards dropped) and replacements added.
         delta = _delta_for(george_spec, {"status": "deceased"})
-        encoder = IncrementalEncoder(george_spec)
+        encoder = _recording_encoder(george_spec)
         active_before = len(encoder.assumptions)
         report = encoder.apply_delta(delta)
         assert report["retired_guards"] > 0
@@ -106,7 +134,9 @@ class TestDeltaEncoding:
         encoder.apply_delta(delta)
         extended = encoder.specification
 
-        incremental = deduce_order(encoder.encoding, extra_literals=encoder.assumptions)
+        incremental = deduce_order(
+            encoder.encoding, extra_literals=encoder.assumptions, session=encoder.session
+        )
         reference = deduce_order(encode_specification(extended))
         assert incremental.conflict == reference.conflict
         attributes = set(incremental.orders) | set(reference.orders)
@@ -116,8 +146,18 @@ class TestDeltaEncoding:
         reference_values = extract_true_values(extended, reference)
         assert incremental_values.values == reference_values.values
 
+    def test_clause_count_follows_the_session(self, george_spec):
+        """``statistics()["clauses"]`` counts every clause the session received."""
+        encoder = _recording_encoder(george_spec)
+        counts = [(encoder.encoding.statistics()["clauses"], len(encoder.session.cnf))]
+        for index, answers in enumerate(({"status": "deceased"}, {"city": "Chicago"}), 1):
+            encoder.apply_delta(_delta_for(encoder.specification, answers, round_index=index))
+            counts.append((encoder.encoding.statistics()["clauses"], len(encoder.session.cnf)))
+        assert all(counted == received for counted, received in counts)
+        assert counts[0][0] < counts[1][0] < counts[2][0]
+
     def test_successive_deltas_accumulate(self, george_spec):
-        encoder = IncrementalEncoder(george_spec)
+        encoder = _recording_encoder(george_spec)
         first = _delta_for(george_spec, {"status": "unemployed"})
         encoder.apply_delta(first)
         spec_after_first = encoder.specification
@@ -165,14 +205,16 @@ class TestObservedTupleDelta:
 
     def test_encoding_and_deduction_match_from_scratch(self, george_spec):
         delta = self._observed(george_spec)
-        encoder = IncrementalEncoder(george_spec)
+        encoder = _recording_encoder(george_spec)
         encoder.apply_delta(delta)
         extended = encoder.specification
         assert extended.instance.tids == george_spec.extend(delta).instance.tids
 
         reference_encoding = encode_specification(extended)
         assert _matches_from_scratch(encoder, extended)
-        incremental = deduce_order(encoder.encoding, extra_literals=encoder.assumptions)
+        incremental = deduce_order(
+            encoder.encoding, extra_literals=encoder.assumptions, session=encoder.session
+        )
         reference = deduce_order(reference_encoding)
         assert incremental.conflict == reference.conflict
         for attribute in set(incremental.orders) | set(reference.orders):

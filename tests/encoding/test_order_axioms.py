@@ -42,6 +42,7 @@ from tests.encoding._order_axioms_reference import (
     reference_encoding,
     structural_axioms,
 )
+from tests.encoding._recording_session import RecordingSession
 
 OPTION_VARIANTS = (
     InstantiationOptions(),
@@ -117,8 +118,8 @@ def _registry_map(registry):
 
 
 def _assert_same_encoder(encoder, reference):
-    assert encoder.encoding.cnf.clauses == reference.encoding.cnf.clauses
-    assert encoder.encoding.cnf.num_variables == reference.encoding.cnf.num_variables
+    assert encoder.session.cnf.clauses == reference.session.cnf.clauses
+    assert encoder.session.cnf.num_variables == reference.session.cnf.num_variables
     assert _registry_map(encoder.encoding.registry) == _registry_map(reference.encoding.registry)
     assert list(encoder._guards.items()) == list(reference._guards.items())
     assert encoder.statistics() == reference.statistics()
@@ -137,8 +138,12 @@ def test_emitter_matches_the_object_reference(case):
             assert encoding.cnf.num_variables == expected_cnf.num_variables
             assert _registry_map(encoding.registry) == _registry_map(expected_registry)
 
-            encoder = IncrementalEncoder(spec, options, program=program)
-            reference = ReferenceIncrementalEncoder(spec, options, program=program)
+            encoder = IncrementalEncoder(
+                spec, options, session=RecordingSession(), program=program
+            )
+            reference = ReferenceIncrementalEncoder(
+                spec, options, session=RecordingSession(), program=program
+            )
             _assert_same_encoder(encoder, reference)
             for delta in deltas:
                 assert encoder.apply_delta(delta) == reference.apply_delta(delta)

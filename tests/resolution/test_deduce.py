@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.core import CurrencyConstraint, RelationSchema, Specification, values_equal
+from repro.core import CurrencyConstraint, PartialOrder, RelationSchema, Specification, values_equal
+from repro.core.errors import CyclicOrderError
 from repro.encoding import (
+    IncrementalEncoder,
     InstanceConstraintSet,
     OrderLiteral,
     OrderVariableRegistry,
@@ -14,7 +16,10 @@ from repro.encoding import (
 from repro.resolution import deduce_order, extract_true_values, naive_deduce
 from repro.solvers import CNF
 
+from tests.encoding._recording_session import RecordingSession
+from tests.encoding.test_order_axioms import specs_with_deltas
 from tests.resolution.test_validity import random_specification
+from tests.solvers._unit_propagation_reference import propagate_units
 
 
 class TestDeduceOrderOnPaperExample:
@@ -162,3 +167,67 @@ def test_deduced_true_values_match_brute_force(spec):
     for attribute, value in derived.values.items():
         assert attribute in reference
         assert values_equal(reference[attribute], value)
+
+
+# -- differential check against the standalone-propagator fixpoint -----------------
+
+
+def _reference_deduce(cnf, registry, extra_literals=()):
+    """The fixpoint as it ran over the standalone propagator, from scratch each round.
+
+    Returns ``None`` on a conflict, else each attribute's closure pairs.
+    """
+    injected = set(extra_literals)
+    while True:
+        propagation = propagate_units(cnf, extra_units=sorted(injected))
+        if propagation.conflict:
+            return None
+        orders = {}
+        for literal in propagation.forced_literals:
+            atom = registry.get(abs(literal))
+            if atom is None:
+                continue
+            older, newer = (atom.older, atom.newer) if literal > 0 else (atom.newer, atom.older)
+            try:
+                orders.setdefault(atom.attribute, PartialOrder()).add(older, newer)
+            except CyclicOrderError:
+                return None
+        closures = {attribute: order.transitive_closure_pairs() for attribute, order in orders.items()}
+        fed_back = {
+            registry.find(OrderLiteral(attribute, older, newer))
+            for attribute, pairs in closures.items()
+            for older, newer in pairs
+        } - {None}
+        if fed_back <= injected:
+            return closures
+        injected |= fed_back
+
+
+def _closure_pairs(deduced):
+    if deduced.conflict:
+        return None
+    return {
+        attribute: order.transitive_closure_pairs()
+        for attribute, order in deduced.orders.items()
+        if len(order)
+    }
+
+
+@given(specs_with_deltas())
+@settings(max_examples=100, deadline=None)
+def test_deduce_matches_the_standalone_propagator_fixpoint(case):
+    """Cold and on the encoder's session (guards, deltas), O_d is the old fixpoint's."""
+    spec, deltas = case
+    cold = encode_specification(spec)
+    assert _closure_pairs(deduce_order(cold)) == _reference_deduce(cold.cnf, cold.registry)
+    encoder = IncrementalEncoder(spec, session=RecordingSession())
+    for delta in [None] + deltas:
+        if delta is not None:
+            encoder.apply_delta(delta)
+        deduced = deduce_order(
+            encoder.encoding, extra_literals=encoder.assumptions, session=encoder.session
+        )
+        expected = _reference_deduce(
+            encoder.session.cnf, encoder.encoding.registry, encoder.assumptions
+        )
+        assert _closure_pairs(deduced) == expected

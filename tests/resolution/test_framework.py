@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import RunConfig
 from repro.core import (
+    ConstantCFD,
     CurrencyConstraint,
     RelationSchema,
     ReproError,
@@ -169,3 +170,31 @@ class TestInvalidSpecifications:
         result = ConflictResolver().resolve(spec, SilentOracle())
         assert not result.valid
         assert result.rounds[0].valid is False
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_deduce_conflict_makes_the_round_invalid(self, incremental):
+        """IsValid passes this spec (Φ has no totality clauses), but no completion exists.
+
+        ``s1 ≺ s0`` on status carries over to ``c1 ≺ c0`` on city, so the
+        newest tuple is ``(s0, c0)``, which the CFD ``status=s0 → city=c1``
+        forbids.  Deduction meets the contradiction; the round must end as
+        invalid instead of reporting the deduced ``{status: s0, city: c0}``.
+        """
+        schema = RelationSchema("r", ["status", "city"])
+        rows = [
+            dict(status="s0", city="c0"),
+            dict(status="s1", city="c1"),
+            dict(status="s2", city="c1"),
+        ]
+        sigma = [
+            CurrencyConstraint.value_transition("status", "s1", "s0"),
+            CurrencyConstraint.order_propagation(["status"], "city"),
+        ]
+        gamma = [ConstantCFD({"status": "s0"}, "city", "c1")]
+        spec = Specification.from_rows(schema, rows, sigma, gamma)
+        assert not spec.is_valid_brute_force()
+        options = ResolverOptions(incremental=incremental, fallback="none")
+        result = ConflictResolver(options).resolve(spec, SilentOracle())
+        assert not result.valid
+        assert [round_report.valid for round_report in result.rounds] == [False]
+        assert result.true_values.values == {}

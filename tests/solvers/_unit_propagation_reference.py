@@ -1,26 +1,17 @@
-"""Standalone unit-propagation engine.
+"""The standalone unit propagator ``DeduceOrder`` used to run on, kept as a reference.
 
-``DeduceOrder`` (paper Fig. 5) is, at its core, repeated application of the
-unit-clause rule: whenever the formula contains (or comes to contain) a
-one-literal clause, that literal must be true in every model, so it can be
-recorded and the formula reduced by it.  This module implements that loop
-over flat occurrence lists: clauses are indexed once by the literals they
-contain, the index is cached on the (append-only) :class:`CNF` object and
-extended incrementally as clauses arrive, and the propagation loop itself
-walks plain integer arrays — no per-call dict rebuilding, no per-literal
-function calls.  ``DeduceOrder``'s fixpoint iteration re-propagates the same
-formula many times per resolution round, which is exactly the access pattern
-the cached index amortises.
+Exhaustive unit propagation over flat occurrence lists of a :class:`CNF`:
+unit and empty clauses seed the queue in clause order, then the injected
+units, and every clause containing a falsified literal is rescanned.  The
+tests compare :meth:`repro.solvers.session.SolverSession.propagate` with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Set
+from typing import List, Sequence
 
 from repro.solvers.cnf import CNF
-
-__all__ = ["PropagationResult", "propagate_units"]
 
 
 @dataclass
@@ -39,10 +30,6 @@ class PropagationResult:
 
     forced_literals: List[int] = field(default_factory=list)
     conflict: bool = False
-
-    def forces(self, literal: int) -> bool:
-        """Return ``True`` when *literal* is among the forced literals."""
-        return literal in set(self.forced_literals)
 
 
 class _PropagationIndex:
@@ -194,8 +181,3 @@ def propagate_units(cnf: CNF, extra_units: Sequence[int] = ()) -> PropagationRes
                         result.conflict = True
                         return result
     return result
-
-
-def forced_literal_set(cnf: CNF, extra_units: Sequence[int] = ()) -> Set[int]:
-    """Convenience wrapper returning the forced literals of *cnf* as a set."""
-    return set(propagate_units(cnf, extra_units).forced_literals)

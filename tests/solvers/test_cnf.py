@@ -37,10 +37,6 @@ class TestCNF:
         cnf = CNF([[1, 1, 2]])
         assert cnf.clauses[0] == (1, 2)
 
-    def test_unit_clauses(self):
-        cnf = CNF([[1], [2, 3], [-4]])
-        assert set(cnf.unit_clauses()) == {1, -4}
-
     def test_empty_clause_detection(self):
         cnf = CNF()
         cnf.add_clause([])
@@ -65,20 +61,6 @@ class TestCNF:
     def test_variables_set(self):
         cnf = CNF([[1, -2], [3]])
         assert cnf.variables() == {1, 2, 3}
-
-
-class TestReduction:
-    def test_reduced_by_removes_satisfied_clauses(self):
-        cnf = CNF([[1, 2], [-1, 3], [4]])
-        reduced = cnf.reduced_by(1)
-        assert (4,) in reduced.clauses
-        assert (3,) in reduced.clauses
-        assert all(1 not in clause for clause in reduced.clauses)
-
-    def test_reduction_can_create_empty_clause(self):
-        cnf = CNF([[-1]])
-        reduced = cnf.reduced_by(1)
-        assert reduced.has_empty_clause()
 
 
 class TestEvaluation:

@@ -1,55 +1,73 @@
-"""Tests for the standalone unit-propagation engine."""
+"""Propagate-only session calls against the standalone reference propagator.
+
+``SolverSession.propagate`` is ``DeduceOrder``'s unit propagation, run on
+the clauses a session already holds.  The reference is the propagator it
+replaced (``_unit_propagation_reference.py``).  Forced sets are compared only
+when propagation meets no conflict: after a conflict each propagator stops
+at a point that depends on its propagation order.
+"""
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.solvers import CNF, propagate_units, solve
-from repro.solvers.unit_propagation import forced_literal_set
+from repro.solvers import CNF, create_session, solve
+
+from tests.solvers._unit_propagation_reference import propagate_units
+
+BACKENDS = ("arena", "cdcl", "dpll")
+
+
+def _session(backend, cnf):
+    session = create_session(backend)
+    session.ensure_variables(cnf.num_variables)
+    session.add_clauses(cnf)
+    return session
+
+
+def propagate(cnf, assumptions=()):
+    """The (forced, conflict) pair every backend returns; they must agree."""
+    outcomes = [_session(backend, cnf).propagate(assumptions) for backend in BACKENDS]
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+    return outcomes[0]
 
 
 class TestPropagation:
     def test_no_units_no_forcing(self):
-        result = propagate_units(CNF([[1, 2], [-1, -2]]))
-        assert result.forced_literals == []
-        assert not result.conflict
+        forced, conflict = propagate(CNF([[1, 2], [-1, -2]]))
+        assert forced == []
+        assert not conflict
 
     def test_chain_propagation(self):
-        cnf = CNF([[1], [-1, 2], [-2, 3]])
-        result = propagate_units(cnf)
-        assert set(result.forced_literals) == {1, 2, 3}
-        assert not result.conflict
+        forced, conflict = propagate(CNF([[1], [-1, 2], [-2, 3]]))
+        assert set(forced) == {1, 2, 3}
+        assert not conflict
 
     def test_negative_literals_propagate(self):
-        cnf = CNF([[-1], [1, 2]])
-        result = propagate_units(cnf)
-        assert set(result.forced_literals) == {-1, 2}
+        forced, _ = propagate(CNF([[-1], [1, 2]]))
+        assert set(forced) == {-1, 2}
 
     def test_conflict_detected(self):
-        cnf = CNF([[1], [-1, 2], [-2], ])
-        result = propagate_units(cnf)
-        assert result.conflict
+        _, conflict = propagate(CNF([[1], [-1, 2], [-2]]))
+        assert conflict
 
     def test_empty_clause_is_conflict(self):
         cnf = CNF()
         cnf.add_clause([])
-        assert propagate_units(cnf).conflict
+        assert propagate(cnf)[1]
 
     def test_extra_units_are_injected(self):
-        cnf = CNF([[-1, 2]])
-        result = propagate_units(cnf, extra_units=[1])
-        assert set(result.forced_literals) == {1, 2}
+        forced, _ = propagate(CNF([[-1, 2]]), [1])
+        assert set(forced) == {1, 2}
 
     def test_extra_units_can_conflict(self):
-        cnf = CNF([[1]])
-        assert propagate_units(cnf, extra_units=[-1]).conflict
+        assert propagate(CNF([[1]]), [-1])[1]
 
-    def test_forces_helper(self):
-        result = propagate_units(CNF([[3]]))
-        assert result.forces(3)
-        assert not result.forces(-3)
-
-    def test_forced_literal_set_helper(self):
-        assert forced_literal_set(CNF([[1], [-1, 2]])) == {1, 2}
+    def test_forced_literals_keep_their_sign(self):
+        forced, _ = propagate(CNF([[3]]))
+        assert 3 in forced
+        assert -3 not in forced
 
 
 @st.composite
@@ -72,9 +90,130 @@ def random_cnf(draw):
 @settings(max_examples=80, deadline=None)
 def test_forced_literals_hold_in_every_model(cnf):
     """Every literal forced by unit propagation is true in every model (soundness)."""
-    result = propagate_units(cnf)
-    if result.conflict:
+    forced, conflict = propagate(cnf)
+    if conflict:
         assert not solve(cnf).satisfiable
         return
-    for literal in result.forced_literals:
+    for literal in forced:
         assert not solve(cnf, assumptions=[-literal]).satisfiable
+
+
+# -- differential suite ---------------------------------------------------------------
+
+
+def _literal(num_variables):
+    return st.integers(1, num_variables).flatmap(
+        lambda variable: st.sampled_from([variable, -variable])
+    )
+
+
+@st.composite
+def formulas_and_calls(draw):
+    """A 3-CNF over ≤ 8 variables plus ≤ 2 units, solve and propagate assumptions.
+
+    2–5 clauses per variable straddle the satisfiability threshold, so about
+    a fifth of the drawn call sequences make a CDCL session learn clauses.
+    """
+    num_variables = draw(st.integers(3, 8))
+    literal = _literal(num_variables)
+    clauses = draw(
+        st.lists(
+            st.lists(literal, min_size=3, max_size=3),
+            min_size=2 * num_variables,
+            max_size=5 * num_variables,
+        )
+    )
+    clauses += draw(st.lists(literal.map(lambda unit: [unit]), max_size=2))
+    solves = draw(st.lists(st.lists(literal, max_size=3), max_size=4))
+    assumptions = draw(st.lists(literal, max_size=3))
+    return CNF(clauses, num_variables=num_variables), solves, assumptions
+
+
+def _models(cnf, assumptions):
+    """Every total assignment satisfying *cnf* and *assumptions* (brute force)."""
+    variables = range(1, cnf.num_variables + 1)
+    models = []
+    for values in itertools.product((False, True), repeat=cnf.num_variables):
+        model = dict(zip(variables, values))
+        if all(model[abs(lit)] == (lit > 0) for lit in assumptions) and cnf.evaluate(model):
+            models.append(model)
+    return models
+
+
+@given(formulas_and_calls())
+@settings(max_examples=100, deadline=None)
+def test_propagate_matches_the_reference_before_learning(case):
+    """Until a session learns a clause, it forces what the reference forces.
+
+    Every conflict a solve meets above the root level teaches the session a
+    clause (a unit one too), so "nothing learned" means "no conflict yet".
+    """
+    cnf, solves, assumptions = case
+    reference = propagate_units(cnf, assumptions)
+    for backend in BACKENDS:
+        session = _session(backend, cnf)
+        for solve_assumptions in solves + [None]:
+            forced, conflict = session.propagate(assumptions)
+            assert conflict == reference.conflict
+            if not conflict:
+                assert set(forced) == set(reference.forced_literals)
+            if solve_assumptions is None:
+                break
+            session.solve(solve_assumptions)
+            if session.statistics().get("conflicts", 0):
+                break
+
+
+@given(formulas_and_calls())
+@settings(max_examples=100, deadline=None)
+def test_propagate_after_learning_is_sound(case):
+    """Learned clauses only add forced literals, and each holds in every model."""
+    cnf, solves, assumptions = case
+    reference = propagate_units(cnf, assumptions)
+    models = _models(cnf, assumptions)
+    for backend in BACKENDS:
+        session = _session(backend, cnf)
+        for solve_assumptions in solves:
+            session.solve(solve_assumptions)
+        forced, conflict = session.propagate(assumptions)
+        if conflict:
+            assert not models
+            continue
+        assert not reference.conflict
+        assert set(forced) >= set(reference.forced_literals)
+        for literal in forced:
+            assert all(model[abs(literal)] == (literal > 0) for model in models)
+
+
+@given(formulas_and_calls())
+@settings(max_examples=100, deadline=None)
+def test_propagate_leaves_a_conflict_free_solve_unchanged(case):
+    """A solve without conflicts runs as on a twin session that never propagated."""
+    cnf, solves, assumptions = case
+    for backend in BACKENDS:
+        session, twin = _session(backend, cnf), _session(backend, cnf)
+        for solve_assumptions in solves:
+            session.propagate(assumptions)
+            ours, theirs = session.solve(solve_assumptions), twin.solve(solve_assumptions)
+            if theirs.conflicts:
+                break
+            assert ours == theirs
+            assert session.statistics() == twin.statistics()
+
+
+@given(formulas_and_calls())
+@settings(max_examples=100, deadline=None)
+def test_arena_and_cdcl_agree_on_a_call_sequence(case):
+    """The two CDCL backends return the same trails, verdicts, models and counters."""
+    cnf, solves, assumptions = case
+    arena, cdcl = _session("arena", cnf), _session("cdcl", cnf)
+    assert arena.propagate(assumptions) == cdcl.propagate(assumptions)
+    for index, solve_assumptions in enumerate(solves):
+        assert arena.solve(solve_assumptions) == cdcl.solve(solve_assumptions)
+        assert arena.propagate(assumptions) == cdcl.propagate(assumptions)
+        # Added between calls, a clause may leave a root-level unit pending.
+        extra = solve_assumptions + [index % cnf.num_variables + 1]
+        arena.add_clause(extra)
+        cdcl.add_clause(extra)
+        assert arena.propagate(solve_assumptions) == cdcl.propagate(solve_assumptions)
+    assert arena.statistics() == cdcl.statistics()
