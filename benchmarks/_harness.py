@@ -8,7 +8,9 @@ thin, readable description of one experiment.
 
 Results are printed and also written to ``benchmarks/results/<name>.txt`` so
 they survive pytest's output capturing; EXPERIMENTS.md summarises them next to
-the numbers reported in the paper.
+the numbers reported in the paper.  Smoke runs (``REPRO_BENCH_SMOKE=1``) write
+to ``<tmpdir>/repro-bench-smoke/`` instead, so a shrunken workload never
+overwrites a committed full-mode result.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import tempfile
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -62,9 +65,9 @@ def run_client_experiment(
 ):
     """Framework experiment through the public facade.
 
-    The benchmarks' replacement for the deprecated
-    ``run_framework_experiment`` shim: one :class:`~repro.api.RunConfig`, one
-    short-lived :class:`~repro.api.ResolutionClient`, identical semantics.
+    One :class:`~repro.api.RunConfig` built from the benchmark's keywords and
+    one short-lived :class:`~repro.api.ResolutionClient` running
+    :meth:`~repro.api.ResolutionClient.run_experiment`.
     """
     options = resolver_options or ResolverOptions(
         max_rounds=max_interaction_rounds,
@@ -95,27 +98,35 @@ def run_client_baseline(dataset, method: str, *, workers: int = 1, seed: int = 0
         )
 
 RESULTS_DIR = Path(__file__).parent / "results"
+#: Where smoke runs write their results (never the committed ``RESULTS_DIR``).
+SMOKE_RESULTS_DIR = Path(tempfile.gettempdir()) / "repro-bench-smoke"
 
 #: Constraint fractions used by the accuracy panels (x-axis of Fig. 8(f)–(p)).
 FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
+def _output_dir() -> Path:
+    """``RESULTS_DIR``, or ``SMOKE_RESULTS_DIR`` under ``REPRO_BENCH_SMOKE=1``."""
+    smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+    directory = SMOKE_RESULTS_DIR if smoke else RESULTS_DIR
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
+
+
 def report(name: str, text: str) -> None:
-    """Print *text* and persist it under ``benchmarks/results/<name>.txt``."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    """Print *text* and persist it as ``<name>.txt`` (see :func:`_output_dir`)."""
+    (_output_dir() / f"{name}.txt").write_text(text + "\n")
     print(f"\n[{name}]\n{text}")
 
 
 def report_json(name: str, payload: Dict) -> Path:
-    """Persist a structured result under ``benchmarks/results/<name>.json``.
+    """Persist a structured result as ``<name>.json`` (see :func:`_output_dir`).
 
     The JSON companion of :func:`report`: machine-readable numbers (timings,
     incremental-reuse counters, speedups) that the perf trajectory across PRs
     can diff without re-parsing the text tables.
     """
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
+    path = _output_dir() / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 

@@ -88,9 +88,6 @@ class ClientStats:
     host: Dict[str, int] = field(default_factory=dict)
     #: The result store's counters, when one is attached.
     store: Dict[str, int] = field(default_factory=dict)
-    #: Per-shard counters of the latest sharded run
-    #: (:class:`~repro.sharding.ShardStats` dicts, empty when unsharded).
-    shards: List[Dict[str, Any]] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, Any]:
         """Flat JSON-serializable representation."""
@@ -104,14 +101,11 @@ class ClientStats:
             "store": dict(self.store),
         }
         # Fault counters appear only when they fired (fault-free runs keep
-        # their serialized stats byte-identical to earlier releases); shard
-        # detail likewise appears only on sharded runs.
+        # their serialized stats byte-identical to earlier releases).
         if self.retries:
             record["retries"] = self.retries
         if self.quarantined:
             record["quarantined"] = self.quarantined
-        if self.shards:
-            record["shards"] = [dict(entry) for entry in self.shards]
         return record
 
 
@@ -223,10 +217,8 @@ class ResolutionClient:
     thread-safe serving entry point.  Across clients sharing one host (and
     therefore one hosted engine), concurrent accumulating streams are safe —
     the engine serialises sequential entities and lock-guards parallel
-    accounting — which is exactly what :meth:`resolve_sharded` exploits: one
-    client per shard, all streaming over the same leased engine.  Only
-    :meth:`run_experiment` (which resets engine statistics per run) must not
-    overlap with other modes on the same engine key.
+    accounting.  Only :meth:`run_experiment` (which resets engine statistics
+    per run) must not overlap with other modes on the same engine key.
     """
 
     def __init__(self, config: Optional[RunConfig] = None, *, host: Optional[EngineHost] = None) -> None:
@@ -248,10 +240,6 @@ class ResolutionClient:
         )
         self._store: Optional[ResultStore] = None
         self._owns_store = False
-        # Latest shard coordinator (live during a sharded run) and the
-        # per-shard stats absorbed from finished coordinators.
-        self._coordinator = None
-        self._shard_detail: List[Dict[str, Any]] = []
         if self.config.store is not None:
             if isinstance(self.config.store, ResultStore):
                 self._store = self.config.store
@@ -429,91 +417,6 @@ class ResolutionClient:
         for _key, result, _seconds in stage.process(pairs):
             yield result
 
-    # -- mode 2b: sharded streaming --------------------------------------------
-
-    def _shard_coordinator(
-        self,
-        shards: int,
-        *,
-        oracle_factory: Optional[OracleFactory] = None,
-        window: Optional[int] = None,
-        partitioner=None,
-    ):
-        from repro.sharding import DEFAULT_SHARD_WINDOW, ShardCoordinator
-
-        # The parent client takes (and keeps) its own lease: it anchors the
-        # shared engine warm across the shard clients' lifetimes and keeps
-        # `client.engine` meaningful after a sharded run.
-        self._engine()
-        coordinator = ShardCoordinator(
-            self.config,
-            shards,
-            host=self._ensure_host(),
-            store=self._store,
-            oracle_factory=oracle_factory,
-            window=window if window is not None else DEFAULT_SHARD_WINDOW,
-            partitioner=partitioner,
-            retry_policy=self._retry_policy,
-        )
-        with self._lock:
-            self._coordinator = coordinator
-        return coordinator
-
-    def _absorb_shards(self, coordinator) -> None:
-        """Fold a finished coordinator's per-shard counters into this client."""
-        with self._lock:
-            if coordinator.absorbed:
-                return
-            coordinator.absorbed = True
-            self._shard_detail = []
-            for stats in coordinator.shard_stats():
-                self._entities += stats.entities
-                self._store_hits += stats.store_hits
-                self._retries += stats.retries
-                self._quarantined += stats.quarantined
-                self._shard_detail.append(stats.as_dict())
-
-    def shard_positions(self) -> Dict[str, int]:
-        """Per-shard merged positions of the active/latest sharded run."""
-        coordinator = self._coordinator
-        return coordinator.positions() if coordinator is not None else {}
-
-    def shard_quarantine(self) -> List[Any]:
-        """Shard-level dead letters of the active/latest sharded run."""
-        coordinator = self._coordinator
-        return list(coordinator.quarantine) if coordinator is not None else []
-
-    def resolve_sharded(
-        self,
-        entities: Iterable[EntityLike],
-        *,
-        shards: int,
-        oracle_factory: Optional[OracleFactory] = None,
-        window: Optional[int] = None,
-        partitioner=None,
-    ) -> Iterator[ResolutionResult]:
-        """:meth:`resolve_stream`, partitioned by blocking key into *shards*.
-
-        The stream is split by a stable hash of each entity key
-        (:func:`~repro.datasets.base.stable_key_shard`), every shard runs
-        its own client over this client's host / store / config — same lease
-        key, so all shards share one warm engine; one store, so a re-sharded
-        re-run skips everything already resolved — and the per-shard results
-        merge back into input order.  The output is byte-identical to the
-        unsharded stream for any shard count; see
-        :mod:`repro.sharding.coordinator` for the determinism and failure
-        contracts.  Per-shard counters land in :meth:`stats` ``.shards``.
-        """
-        pairs = (self._normalize(item) for item in entities)
-        coordinator = self._shard_coordinator(
-            shards, oracle_factory=oracle_factory, window=window, partitioner=partitioner
-        )
-        try:
-            for _key, result in coordinator.run(pairs):
-                yield result
-        finally:
-            self._absorb_shards(coordinator)
-
     # -- mode 3: pipeline compositions -----------------------------------------
 
     def resolve_stage(
@@ -538,24 +441,14 @@ class ResolutionClient:
         pre_stages: Sequence[Stage] = (),
         sinks: Sequence[Sink] = (),
         oracle_factory: Optional[OracleFactory] = None,
-        shards: int = 1,
     ) -> PipelineReport:
         """Run ``source → pre_stages… → resolve → sinks`` to exhaustion.
 
         *pre_stages* must leave the stream as ``(key, specification)`` items
         — e.g. streaming linkage followed by a keying map — exactly what the
-        ``repro pipeline`` command feeds the resolve stage.  With
-        ``shards > 1`` the resolve stage is the shard coordinator's
-        (:class:`~repro.sharding.ShardedResolveStage`): same output,
-        byte-identical, computed by ``shards`` concurrent streams over the
-        shared engine.
+        ``repro pipeline`` command feeds the resolve stage.
         """
-        if shards > 1:
-            from repro.sharding import ShardedResolveStage
-
-            stage: Stage = ShardedResolveStage(self, shards, oracle_factory)
-        else:
-            stage = _ClientResolveStage(self, oracle_factory)
+        stage = _ClientResolveStage(self, oracle_factory)
         return Pipeline(source, [*pre_stages, stage], list(sinks)).run()
 
     # -- mode 4: experiments ---------------------------------------------------
@@ -590,9 +483,9 @@ class ResolutionClient:
         (or none), or every variant replays the first oracle's resolutions.
 
         Engine statistics reset at the start of each experiment (the
-        per-run counters land in ``result.engine``, exactly like the legacy
-        runner); a client interleaving :meth:`resolve` calls with
-        experiments therefore sees lifetime totals only between runs.
+        per-run counters land in ``result.engine``); a client interleaving
+        :meth:`resolve` calls with experiments therefore sees lifetime
+        totals only between runs.
 
         *baseline* switches to one of the traditional fusion baselines
         (``pick``/``vote``/``min``/``max``/``any``) run over a process pool
@@ -652,8 +545,7 @@ class ResolutionClient:
         pairs = dataset.specifications(sigma_fraction, gamma_fraction, limit=limit)
         engine = self._engine()
         # The lease usually arrives warm; a cold private host pays the pool
-        # start here, outside the timed region, exactly like the legacy
-        # runner did.
+        # start here, outside the timed region.
         warmup = engine.warm_up()
         pipeline = Pipeline(
             pairs,
@@ -848,5 +740,4 @@ class ResolutionClient:
             snapshot.host = self._host.statistics()
         if self._store is not None:
             snapshot.store = self._store.statistics()
-        snapshot.shards = [dict(entry) for entry in self._shard_detail]
         return snapshot

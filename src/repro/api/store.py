@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import ReproError
+from repro.core.retry import classify_retryable
 from repro.core.values import is_null
 from repro.resolution.framework import ResolutionResult
 
@@ -310,6 +311,22 @@ class SqliteResultStore(ResultStore):
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._connection = sqlite3.connect(str(path), check_same_thread=False)
         self._connection.execute(f"PRAGMA busy_timeout = {self.BUSY_TIMEOUT_MS}")
+        # Switching a fresh file to WAL while another connection holds its
+        # write lock fails at once: SQLite skips the busy handler there to
+        # avoid a deadlock.  Cluster workers open one new file together, so
+        # retry the switch (and the schema) for as long as the busy timeout.
+        deadline = time.monotonic() + self.BUSY_TIMEOUT_MS / 1000.0
+        while True:
+            try:
+                self._prepare()
+                break
+            except sqlite3.OperationalError as error:
+                if not classify_retryable(error) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
+        self._closed = False
+
+    def _prepare(self) -> None:
         # ":memory:" handles report journal_mode "memory"; files report "wal".
         self.journal_mode = str(
             self._connection.execute("PRAGMA journal_mode = WAL").fetchone()[0]
@@ -317,7 +334,6 @@ class SqliteResultStore(ResultStore):
         self._connection.execute("PRAGMA synchronous = NORMAL")
         self._connection.execute(self._SCHEMA)
         self._connection.commit()
-        self._closed = False
 
     def _fetch(self, entity_key: str, specification_hash: str) -> Optional[bytes]:
         self._require_open()

@@ -126,15 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
             "without solving, and fresh resolutions are upserted for later runs",
         )
         sub.add_argument(
-            "--shards",
-            type=int,
-            default=1,
-            help="partition the entity stream by blocking key into this many "
-            "shards resolved concurrently over one shared warm engine; the "
-            "output is byte-identical to an unsharded run "
-            "(resolve/pipeline only; default: %(default)s)",
-        )
-        sub.add_argument(
             "--max-attempts",
             type=int,
             default=3,
@@ -384,11 +375,7 @@ def _command_resolve(args) -> int:
     schema = None
     ordered = sorted(specifications.items())
     with ResolutionClient(_run_config(args)) as client:
-        if args.shards > 1:
-            results = client.resolve_sharded(ordered, shards=args.shards)
-        else:
-            results = client.resolve_stream(ordered)
-        for (key, spec), result in zip(ordered, results):
+        for (key, spec), result in zip(ordered, client.resolve_stream(ordered)):
             schema = spec.schema
             resolved[key] = result.resolved_tuple
             rounds[key] = result.interaction_rounds
@@ -520,29 +507,15 @@ def _command_pipeline(args) -> int:
         if checkpoint is not None:
 
             def quarantine_records():
-                records = []
                 engine = client.engine
-                if engine is not None:
-                    records.extend(entry.as_dict() for entry in engine.statistics.quarantine)
-                # Shard-level dead letters (a whole shard abandoned) ride in
-                # the same checkpoint list as entity-level ones.
-                records.extend(entry.as_dict() for entry in client.shard_quarantine())
-                return records
+                if engine is None:
+                    return []
+                return [entry.as_dict() for entry in engine.statistics.quarantine]
 
-            # With shards, the checkpoint additionally records how far each
-            # shard's merged position had advanced — one Checkpoint carries
-            # the whole coordinator; the hash partition is position-stable,
-            # so resume stays a single SkipStage at the merged offset.
-            state_provider = (
-                (lambda: {"shard_positions": client.shard_positions()})
-                if args.shards > 1
-                else None
-            )
             sinks.append(
                 CheckpointSink(
                     checkpoint,
                     every=args.checkpoint_every,
-                    state_provider=state_provider,
                     offset=offset,
                     quarantine_provider=quarantine_records,
                 )
@@ -555,7 +528,6 @@ def _command_pipeline(args) -> int:
                 SkipStage(offset),
             ],
             sinks=sinks,
-            shards=args.shards,
         )
         peak_inflight = int(client.engine.statistics.peak_inflight_entities)
 
@@ -832,14 +804,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--max-inflight must be >= 1, got {max_inflight}")
     if getattr(args, "max_attempts", 1) < 1:
         parser.error(f"--max-attempts must be >= 1, got {args.max_attempts}")
-    shards = getattr(args, "shards", 1)
-    if shards < 1:
-        parser.error(f"--shards must be >= 1, got {shards}")
-    if shards > 1 and args.command == "serve":
-        parser.error(
-            "--shards applies to resolve/pipeline only; to scale serving, "
-            "use --cluster N (worker processes behind a routing frontdoor)"
-        )
     cluster = getattr(args, "cluster", 0)
     if cluster < 0:
         parser.error(f"--cluster must be >= 1 worker, got {cluster}")

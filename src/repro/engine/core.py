@@ -344,7 +344,7 @@ class ResolutionEngine:
         ``reset_statistics=False`` accumulates into the current
         :attr:`statistics` instead of starting a fresh per-call snapshot —
         the mode long-lived holders of a shared engine (the API client's
-        streaming path, the shard coordinator) use so interleaved calls
+        streaming path) use so interleaved calls
         report lifetime totals, matching :meth:`resolve_task`.  Concurrent
         ``reset_statistics=False`` streams on one engine are safe: the
         sequential path serialises per entity on the shared resolver and the

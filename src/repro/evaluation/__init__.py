@@ -5,8 +5,6 @@ from repro.evaluation.experiment import (
     ExperimentResult,
     MetricsSink,
     ScoreStage,
-    run_baseline_experiment,
-    run_framework_experiment,
 )
 from repro.evaluation.interaction import GroundTruthOracle, NoisyOracle, ReluctantOracle
 from repro.evaluation.metrics import AccuracyCounts, f_measure, precision, recall, score_entity
@@ -27,7 +25,5 @@ __all__ = [
     "format_table",
     "precision",
     "recall",
-    "run_baseline_experiment",
-    "run_framework_experiment",
     "score_entity",
 ]

@@ -10,23 +10,19 @@ accuracy, per-phase timings and interaction rounds per entity
 The experiment *runners* live on the unified facade:
 :meth:`repro.api.ResolutionClient.run_experiment` composes these pieces into
 a streaming pipeline over an :class:`~repro.serving.host.EngineHost`-leased
-engine (framework path) or a process-pool map (baseline path).  The module's
-``run_framework_experiment`` / ``run_baseline_experiment`` functions remain
-as deprecated shims over that method.
+engine (framework path) or a process-pool map (baseline path).
 """
 
 from __future__ import annotations
 
 import random
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.schema import RelationSchema
 from repro.core.values import Value, values_equal
-from repro.datasets.base import DatasetStream, GeneratedDataset, GeneratedEntity
-from repro.evaluation.interaction import ReluctantOracle
+from repro.datasets.base import GeneratedEntity
 from repro.evaluation.metrics import AccuracyCounts, score_entity
 from repro.pipeline.core import Sink, Stage
 from repro.resolution.baselines import (
@@ -36,15 +32,13 @@ from repro.resolution.baselines import (
     pick_resolution,
     vote_resolution,
 )
-from repro.resolution.framework import ResolutionResult, ResolverOptions
+from repro.resolution.framework import ResolutionResult
 
 __all__ = [
     "EntityOutcome",
     "ExperimentResult",
     "MetricsSink",
     "ScoreStage",
-    "run_framework_experiment",
-    "run_baseline_experiment",
 ]
 
 
@@ -384,78 +378,6 @@ class MetricsSink(Sink):
         return self.result
 
 
-def run_framework_experiment(
-    dataset: GeneratedDataset | DatasetStream,
-    sigma_fraction: float = 1.0,
-    gamma_fraction: float = 1.0,
-    max_interaction_rounds: int = 5,
-    oracle_factory: Optional[Callable[[GeneratedEntity], object]] = None,
-    resolver_options: Optional[ResolverOptions] = None,
-    limit: Optional[int] = None,
-    label: Optional[str] = None,
-    incremental: bool = True,
-    compiled: bool = True,
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
-    max_inflight_chunks: Optional[int] = None,
-    keep_outcomes: bool = True,
-    extra_sinks: Sequence[Sink] = (),
-) -> ExperimentResult:
-    """Resolve every entity with the currency/consistency framework.
-
-    .. deprecated::
-        This is a thin compatibility shim over
-        :meth:`repro.api.ResolutionClient.run_experiment`; construct a
-        :class:`~repro.api.RunConfig` and a client instead.  The keyword
-        surface maps 1:1: *max_interaction_rounds*, *incremental* and
-        *compiled* fold into ``RunConfig.options`` (unless
-        *resolver_options* is given explicitly, which wins, exactly as
-        before); *workers*, *chunk_size* and *max_inflight_chunks* fold into
-        the config's pool shape; everything else passes through.
-    """
-    warnings.warn(
-        "run_framework_experiment is deprecated; use "
-        "repro.api.ResolutionClient.run_experiment with a RunConfig",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import ResolutionClient, RunConfig
-
-    if resolver_options is None:
-        resolver_options = ResolverOptions(
-            max_rounds=max_interaction_rounds,
-            fallback="none",
-            incremental=incremental,
-            compiled=compiled,
-        )
-
-    def oracle_for(entity: GeneratedEntity) -> object:
-        # The legacy oracle budget follows max_interaction_rounds even when
-        # explicit resolver options carry a different max_rounds.
-        if oracle_factory is not None:
-            return oracle_factory(entity)
-        return ReluctantOracle(entity, max_rounds=max_interaction_rounds)
-
-    config = RunConfig(
-        options=resolver_options,
-        workers=workers,
-        chunk_size=chunk_size,
-        max_inflight_chunks=max_inflight_chunks,
-    )
-    with ResolutionClient(config) as client:
-        return client.run_experiment(
-            dataset,
-            sigma_fraction=sigma_fraction,
-            gamma_fraction=gamma_fraction,
-            oracle_factory=oracle_for,
-            limit=limit,
-            label=label
-            or f"{dataset.name}[Σ={sigma_fraction:.0%},Γ={gamma_fraction:.0%},rounds≤{max_interaction_rounds}]",
-            keep_outcomes=keep_outcomes,
-            extra_sinks=extra_sinks,
-        )
-
-
 _BASELINES: Dict[str, Callable] = {
     "pick": pick_resolution,
     "vote": vote_resolution,
@@ -490,51 +412,3 @@ def _baseline_entity_outcome(task: Tuple) -> EntityOutcome:
         counts=averaged,
         seconds={"total": elapsed},
     )
-
-
-def run_baseline_experiment(
-    dataset: GeneratedDataset | DatasetStream,
-    method: str = "pick",
-    sigma_fraction: float = 1.0,
-    gamma_fraction: float = 1.0,
-    limit: Optional[int] = None,
-    seed: int = 0,
-    repetitions: int = 3,
-    workers: int = 1,
-    keep_outcomes: bool = True,
-    extra_sinks: Sequence[Sink] = (),
-) -> ExperimentResult:
-    """Resolve every entity with a traditional fusion baseline.
-
-    Randomised baselines (``pick``, ``any``) are averaged over *repetitions*
-    random seeds, mirroring the paper's repeated runs.  ``workers > 1``
-    spreads the entities over a process pool (the seeded randomisation makes
-    the outcome independent of scheduling).
-
-    .. deprecated::
-        This is a thin compatibility shim over
-        :meth:`repro.api.ResolutionClient.run_experiment` with
-        ``baseline=method``; construct a client instead.
-    """
-    warnings.warn(
-        "run_baseline_experiment is deprecated; use "
-        "repro.api.ResolutionClient.run_experiment(baseline=...) with a RunConfig",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import ResolutionClient, RunConfig
-
-    # The legacy runner clamped workers through ParallelMapStage; keep that.
-    config = RunConfig(workers=max(1, int(workers)))
-    with ResolutionClient(config) as client:
-        return client.run_experiment(
-            dataset,
-            baseline=method,
-            sigma_fraction=sigma_fraction,
-            gamma_fraction=gamma_fraction,
-            limit=limit,
-            keep_outcomes=keep_outcomes,
-            extra_sinks=extra_sinks,
-            baseline_seed=seed,
-            baseline_repetitions=repetitions,
-        )

@@ -38,12 +38,12 @@ Fault kinds
     The shipped constraint payload of submitted chunk N is truncated
     before unpickling, so the worker fails the chunk with a decode error.
 ``fail_shard=N``
-    The shard coordinator's shard N raises a retryable
-    :class:`~repro.core.errors.EntityFailure` on every drive attempt;
-    with ``raise_times=K`` only the first K attempts fail (the shard
-    heals under the coordinator's :class:`~repro.core.retry.RetryPolicy`),
-    otherwise the shard is driven into quarantine while the surviving
-    shards complete.
+    Serving-cluster worker N raises a retryable
+    :class:`~repro.core.errors.EntityFailure` at every start; with
+    ``raise_times=K`` only the first K incarnations fail (the worker heals
+    as the cluster respawns it under its
+    :class:`~repro.core.retry.RetryPolicy`), otherwise the worker is
+    quarantined while the surviving workers keep serving.
 ``crash_consumer_on_event=N``
     A CDC :class:`~repro.cdc.consumer.ChangeConsumer` (or a cluster
     follower) raises :class:`InjectedCrash` while applying feed event N —
@@ -216,7 +216,7 @@ def on_entity(name: str) -> None:
 
 
 def on_shard(shard_index: int) -> None:
-    """Shard-drive hook: fail the doomed shard's attempt retryably."""
+    """Cluster worker-start hook: fail the doomed worker's start retryably."""
     plan = active_plan()
     if plan is not None and plan.fail_shard == shard_index:
         if _due(plan, ("shard", str(shard_index))):

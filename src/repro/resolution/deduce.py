@@ -26,8 +26,7 @@ from repro.core.partial_order import PartialOrder
 from repro.core.values import Value
 from repro.encoding.cnf_encoder import SpecificationEncoding
 from repro.encoding.variables import OrderLiteral, canonical_value
-from repro.solvers.arena import loaded_solver
-from repro.solvers.sat import solve
+from repro.solvers.arena import loaded_solver, solve
 from repro.solvers.session import SolverSession
 
 __all__ = ["DeducedOrders", "deduce_order", "naive_deduce"]

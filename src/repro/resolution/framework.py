@@ -157,8 +157,8 @@ class ResolverOptions:
         cold-solve every round) — the cross-check tests compare the two.
     solver_backend:
         Registry name of the solver-session backend (``"arena"`` — the flat
-        clause-arena core, the default — ``"cdcl"`` or ``"dpll"``); only used
-        on the incremental path.
+        clause-arena CDCL solver, the default — or ``"dpll"``); only used on
+        the incremental path.
     compiled:
         When ``True`` (the default) the resolver compiles the constraint
         program of Σ ∪ Γ once per schema (cached across entities in

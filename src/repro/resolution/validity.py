@@ -14,8 +14,8 @@ from repro.core.errors import BudgetExceededError
 from repro.core.specification import Specification
 from repro.encoding.cnf_encoder import SpecificationEncoding, encode_specification
 from repro.encoding.instance_constraints import InstantiationOptions
+from repro.solvers.arena import solve
 from repro.solvers.budget import SolverBudget
-from repro.solvers.sat import solve
 from repro.solvers.session import SolverSession
 
 __all__ = ["ValidityReport", "is_valid", "check_validity"]

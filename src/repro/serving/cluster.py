@@ -9,25 +9,25 @@ horizontal tier above it:
   localhost TCP listener speaking the existing JSONL wire (plus a tiny
   out-of-band control channel for ``{"op": "stats"}``);
 * **frontdoor** — :class:`ServingCluster` routes each request to
-  ``stable_key_shard(entity, N)`` — the same consistent-hash partitioner the
-  PR-8 :class:`~repro.sharding.ShardCoordinator` uses — and merges responses
-  back in *input order*, so the merged stream is byte-identical to a
-  single-server run;
+  ``stable_key_shard(entity, N)`` — a consistent hash of the entity key, so
+  every request for one entity lands on the same worker — and merges
+  responses back in *input order*, so the merged stream is byte-identical to
+  a single-server run;
 * **admission control** — a global in-flight cap (queue-depth shedding) and
   per-tenant in-flight quotas; a request over budget is *shed* with an error
   record carrying ``retry_after`` instead of queueing without bound.  Batch
   streams (:meth:`ServingCluster.serve_lines`) apply backpressure up to the
   cap before shedding, so a well-behaved single stream is never shed and
   stays deterministic;
-* **failure model** — exactly the coordinator's: a worker connection loss is
-  retried under the cluster's :class:`~repro.core.retry.RetryPolicy`
+* **failure model** — a worker connection loss is retried under the
+  cluster's :class:`~repro.core.retry.RetryPolicy`
   (stop-aware backoff, shard-salted jitter) by *respawning* the worker and
   re-sending every unanswered request — responses are delivered exactly once
   because an unanswered request has, by definition, not been merged.  A
   worker that stays dead past ``max_attempts`` becomes a ``"shard:N"``
   :class:`~repro.engine.supervision.QuarantineRecord`; its requests are
-  answered with the coordinator's all-NULL failure fills and the surviving
-  workers are untouched;
+  answered with all-NULL failure fills and the surviving workers are
+  untouched;
 * **shared store** — workers may share one :class:`SqliteResultStore` file as
   a cross-process result cache (WAL mode + busy timeout make the concurrent
   writers safe), so an entity resolved by any incarnation of any worker is a
@@ -643,7 +643,7 @@ class ServingCluster:
     def _failure_line(
         self, entity: str, request_id: str, reason: str, attempts: int
     ) -> str:
-        """The coordinator's all-NULL failure fill, in wire form."""
+        """The all-NULL failure fill of a quarantined worker's request, in wire form."""
         response = ResolveResponse(
             entity=entity,
             valid=False,

@@ -1,38 +1,47 @@
-"""Flat clause-arena CDCL solver — the raw-speed core.
+"""The CDCL SAT solver: a flat clause arena.
 
-This is a behavioural port of :class:`~repro.solvers.sat.CDCLSolver` onto flat
-data: given the same clause/solve sequence it makes the same decisions, learns
-the same clauses and reports the same counters, but every hot structure is a
-contiguous typed buffer instead of an object graph:
+This module replaces the MiniSAT binary used in the paper's experiments.  It
+implements the standard conflict-driven clause-learning loop — two-literal
+watching, first-UIP conflict analysis with clause learning, heap-backed VSIDS
+activities, phase saving, Luby restarts and activity-sorted learned-clause
+database reduction (keep-half) — over flat data: every hot structure is a
+contiguous typed buffer instead of an object graph.
 
 * **clause arena** — all clause literals live in one ``array('i')``; a clause
   is an ``(offset, length)`` pair into it, so clause access is pointer
   arithmetic and the watched-literal swaps are in-place integer writes;
 * **literal-indexed watch lists** — ``watches[2·v]`` / ``watches[2·v+1]``
-  replace the dict of the legacy solver (no hashing on the propagation path);
+  (no hashing on the propagation path);
 * **typed per-variable state** — assignment (``array('b')``, ±1/0), decision
   level and reason (``array('i')``, reason ``-1`` = none), saved phase
   (``bytearray``) and VSIDS activity (``array('d')``);
 * **inlined unit propagation** — the propagation loop reads the arena
   directly; there is no per-literal function call anywhere on it.
 
-On top of the solver, the module provides **batch solving**: :func:`solve`
-and :func:`solve_batch` draw a solver from a small per-process pool and
+The solver is *incremental* in the MiniSat sense: clauses can be added between
+:meth:`ArenaSolver.solve` calls and assumptions are decided at their own
+decision levels, so every learned clause is implied by the problem clauses
+alone and can be retained across calls.  That is what makes the repeated
+queries of the interactive framework (validity check, per-candidate
+refutations, MaxSAT probing on the same Φ(S_e)) cheap.
+
+:func:`solve` draws a solver from a small per-process pool and
 :meth:`ArenaSolver.reset` recycles the per-variable buffers, so the thousands
-of small Φ(S_e) instances of a resolution run amortise allocation and setup
-instead of rebuilding a solver each.  :class:`~repro.solvers.session.ArenaSession`
+of small Φ(S_e) instances of a resolution run amortise allocation instead of
+rebuilding a solver each.  :class:`~repro.solvers.session.ArenaSession`
 (registry name ``"arena"``) exposes the solver to the resolution stack.
 
-Determinism and equivalence with the legacy solver are load-bearing: the
-resolution framework's round statistics surface the solver counters, so the
-equivalence suites require not just equal verdicts but an identical search.
-The fuzz tests in ``tests/solvers/test_arena.py`` check both.
+The solver is deterministic: given the same clause/solve sequence it makes the
+same decisions, and a pooled solver after :meth:`~ArenaSolver.reset` behaves
+exactly like a fresh one.  Round statistics surface the solver counters and
+the goldens record models, so ``tests/solvers/test_arena.py`` checks both.
 """
 
 from __future__ import annotations
 
 from array import array
 from contextlib import contextmanager
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -40,24 +49,89 @@ from repro import profiling
 from repro.core.errors import SolverError
 from repro.solvers.budget import SolverBudget
 from repro.solvers.cnf import CNF
-from repro.solvers.sat import _LUBY_UNIT, CDCLSolver, SATResult, _luby, _SolverStats
 
-__all__ = ["ArenaSolver", "acquire_solver", "loaded_solver", "release_solver", "solve", "solve_batch"]
+__all__ = ["ArenaSolver", "SATResult", "acquire_solver", "loaded_solver", "release_solver", "solve"]
+
+
+@dataclass
+class SATResult:
+    """Outcome of a SAT call.
+
+    ``budget_exceeded`` marks a ``BUDGET_EXCEEDED`` verdict: the call ran
+    out of its :class:`~repro.solvers.budget.SolverBudget` before reaching
+    a decision.  ``satisfiable`` is ``False`` in that case but makes *no*
+    claim about the formula; callers must check the flag before trusting
+    the answer.  The solver backtracked to level zero, so it stays usable.
+    """
+
+    satisfiable: bool
+    model: Optional[Dict[int, bool]] = None
+    conflicts: int = 0
+    decisions: int = 0
+    propagations: int = 0
+    restarts: int = 0
+    budget_exceeded: bool = False
+
+    def __bool__(self) -> bool:
+        return self.satisfiable
+
+
+@dataclass
+class _SolverStats:
+    conflicts: int = 0
+    decisions: int = 0
+    propagations: int = 0
+    restarts: int = 0
+
 
 _UNASSIGNED = 0
 _TRUE = 1
 _FALSE = -1
 
-_simplify_clause = CDCLSolver._simplify_clause
+#: Unit of the Luby restart schedule (conflicts); interval i is ``base·luby(i)``.
+_LUBY_UNIT = 64
+
+
+def _luby(i: int) -> int:
+    """The *i*-th term (1-based) of the Luby sequence 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,…
+
+    The reluctant-doubling schedule of Luby, Sinclair and Zuckerman; it is the
+    universally optimal restart strategy up to a constant factor.
+    """
+    x = i - 1
+    size, seq = 1, 0
+    while size < x + 1:
+        seq += 1
+        size = 2 * size + 1
+    while size - 1 != x:
+        size = (size - 1) >> 1
+        seq -= 1
+        x %= size
+    return 1 << seq
+
+
+def _simplify_clause(clause: Sequence[int]) -> Optional[List[int]]:
+    """Deduplicate a clause; return ``None`` for tautologies."""
+    seen: Dict[int, None] = {}
+    for lit in clause:
+        lit = int(lit)
+        if lit == 0:
+            raise SolverError("0 is not a valid literal")
+        if -lit in seen:
+            return None
+        seen.setdefault(lit, None)
+    return list(seen)
 
 
 class ArenaSolver:
     """Incremental CDCL solver over a flat clause arena.
 
-    Drop-in equivalent of :class:`~repro.solvers.sat.CDCLSolver`: same public
-    surface (``add_clause`` / ``solve(assumptions)`` / cumulative counters),
-    same decision sequence, same models.  See the module docstring for the
-    data layout.
+    The solver may take an initial formula at construction time; further
+    clauses can be appended with :meth:`add_clause` between :meth:`solve`
+    calls.  Assumptions are decided at dedicated decision levels (never mixed
+    into level 0), so clauses learned under assumptions are consequences of
+    the clause database alone and stay valid for every later call.  See the
+    module docstring for the data layout.
     """
 
     def __init__(self, cnf: Optional[CNF] = None) -> None:
@@ -143,7 +217,7 @@ class ArenaSolver:
         The per-variable arrays and watch lists are zeroed in place rather
         than reallocated; a subsequent ``ensure_variables`` grows into the
         warm capacity.  This is what makes one pooled solver cheap to reuse
-        across many small formulas (see :func:`solve_batch`).
+        across many small formulas (see :func:`solve`).
         """
         for variable in range(1, self._num_vars + 1):
             self._assignment[variable] = _UNASSIGNED
@@ -196,9 +270,10 @@ class ArenaSolver:
     def add_clause(self, literals: Sequence[int]) -> None:
         """Append one clause to the database (callable between solve calls).
 
-        The clause is simplified against the root-level (level-0) assignment
-        exactly as in the legacy solver: root-falsified literals are dropped
-        and root-satisfied clauses are not stored at all.
+        The clause is simplified against the root-level (level-0) assignment:
+        root-falsified literals are dropped and root-satisfied clauses are not
+        stored at all — both are sound because level-0 assignments are logical
+        consequences of the clause database.
         """
         if self._unsat:
             return
@@ -516,6 +591,8 @@ class ArenaSolver:
 
     def _pick_branch_variable(self) -> int:
         # Lazy deletion: assigned variables stay in the heap until popped.
+        # Every unassigned variable is in the heap (insertion on creation and
+        # on backtrack), so an empty heap (0) means a total assignment.
         assignment = self._assignment
         while True:
             variable = self._heap_pop()
@@ -527,10 +604,12 @@ class ArenaSolver:
     def _reduce_learned_db(self) -> None:
         """Drop the less active half of the learned clauses (MiniSat style).
 
-        The arena is compacted: surviving clauses are copied into a fresh
-        buffer and the watch lists are rebuilt from their first two literals,
-        mirroring the legacy solver's reduction exactly (same survivors, same
-        watch order).
+        Deleting learned clauses is always sound — they are consequences of
+        the problem clauses — so sessions stay incremental across the
+        reduction.  Clauses that are currently the reason of an assignment,
+        and binary clauses, are always kept.  The arena is compacted:
+        surviving clauses are copied into a fresh buffer and the watch lists
+        are rebuilt from their first two literals.
         """
         offset = self._clause_offset
         clause_length = self._clause_length
@@ -545,7 +624,9 @@ class ArenaSolver:
         ]
         drop = set(sorted(deletable, key=lambda index: activity[index])[: len(deletable) // 2])
         if not drop:
-            # Nothing deletable; still grow the budget (see legacy solver).
+            # Nothing deletable (the learned DB is dominated by binary/locked
+            # clauses).  Still grow the budget, otherwise every subsequent
+            # conflict would re-scan the whole clause list for nothing.
             if self._max_learned is not None:
                 self._max_learned = int(self._max_learned * 1.3) + 1
             return
@@ -595,11 +676,17 @@ class ArenaSolver:
     # -- main entry points ----------------------------------------------------
 
     def propagate(self, assumptions: Sequence[int] = ()) -> Tuple[List[int], bool]:
-        """Unit-propagate under *assumptions* without searching.
+        """Unit-propagate the clause database under *assumptions* without searching.
 
-        Same contract as :meth:`CDCLSolver.propagate`: one level holds every
-        assumption, the whole trail comes back with the conflict flag, and
-        the trail, queue head and saved phases are restored; no counter moves.
+        Backtracks to level zero, enqueues every assumption on one new level
+        and runs :meth:`_propagate`.  Returns the whole trail (the root-level
+        literals, then the assumptions and what they force) and whether
+        propagation reached a conflict; after a conflict the trail is
+        partial.  The trail, the queue head (root units added since the last
+        solve stay pending) and the saved phases are then restored and no
+        counter moves, so a later solve that meets no conflict runs exactly as
+        it would have without this call.  Watch lists may be reordered, which
+        can steer the conflict analysis of a later solve that does conflict.
         """
         if self._unsat:
             return [], True
@@ -632,11 +719,20 @@ class ArenaSolver:
     ) -> SATResult:
         """Decide satisfiability under *assumptions*.
 
-        Same contract as :meth:`CDCLSolver.solve`: assumptions are decided at
-        their own decision levels, learned clauses stay sound across calls,
-        ``conflict_limit`` raises :class:`SolverError` when exceeded, and an
-        exhausted *budget* returns ``budget_exceeded=True`` after a clean
-        backtrack to level zero (the solver stays reusable).
+        Parameters
+        ----------
+        assumptions:
+            Literals assumed true for this call only.  Each is decided at its
+            own decision level (MiniSat style), so clause learning under
+            assumptions stays sound across calls.
+        conflict_limit:
+            Optional hard cap on the number of conflicts; when exceeded a
+            :class:`SolverError` is raised (used by tests to bound runtime).
+        budget:
+            Optional :class:`~repro.solvers.budget.SolverBudget`.  Unlike
+            ``conflict_limit`` this never raises: exceeding any cap returns
+            a clean result with ``budget_exceeded=True`` after backtracking
+            to level zero, so the solver stays reusable.
         """
         self.solve_calls += 1
         stats = _SolverStats()
@@ -779,7 +875,7 @@ class ArenaSolver:
             self._enqueue(literal, -1, stats)
 
 
-# -- batch solving over a per-process solver pool ------------------------------
+# -- one-shot solving over a per-process solver pool ---------------------------
 
 #: Recycled solvers; reset-on-acquire keeps the warm buffers, drops the state.
 _SOLVER_POOL: List[ArenaSolver] = []
@@ -821,27 +917,3 @@ def solve(
     """Solve *cnf* under *assumptions* with a pooled :class:`ArenaSolver`."""
     with loaded_solver(cnf) as solver:
         return solver.solve(assumptions, conflict_limit=conflict_limit, budget=budget)
-
-
-def solve_batch(
-    formulas: Iterable[CNF], assumptions: Optional[Sequence[Sequence[int]]] = None
-) -> List[SATResult]:
-    """Solve many small formulas on one pooled solver (allocation amortised).
-
-    The i-th entry of *assumptions* (when given) applies to the i-th formula.
-    Each formula is solved on the same solver after a buffer-preserving
-    :meth:`ArenaSolver.reset` — the common thousands-of-tiny-instances case
-    pays for per-variable allocation once instead of once per formula.
-    """
-    solver = acquire_solver()
-    results: List[SATResult] = []
-    try:
-        for index, cnf in enumerate(formulas):
-            if index:
-                solver.reset()
-            solver.load(cnf)
-            extra = assumptions[index] if assumptions is not None else ()
-            results.append(solver.solve(extra))
-    finally:
-        release_solver(solver)
-    return results

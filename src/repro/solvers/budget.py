@@ -2,7 +2,7 @@
 
 A :class:`SolverBudget` caps how much work a single ``solve`` call may
 perform before the solver returns a clean ``BUDGET_EXCEEDED`` verdict
-(:attr:`~repro.solvers.sat.SATResult.budget_exceeded`).  Exceeding a
+(:attr:`~repro.solvers.arena.SATResult.budget_exceeded`).  Exceeding a
 budget is *not* an error inside the solver: the trail is backtracked to
 decision level zero, learned clauses and activities are kept, and the
 solver (or the :class:`~repro.solvers.session.SolverSession` wrapping

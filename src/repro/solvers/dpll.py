@@ -1,6 +1,6 @@
 """A small DPLL solver used as a reference implementation.
 
-The CDCL solver in :mod:`repro.solvers.sat` is the work-horse; this
+The CDCL solver in :mod:`repro.solvers.arena` is the work-horse; this
 explicit-stack DPLL solver exists for two reasons:
 
 * it is simple enough to be obviously correct, so the test suite uses it to
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.solvers.cnf import CNF
-from repro.solvers.sat import SATResult
+from repro.solvers.arena import SATResult
 
 __all__ = ["dpll_solve"]
 

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.errors import SolverError
 from repro.solvers.cnf import CNF
-from repro.solvers.sat import solve
+from repro.solvers.arena import solve
 from repro.solvers.session import SolverSession
 
 __all__ = ["MaxSATResult", "solve_group_maxsat"]

@@ -8,8 +8,8 @@ solver alive for that whole lifecycle:
 
 * ``add_clauses`` appends delta clauses (from the incremental encoder) without
   rebuilding anything;
-* ``solve(assumptions)`` answers a query under per-call assumptions; the CDCL
-  backend retains learned clauses, variable activities and saved phases
+* ``solve(assumptions)`` answers a query under per-call assumptions; the
+  arena backend retains learned clauses, variable activities and saved phases
   between calls, so later queries reuse the conflicts of earlier ones;
 * ``propagate(assumptions)`` runs unit propagation alone (``DeduceOrder``'s
   loop) on the same clauses, counting no solve;
@@ -18,10 +18,9 @@ solver alive for that whole lifecycle:
   surfaces.
 
 Backends are pluggable through a small registry: ``"arena"`` (the default —
-the flat clause-arena port of the CDCL loop, fully incremental, pooled
-buffers), ``"cdcl"`` (the legacy object-graph CDCL solver, behaviourally
-identical) and ``"dpll"`` (stateless reference backend that re-solves from
-scratch — useful for cross-checking the incremental machinery) ship built-in;
+the flat clause-arena CDCL solver, fully incremental, pooled buffers) and
+``"dpll"`` (stateless reference backend that re-solves from scratch — useful
+for cross-checking the incremental machinery) ship built-in;
 :func:`register_backend` accepts further implementations.
 """
 
@@ -31,16 +30,14 @@ import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import BudgetExceededError, SolverError
-from repro.solvers.arena import ArenaSolver, acquire_solver, loaded_solver, release_solver
+from repro.solvers.arena import ArenaSolver, SATResult, acquire_solver, loaded_solver, release_solver
 from repro.solvers.budget import SolverBudget
 from repro.solvers.cnf import CNF
 from repro.solvers.dpll import dpll_solve
-from repro.solvers.sat import CDCLSolver, SATResult
 
 __all__ = [
     "SolverSession",
     "ArenaSession",
-    "CDCLSession",
     "DPLLSession",
     "register_backend",
     "create_session",
@@ -125,7 +122,7 @@ class SolverSession:
 
         Returns the literals forced true (the root-level ones included) and
         whether propagation reached a conflict.  No solve is counted and no
-        counter moves (see :meth:`~repro.solvers.sat.CDCLSolver.propagate`).
+        counter moves (see :meth:`~repro.solvers.arena.ArenaSolver.propagate`).
         Learned clauses take part: they are implied by the formula, so what
         they add to the forced set still holds in every model.
         """
@@ -161,62 +158,16 @@ class SolverSession:
         }
 
 
-class CDCLSession(SolverSession):
-    """Incremental session backed by the persistent :class:`CDCLSolver`.
+class ArenaSession(SolverSession):
+    """Incremental session backed by the flat clause-arena solver.
 
     Clauses are pushed straight into the solver's database; learned clauses,
     VSIDS activities and saved phases survive between ``solve`` calls, so the
     repeated queries of one resolution round (and of later rounds, after the
-    incremental encoder appends the delta clauses) share their work.
-    """
-
-    backend = "cdcl"
-    retains_learned_clauses = True
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._solver = CDCLSolver()
-
-    @property
-    def solver(self) -> CDCLSolver:
-        """The underlying persistent solver (exposed for diagnostics)."""
-        return self._solver
-
-    @property
-    def learned_clauses(self) -> int:
-        return self._solver.num_learned_clauses
-
-    def ensure_variables(self, count: int) -> None:
-        self._solver.ensure_variables(count)
-
-    def _add_clause(self, literals: Sequence[int]) -> None:
-        self._solver.add_clause(literals)
-
-    def _solve(self, assumptions: Sequence[int], conflict_limit: Optional[int]) -> SATResult:
-        return self._solver.solve(assumptions, conflict_limit=conflict_limit, budget=self.budget)
-
-    def propagate(self, assumptions: Sequence[int] = ()) -> Tuple[List[int], bool]:
-        return self._solver.propagate(assumptions)
-
-    def statistics(self) -> Dict[str, int]:
-        stats = super().statistics()
-        stats["conflicts"] = self._solver.total_conflicts
-        stats["decisions"] = self._solver.total_decisions
-        stats["propagations"] = self._solver.total_propagations
-        stats["db_reductions"] = self._solver.db_reductions
-        stats["clauses_deleted"] = self._solver.clauses_deleted
-        return stats
-
-
-class ArenaSession(SolverSession):
-    """Incremental session backed by the flat clause-arena solver.
-
-    Behaviourally identical to :class:`CDCLSession` (the arena solver is an
-    exact port of the legacy CDCL loop, counters included) but with the flat
-    hot path of :class:`~repro.solvers.arena.ArenaSolver`.  The underlying
-    solver is drawn from the per-process pool, so a worker resolving many
-    entities reuses the same warm buffers across their sessions — this is the
-    batch-solving amortisation of the arena core.
+    incremental encoder appends the delta clauses) share their work.  The
+    underlying :class:`~repro.solvers.arena.ArenaSolver` is drawn from the
+    per-process pool, so a worker resolving many entities reuses the same
+    warm buffers across their sessions.
     """
 
     backend = "arena"
@@ -331,5 +282,4 @@ def create_session(backend: str = "arena", budget: Optional[SolverBudget] = None
 
 
 register_backend("arena", ArenaSession)
-register_backend("cdcl", CDCLSession)
 register_backend("dpll", DPLLSession)

@@ -1,6 +1,9 @@
 """ResultStore contract: idempotent upserts, hash misses, backend parity."""
 
 import multiprocessing
+import sqlite3
+import threading
+import time
 
 import pytest
 
@@ -158,6 +161,62 @@ class TestCrossProcessConcurrency:
         SqliteResultStore(path).close()
         with SqliteResultStore(path) as reopened:
             assert reopened.journal_mode == "wal"
+
+    @pytest.mark.parametrize(
+        "begin, hold",
+        [
+            ("BEGIN IMMEDIATE", None),
+            ("BEGIN EXCLUSIVE", None),
+            ("BEGIN", "SELECT count(*) FROM sqlite_master"),
+        ],
+        ids=["write", "exclusive", "read"],
+    )
+    def test_open_waits_out_a_lock_on_a_fresh_file(self, tmp_path, begin, hold):
+        """Another connection's transaction must not fail the open.
+
+        SQLite answers the WAL switch on a write-locked fresh file with
+        "database is locked" at once, without consulting the busy handler;
+        cluster workers opening one new store file together hit exactly that.
+        The exclusive and read locks go through the busy handler.
+        """
+        path = tmp_path / "fresh.db"
+        holder = sqlite3.connect(str(path), isolation_level=None, check_same_thread=False)
+        holder.execute(begin)
+        if hold is not None:
+            holder.execute(hold).fetchall()
+        release = threading.Timer(0.3, holder.execute, args=("COMMIT",))
+        release.start()
+        try:
+            with SqliteResultStore(path) as store:
+                assert store.journal_mode == "wal"
+                assert len(store) == 0
+        finally:
+            release.join()
+            holder.close()
+
+    def test_open_gives_up_once_the_busy_timeout_passes(self, tmp_path, monkeypatch):
+        """A write lock that outlasts the busy timeout fails the open as before."""
+        monkeypatch.setattr(SqliteResultStore, "BUSY_TIMEOUT_MS", 200)
+        path = tmp_path / "held.db"
+        holder = sqlite3.connect(str(path), isolation_level=None)
+        holder.execute("BEGIN IMMEDIATE")
+        try:
+            started = time.monotonic()
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                SqliteResultStore(path)
+            assert time.monotonic() - started >= 0.2
+        finally:
+            holder.execute("COMMIT")
+            holder.close()
+
+    def test_open_does_not_retry_a_file_that_is_not_a_database(self, tmp_path):
+        path = tmp_path / "garbage.db"
+        path.write_bytes(b"not a database, not even close" * 64)
+        started = time.monotonic()
+        with pytest.raises(sqlite3.DatabaseError, match="not a database"):
+            SqliteResultStore(path)
+        # Well inside the busy timeout: the error is not retried as a lock.
+        assert time.monotonic() - started < SqliteResultStore.BUSY_TIMEOUT_MS / 2000.0
 
     def test_concurrent_writer_processes_do_not_lock_out(
         self, tmp_path, resolved_pairs

@@ -40,9 +40,7 @@ def run_client_experiment(
 ):
     """Framework experiment through the public client API.
 
-    The test-suite replacement for the deprecated
-    ``run_framework_experiment`` shim: identical semantics, expressed as a
-    :class:`~repro.api.RunConfig` plus
+    Folds the keywords into a :class:`~repro.api.RunConfig` and runs
     :meth:`~repro.api.ResolutionClient.run_experiment`.  Remaining keyword
     arguments (``sigma_fraction``, ``limit``, ``keep_outcomes``,
     ``extra_sinks``, ``oracle_factory`` …) pass through to the client.

@@ -14,7 +14,7 @@ from repro.resolution import (
     suggest,
 )
 from repro.resolution.true_values import extract_true_values
-from repro.solvers.sat import solve
+from repro.solvers import solve
 
 from tests.encoding._recording_session import RecordingSession
 

@@ -1,9 +1,8 @@
-"""Tests for the experiment harness (client runner + deprecated shims)."""
+"""Tests for the experiment harness (the client runner)."""
 
 import pytest
 
 from repro.core import ReproError
-from repro.evaluation import run_baseline_experiment, run_framework_experiment
 
 from tests.conftest import run_client_baseline, run_client_experiment
 
@@ -73,59 +72,3 @@ class TestBaselineExperiment:
         single = run_client_baseline(small_person_dataset, "pick", repetitions=1, limit=3)
         averaged = run_client_baseline(small_person_dataset, "pick", repetitions=5, limit=3)
         assert len(single.outcomes) == len(averaged.outcomes)
-
-
-@pytest.mark.filterwarnings("default::DeprecationWarning")
-class TestDeprecatedShims:
-    """The legacy runners survive as warning shims over the client.
-
-    The suite at large runs with ``-W error::DeprecationWarning`` (see
-    ``pytest.ini``); this class opts back in to exercise the shims and pin
-    their contract: they warn, and they produce exactly what the client
-    produces.
-    """
-
-    def test_framework_shim_warns_and_matches_client(self, small_person_dataset):
-        with pytest.warns(DeprecationWarning, match="run_framework_experiment is deprecated"):
-            shimmed = run_framework_experiment(
-                small_person_dataset, max_interaction_rounds=1, limit=3
-            )
-        direct = run_client_experiment(small_person_dataset, max_interaction_rounds=1, limit=3)
-        assert shimmed.label == direct.label
-        assert shimmed.counts() == direct.counts()
-        assert [o.entity_name for o in shimmed.outcomes] == [
-            o.entity_name for o in direct.outcomes
-        ]
-        assert [o.counts for o in shimmed.outcomes] == [o.counts for o in direct.outcomes]
-
-    def test_framework_shim_oracle_budget_follows_interaction_rounds(self, small_person_dataset):
-        """Explicit resolver options never widened the legacy oracle budget."""
-        from repro.resolution.framework import ResolverOptions
-
-        options = ResolverOptions(max_rounds=4, fallback="none")
-        with pytest.warns(DeprecationWarning):
-            shimmed = run_framework_experiment(
-                small_person_dataset,
-                max_interaction_rounds=0,
-                resolver_options=options,
-                limit=3,
-            )
-        assert shimmed.max_rounds_used() == 0
-
-    def test_baseline_shim_warns_and_matches_client(self, small_person_dataset):
-        with pytest.warns(DeprecationWarning, match="run_baseline_experiment is deprecated"):
-            shimmed = run_baseline_experiment(small_person_dataset, "vote", limit=4)
-        direct = run_client_baseline(small_person_dataset, "vote", limit=4)
-        assert shimmed.label == direct.label
-        assert shimmed.counts() == direct.counts()
-
-    def test_shims_raise_under_error_filter(self, small_person_dataset):
-        """Callers that escalate DeprecationWarning see the shims fail loudly."""
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(DeprecationWarning):
-                run_framework_experiment(small_person_dataset, limit=1)
-            with pytest.raises(DeprecationWarning):
-                run_baseline_experiment(small_person_dataset, "pick", limit=1)

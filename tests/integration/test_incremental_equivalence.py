@@ -22,7 +22,18 @@ from repro.evaluation.interaction import ReluctantOracle
 from repro.resolution import ConflictResolver, ResolverOptions
 
 
-def _resolve(spec, entity, incremental, max_rounds=2, backend="cdcl"):
+DATASETS = pytest.mark.parametrize(
+    "generate, config",
+    [
+        (generate_nba_dataset, NBAConfig(num_players=6, seed=17)),
+        (generate_career_dataset, CareerConfig(num_authors=5, seed=23)),
+        (generate_person_dataset, PersonConfig(num_entities=6, seed=29)),
+    ],
+    ids=["nba", "career", "person"],
+)
+
+
+def _resolve(spec, entity, incremental, max_rounds=2, backend="arena"):
     options = ResolverOptions(
         max_rounds=max_rounds,
         fallback="none",
@@ -45,15 +56,7 @@ def _assert_equivalent(incremental, from_scratch, label):
     assert incremental.user_validated_attributes == from_scratch.user_validated_attributes, label
 
 
-@pytest.mark.parametrize(
-    "generate, config",
-    [
-        (generate_nba_dataset, NBAConfig(num_players=6, seed=17)),
-        (generate_career_dataset, CareerConfig(num_authors=5, seed=23)),
-        (generate_person_dataset, PersonConfig(num_entities=6, seed=29)),
-    ],
-    ids=["nba", "career", "person"],
-)
+@DATASETS
 def test_incremental_resolution_matches_from_scratch(generate, config):
     dataset = generate(config)
     for entity, spec in dataset.specifications(1.0, 1.0):
@@ -62,38 +65,26 @@ def test_incremental_resolution_matches_from_scratch(generate, config):
         _assert_equivalent(incremental, from_scratch, entity.name)
 
 
-def test_incremental_resolution_matches_across_backends():
-    """The DPLL session backend must agree with the CDCL session backend."""
-    dataset = generate_person_dataset(PersonConfig(num_entities=3, seed=31))
-    for entity, spec in dataset.specifications(1.0, 1.0):
-        cdcl = _resolve(spec, entity, incremental=True, backend="cdcl")
-        dpll = _resolve(spec, entity, incremental=True, backend="dpll")
-        _assert_equivalent(cdcl, dpll, entity.name)
+@DATASETS
+def test_incremental_resolution_matches_across_backends(generate, config):
+    """The DPLL session backend must agree with the arena session backend.
 
-
-@pytest.mark.parametrize(
-    "generate, config",
-    [
-        (generate_nba_dataset, NBAConfig(num_players=6, seed=17)),
-        (generate_career_dataset, CareerConfig(num_authors=5, seed=23)),
-        (generate_person_dataset, PersonConfig(num_entities=6, seed=29)),
-    ],
-    ids=["nba", "career", "person"],
-)
-def test_arena_backend_matches_cdcl_full_resolution(generate, config):
-    """The default arena backend resolves every entity exactly like CDCL.
-
-    The arena solver is a behavioural port, so beyond equal answers the round
-    reports must carry identical solver statistics — an identical search.
+    The two backends search differently, so their solver statistics differ;
+    what the paper's algorithms read from them — validity, the deduced
+    values, and with those every suggestion and round — must not.
     """
     dataset = generate(config)
     for entity, spec in dataset.specifications(1.0, 1.0):
         arena = _resolve(spec, entity, incremental=True, backend="arena")
-        cdcl = _resolve(spec, entity, incremental=True, backend="cdcl")
-        _assert_equivalent(arena, cdcl, entity.name)
-        assert len(arena.rounds) == len(cdcl.rounds), entity.name
-        for ours, reference in zip(arena.rounds, cdcl.rounds):
-            assert ours.encoding_statistics == reference.encoding_statistics, entity.name
+        dpll = _resolve(spec, entity, incremental=True, backend="dpll")
+        _assert_equivalent(arena, dpll, entity.name)
+        assert [
+            (report.valid, report.deduced_attributes, report.suggestion, report.answers)
+            for report in arena.rounds
+        ] == [
+            (report.valid, report.deduced_attributes, report.suggestion, report.answers)
+            for report in dpll.rounds
+        ], entity.name
 
 
 def test_incremental_path_encodes_once_per_entity():

@@ -1,11 +1,10 @@
 """Cluster failure-model tests: worker death, respawn, quarantine, resume.
 
-The cluster inherits the PR-8 shard coordinator's failure model, so these
-tests mirror ``tests/sharding/test_coordinator.py`` across a real process
-boundary: a dead worker is retried by *respawning* it under the cluster's
+A dead worker is retried by *respawning* it under the cluster's
 ``RetryPolicy``; one that stays dead becomes a ``"shard:N"`` quarantine
-record whose requests get the coordinator's all-NULL failure fills, while
-the surviving workers' responses stay byte-identical to a single resolver.
+record whose requests get all-NULL failure fills, while the surviving
+workers' responses stay byte-identical to a single resolver.  The
+``fail_shard`` fault plan drives both cases at worker start.
 """
 
 import asyncio

@@ -1,39 +1,80 @@
-"""Tests for the flat clause-arena solver: exact equivalence with the legacy CDCL.
+"""Tests for the flat clause-arena solver: verdicts, models and pool recycling.
 
-The arena solver is a *behavioural port*, not just a compatible one: given the
-same clause/solve sequence it must make the same decisions, learn the same
-clauses and report the same counters as :class:`CDCLSolver` — the resolution
-round reports surface those counters, so anything weaker would change
-recorded outputs.  The property-based tests here drive both solvers through
-identical incremental scenarios (interleaved clause additions and assumption
-solves, restarts, clause-database reduction) and require identical verdicts,
-models and search statistics.
+The arena is the one CDCL solver.  Its verdicts must agree with the reference
+DPLL solver and its models must satisfy the formula and the assumptions.  The
+one-shot :func:`~repro.solvers.arena.solve` draws its solver from a
+per-process pool, so a recycled solver must also behave exactly like a fresh
+one: the resolution round reports surface the solver counters and the goldens
+record models, so anything weaker than an identical :class:`SATResult`
+(model and every counter included) would change recorded outputs.  The
+property-based tests drive fresh and recycled solvers through identical
+incremental scenarios (interleaved clause additions and assumption solves,
+restarts, clause-database reduction).
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SolverError
-from repro.solvers import CNF, ArenaSolver, CDCLSolver
-from repro.solvers.arena import acquire_solver, release_solver, solve, solve_batch
+from repro.solvers import CNF, ArenaSolver, dpll_solve
+from repro.solvers.arena import acquire_solver, release_solver, solve
 
 
-def assert_same_search(arena: ArenaSolver, legacy: CDCLSolver) -> None:
+def assert_same_search(ours: ArenaSolver, reference: ArenaSolver) -> None:
     """The cumulative counters must match exactly — identical search trees."""
-    assert arena.total_decisions == legacy.total_decisions
-    assert arena.total_conflicts == legacy.total_conflicts
-    assert arena.total_propagations == legacy.total_propagations
-    assert arena.total_restarts == legacy.total_restarts
+    assert ours.solve_calls == reference.solve_calls
+    assert ours.total_decisions == reference.total_decisions
+    assert ours.total_conflicts == reference.total_conflicts
+    assert ours.total_propagations == reference.total_propagations
+    assert ours.total_restarts == reference.total_restarts
+    assert ours.num_learned_clauses == reference.num_learned_clauses
+    assert ours.db_reductions == reference.db_reductions
 
 
-def assert_same_result(ours, reference) -> None:
-    assert ours.satisfiable == reference.satisfiable
-    assert ours.model == reference.model
-    assert ours.decisions == reference.decisions
-    assert ours.conflicts == reference.conflicts
-    assert ours.propagations == reference.propagations
-    assert ours.restarts == reference.restarts
+def assert_model_satisfies(cnf: CNF, assumptions, result) -> None:
+    """A satisfiable verdict comes with a model of every clause and assumption.
+
+    A variable that occurs only in tautologies never reaches the solver, so
+    the model may leave it out; any value satisfies those clauses.
+    """
+    if result.satisfiable:
+        constrained = cnf.extended([[literal] for literal in assumptions])
+        model = {v: result.model.get(v, False) for v in range(1, constrained.num_variables + 1)}
+        assert constrained.evaluate(model) is True
+
+
+def _random_3cnf(seed: int, num_variables: int = 30) -> CNF:
+    """A random 3-CNF near the satisfiability threshold (hard enough to restart)."""
+    rng = random.Random(seed)
+    cnf = CNF(num_variables=num_variables)
+    for _ in range(int(num_variables * 4.2)):
+        variables = rng.sample(range(1, num_variables + 1), 3)
+        cnf.add_clause([v if rng.random() < 0.5 else -v for v in variables])
+    return cnf
+
+
+def recycled_solver() -> ArenaSolver:
+    """A solver reset after a larger, conflict-heavy formula dirtied every buffer.
+
+    The formula has more variables than any test formula here, so the
+    recycled per-variable buffers, watch lists, activities and saved phases
+    all hold stale state that :meth:`ArenaSolver.reset` must clear; a tiny
+    learned-clause budget leaves a grown, non-default budget behind, and the
+    leading unit makes variable 2 a root-level implication with a reason.
+    """
+    solver = ArenaSolver()
+    solver.add_clauses([[-1, 2], [1]])
+    solver.load(_random_3cnf(seed=97, num_variables=50))
+    solver._max_learned = 5
+    assert solver.solve().satisfiable
+    assert solver.db_reductions >= 1 and solver._reason[2] >= 0
+    solver.solve(assumptions=[1, -2, 3])
+    solver.propagate([4, -5])
+    solver.reset()
+    return solver
 
 
 class TestBasics:
@@ -97,16 +138,36 @@ class TestSolverPool:
         solver.add_clause([1])
         assert solver.solve().satisfiable
 
-    def test_solve_batch_matches_individual_solves(self):
-        formulas = [CNF([[1, 2]]), CNF([[1], [-1]]), CNF([[1, -2], [2]])]
-        batched = solve_batch(formulas)
-        individual = [solve(cnf) for cnf in formulas]
-        for ours, reference in zip(batched, individual):
-            assert ours.satisfiable == reference.satisfiable
-            assert ours.model == reference.model
+    def test_pooled_solve_matches_a_fresh_solver(self):
+        """``solve`` on a pool holding a dirtied solver returns a fresh solver's result."""
+        dirty = ArenaSolver(_random_3cnf(seed=7, num_variables=40))
+        dirty.solve()
+        release_solver(dirty)
+        cnf = _random_3cnf(seed=8, num_variables=20)
+        assert solve(cnf, assumptions=[3, -4]) == ArenaSolver(cnf).solve(assumptions=[3, -4])
+
+    def test_reset_restores_every_field_of_a_fresh_solver(self):
+        """State the searches above rarely reach (the reason of a root-level
+        implication, the learned-clause budget, the activity increment) must
+        be fresh too: a stale value surfaces only once a later formula
+        triggers a learned-database reduction."""
+        cnf = _random_3cnf(seed=3, num_variables=20)
+        recycled, fresh = recycled_solver(), ArenaSolver()
+        recycled.load(cnf)
+        fresh.load(cnf)
+        size = fresh.num_variables + 1
+        for name in ("_assignment", "_level", "_reason", "_phase", "_activity", "_heap_pos"):
+            assert list(getattr(recycled, name)[:size]) == list(getattr(fresh, name)), name
+        assert recycled._watches[: 2 * size] == fresh._watches
+        for name in (
+            "_arena", "_clause_offset", "_clause_length", "_clause_learned",
+            "_clause_activity", "_heap", "_trail", "_trail_level_start", "_queue_head",
+            "_unsat", "_activity_increment", "_clause_activity_increment", "_max_learned",
+        ):
+            assert getattr(recycled, name) == getattr(fresh, name), name
 
 
-# -- property-based exact equivalence with the legacy CDCL ---------------------
+# -- property-based: DPLL verdicts, real models, recycled == fresh -------------
 
 
 @st.composite
@@ -136,31 +197,35 @@ def clause_batches(draw):
 
 @given(clause_batches())
 @settings(max_examples=120, deadline=None)
-def test_arena_matches_legacy_incremental(rounds):
-    """Interleaved add_clause/solve sequences produce identical searches."""
-    arena = ArenaSolver()
-    legacy = CDCLSolver()
+def test_incremental_solves_agree_with_dpll_and_a_recycled_solver(rounds):
+    """Interleaved add_clause/solve sequences: DPLL's verdicts, real models,
+    and a recycled solver runs the same search as a fresh one."""
+    fresh = ArenaSolver()
+    recycled = recycled_solver()
+    accumulated = CNF()
     for clauses, assumptions in rounds:
         for clause in clauses:
-            arena.add_clause(clause)
-            legacy.add_clause(clause)
-        assert_same_result(arena.solve(assumptions), legacy.solve(assumptions))
-    assert_same_search(arena, legacy)
+            fresh.add_clause(clause)
+            recycled.add_clause(clause)
+        accumulated.add_clauses(clauses)
+        result = fresh.solve(assumptions)
+        assert recycled.solve(assumptions) == result
+        assert result.satisfiable == dpll_solve(accumulated, assumptions).satisfiable
+        assert_model_satisfies(accumulated, assumptions, result)
+    assert_same_search(recycled, fresh)
 
 
 @given(st.integers(0, 1_000_000))
 @settings(max_examples=10, deadline=None)
-def test_arena_matches_legacy_under_restarts(seed):
-    """Hard random instances force restarts/DB reduction down identical paths."""
-    import random
-
-    rng = random.Random(seed)
-    num_variables = 30
-    cnf = CNF(num_variables=num_variables)
-    for _ in range(int(num_variables * 4.2)):
-        variables = rng.sample(range(1, num_variables + 1), 3)
-        cnf.add_clause([v if rng.random() < 0.5 else -v for v in variables])
-    arena = ArenaSolver(cnf)
-    legacy = CDCLSolver(cnf)
-    assert_same_result(arena.solve(), legacy.solve())
-    assert_same_search(arena, legacy)
+def test_hard_instances_agree_with_dpll_and_a_recycled_solver(seed):
+    """Hard random instances force restarts/DB reduction; the recycled solver
+    must take the identical path, and the verdict must be DPLL's."""
+    cnf = _random_3cnf(seed)
+    fresh = ArenaSolver(cnf)
+    recycled = recycled_solver()
+    recycled.load(cnf)
+    result = fresh.solve()
+    assert recycled.solve() == result
+    assert result.satisfiable == dpll_solve(cnf).satisfiable
+    assert_model_satisfies(cnf, (), result)
+    assert_same_search(recycled, fresh)

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.errors import BudgetExceededError, ReproError, SolverError
-from repro.solvers import CNF, SolverBudget, solve
-from repro.solvers.arena import solve as arena_solve
+from repro.solvers import CNF, ArenaSolver, SolverBudget, solve
 from repro.solvers.session import create_session
 
 
@@ -21,6 +20,34 @@ def pigeonhole_cnf(pigeons=6, holes=5) -> CNF:
             for j in range(i + 1, pigeons):
                 clauses.append([-var(i, h), -var(j, h)])
     return CNF(clauses)
+
+
+def fresh_solver_solve(cnf, budget=None):
+    """A budgeted solve on a new solver: the path every session takes."""
+    return ArenaSolver(cnf).solve(budget=budget)
+
+
+def recycled_solver_solve(cnf, budget=None):
+    """A budgeted solve on a solver recycled the way the solver pool does it.
+
+    The solver first burns conflicts on a harder formula; a budget checked
+    against lifetime totals rather than this call's counters would trip at
+    once on the recycled solver.
+    """
+    solver = ArenaSolver(pigeonhole_cnf(7, 6))
+    assert solver.solve(budget=SolverBudget(max_conflicts=200)).budget_exceeded
+    solver.reset()
+    solver.load(cnf)
+    return solver.solve(budget=budget)
+
+
+#: ``solve`` draws its solver from the pool; the other two pin the fresh and
+#: the recycled solver it may hand out.
+BUDGETED_SOLVERS = pytest.mark.parametrize(
+    "solver",
+    [solve, fresh_solver_solve, recycled_solver_solve],
+    ids=["arena", "fresh-solver", "recycled-solver"],
+)
 
 
 class TestSolverBudget:
@@ -44,25 +71,25 @@ class TestSolverBudget:
 
 
 class TestBudgetedSolve:
-    @pytest.mark.parametrize("solver", [solve, arena_solve], ids=["cdcl", "arena"])
+    @BUDGETED_SOLVERS
     def test_conflict_budget_yields_clean_verdict(self, solver):
         result = solver(pigeonhole_cnf(), budget=SolverBudget(max_conflicts=1))
         assert not result.satisfiable
         assert result.budget_exceeded
         assert result.conflicts <= 2  # budget checked per loop iteration
 
-    @pytest.mark.parametrize("solver", [solve, arena_solve], ids=["cdcl", "arena"])
+    @BUDGETED_SOLVERS
     def test_propagation_budget(self, solver):
         result = solver(pigeonhole_cnf(), budget=SolverBudget(max_propagations=1))
         assert result.budget_exceeded
 
-    @pytest.mark.parametrize("solver", [solve, arena_solve], ids=["cdcl", "arena"])
+    @BUDGETED_SOLVERS
     def test_unbounded_budget_is_a_no_op(self, solver):
         result = solver(pigeonhole_cnf(3, 2), budget=SolverBudget())
         assert not result.satisfiable
         assert not result.budget_exceeded
 
-    @pytest.mark.parametrize("solver", [solve, arena_solve], ids=["cdcl", "arena"])
+    @BUDGETED_SOLVERS
     def test_true_unsat_beats_budget_verdict(self, solver):
         # Contradictory units fail at level 0 before any conflict is counted:
         # the genuine UNSAT verdict must win over the budget one.
@@ -70,7 +97,7 @@ class TestBudgetedSolve:
         assert not result.satisfiable
         assert not result.budget_exceeded
 
-    @pytest.mark.parametrize("solver", [solve, arena_solve], ids=["cdcl", "arena"])
+    @BUDGETED_SOLVERS
     def test_satisfiable_within_budget(self, solver):
         cnf = CNF([[1, 2], [-1, 3], [-2, -3], [2, 3]])
         result = solver(cnf, budget=SolverBudget(max_conflicts=10_000))
@@ -79,7 +106,7 @@ class TestBudgetedSolve:
 
 
 class TestBudgetedSessions:
-    @pytest.mark.parametrize("backend", ["cdcl", "arena"])
+    @pytest.mark.parametrize("backend", ["arena"])
     def test_session_raises_and_stays_usable(self, backend):
         # Acceptance: a budget blowout must leave the session reusable — the
         # same session, budget lifted, reaches the same verdict as a fresh one.
@@ -95,7 +122,7 @@ class TestBudgetedSessions:
         fresh.add_clauses(cnf.clauses)
         assert reused.satisfiable == fresh.solve().satisfiable is False
 
-    @pytest.mark.parametrize("backend", ["cdcl", "arena"])
+    @pytest.mark.parametrize("backend", ["arena"])
     def test_budget_applies_per_solve_call(self, backend):
         session = create_session(backend=backend)
         session.add_clauses(pigeonhole_cnf().clauses)

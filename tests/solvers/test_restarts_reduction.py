@@ -2,9 +2,8 @@
 
 import random
 
-from repro.solvers import CNF, CDCLSolver, dpll_solve
-from repro.solvers.sat import _luby
-from repro.solvers.session import CDCLSession
+from repro.solvers import CNF, ArenaSession, ArenaSolver, dpll_solve
+from repro.solvers.arena import _luby
 
 
 def random_cnf(rng: random.Random, num_vars: int, num_clauses: int) -> CNF:
@@ -44,7 +43,7 @@ class TestLuby:
 
 class TestBranchingHeap:
     def test_pick_prefers_highest_activity_then_lowest_index(self):
-        solver = CDCLSolver()
+        solver = ArenaSolver()
         solver.ensure_variables(5)
         for _ in range(2):
             solver._bump(3)
@@ -58,9 +57,12 @@ class TestBranchingHeap:
         assert solver._pick_branch_variable() == 3
         assert solver._pick_branch_variable() == 4
         assert solver._pick_branch_variable() == 1
+        assert solver._pick_branch_variable() == 5
+        # An empty heap means every variable is assigned: 0, never a variable.
+        assert solver._pick_branch_variable() == 0
 
     def test_backtrack_reinserts_variables(self):
-        solver = CDCLSolver(CNF([[1, 2], [-1, 2]]))
+        solver = ArenaSolver(CNF([[1, 2], [-1, 2]]))
         assert solver.solve().satisfiable
         # After a solve everything is assigned; a fresh solve must still be
         # able to branch (variables resurface through backtracking).
@@ -71,7 +73,7 @@ class TestBranchingHeap:
         for trial in range(30):
             cnf = random_cnf(rng, num_vars=12, num_clauses=45)
             expected = dpll_solve(cnf).satisfiable
-            result = CDCLSolver(cnf).solve()
+            result = ArenaSolver(cnf).solve()
             assert result.satisfiable == expected
             if result.satisfiable:
                 assert cnf.evaluate(result.model) is True
@@ -79,8 +81,8 @@ class TestBranchingHeap:
     def test_determinism(self):
         rng = random.Random(11)
         cnf = random_cnf(rng, num_vars=20, num_clauses=80)
-        first = CDCLSolver(cnf).solve()
-        second = CDCLSolver(cnf).solve()
+        first = ArenaSolver(cnf).solve()
+        second = ArenaSolver(cnf).solve()
         assert first.satisfiable == second.satisfiable
         assert first.model == second.model
         assert first.decisions == second.decisions
@@ -91,7 +93,7 @@ class TestLearnedDatabaseReduction:
     def test_reduction_triggers_and_keeps_solver_sound(self):
         # Pigeonhole 6→5 produces ~150 conflicts; a tiny budget forces many
         # reductions and the answer must remain UNSAT.
-        solver = CDCLSolver(pigeonhole(6, 5))
+        solver = ArenaSolver(pigeonhole(6, 5))
         solver._max_learned = 5
         result = solver.solve()
         assert not result.satisfiable
@@ -103,7 +105,7 @@ class TestLearnedDatabaseReduction:
         rng = random.Random(5)
         for trial in range(15):
             cnf = random_cnf(rng, num_vars=14, num_clauses=56)
-            solver = CDCLSolver(cnf)
+            solver = ArenaSolver(cnf)
             solver._max_learned = 2
             result = solver.solve()
             assert result.satisfiable == dpll_solve(cnf).satisfiable
@@ -113,7 +115,7 @@ class TestLearnedDatabaseReduction:
     def test_reduction_preserves_incrementality(self):
         # Clauses added after a reduction must combine soundly with whatever
         # learned clauses were kept.
-        solver = CDCLSolver()
+        solver = ArenaSolver()
         # A satisfiable conflict-heavy prefix: pigeonhole 5→5 (permutations).
         for clause in pigeonhole(5, 5).clauses:
             solver.add_clause(clause)
@@ -125,14 +127,14 @@ class TestLearnedDatabaseReduction:
         assert solver.solve().satisfiable  # still SAT without the assumption
 
     def test_reduction_grows_budget(self):
-        solver = CDCLSolver(pigeonhole(6, 5))
+        solver = ArenaSolver(pigeonhole(6, 5))
         solver._max_learned = 5
         solver.solve()
         assert solver.db_reductions >= 1
         assert solver._max_learned > 5
 
     def test_reduction_counters_surface_in_session_statistics(self):
-        session = CDCLSession()
+        session = ArenaSession()
         for clause in pigeonhole(6, 5).clauses:
             session.add_clause(clause)
         session.solver._max_learned = 5
@@ -147,6 +149,6 @@ class TestRestarts:
     def test_restart_counter_advances_on_conflict_heavy_instance(self):
         # Pigeonhole 6→5 generates enough conflicts to cross several Luby
         # intervals (64·1, 64·1, 64·2, …).
-        result = CDCLSolver(pigeonhole(6, 5)).solve()
+        result = ArenaSolver(pigeonhole(6, 5)).solve()
         assert not result.satisfiable
         assert result.restarts >= 1

@@ -1,11 +1,11 @@
-"""Tests for the CDCL SAT solver, including property-based cross-checks against DPLL."""
+"""Tests for the CDCL SAT solver (the arena), including property-based cross-checks against DPLL."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SolverError
-from repro.solvers import CNF, CDCLSolver, dpll_solve, solve
+from repro.solvers import CNF, ArenaSolver, dpll_solve, solve
 
 
 def assert_model_satisfies(cnf: CNF, model: dict) -> None:
@@ -83,7 +83,7 @@ class TestAssumptions:
         assert result.model[5] is True
 
     def test_solver_is_reusable_across_assumption_calls(self):
-        solver = CDCLSolver(CNF([[1, 2], [-1, 2]]))
+        solver = ArenaSolver(CNF([[1, 2], [-1, 2]]))
         assert solver.solve(assumptions=[-2]).satisfiable is False
         assert solver.solve(assumptions=[2]).satisfiable is True
         assert solver.solve().satisfiable is True

@@ -8,7 +8,6 @@ from repro.core import SolverError
 from repro.solvers import (
     CNF,
     ArenaSession,
-    CDCLSession,
     DPLLSession,
     SolverSession,
     available_backends,
@@ -25,12 +24,6 @@ class TestBackendRegistry:
         assert session.backend == "arena"
         assert session.retains_learned_clauses
 
-    def test_cdcl_resolves_by_name(self):
-        session = create_session("cdcl")
-        assert isinstance(session, CDCLSession)
-        assert session.backend == "cdcl"
-        assert session.retains_learned_clauses
-
     def test_dpll_resolves_by_name(self):
         session = create_session("dpll")
         assert isinstance(session, DPLLSession)
@@ -45,8 +38,7 @@ class TestBackendRegistry:
             create_session("minisat")
 
     def test_registry_lists_builtin_backends(self):
-        names = available_backends()
-        assert "arena" in names and "cdcl" in names and "dpll" in names
+        assert available_backends() == ("arena", "dpll")
 
     def test_custom_backend_registration(self):
         class EchoSession(DPLLSession):
@@ -62,7 +54,7 @@ class TestBackendRegistry:
             session_module._BACKENDS.pop("echo", None)
 
 
-@pytest.mark.parametrize("backend", ["arena", "cdcl", "dpll"])
+@pytest.mark.parametrize("backend", ["arena", "dpll"])
 class TestSessionSemantics:
     def test_empty_session_is_satisfiable(self, backend):
         assert create_session(backend).solve().satisfiable
@@ -117,7 +109,7 @@ class TestCDCLRetention:
         def var(i, h):
             return 3 * i + h + 1
 
-        session = create_session("cdcl")
+        session = create_session("arena")
         for i in range(4):
             session.add_clause([var(i, h) for h in range(3)])
         for h in range(3):
@@ -128,7 +120,7 @@ class TestCDCLRetention:
         assert session.learned_clauses > 0
 
     def test_incremental_solves_reuse_clauses(self):
-        session = create_session("cdcl")
+        session = create_session("arena")
         session.add_clauses([[-1, 2], [-2, 3], [-3, 4]])
         session.solve(assumptions=[1])
         session.add_clause([-4, 5])
@@ -140,7 +132,7 @@ class TestCDCLRetention:
         assert stats["clauses_reused"] >= 3
 
     def test_unsat_under_assumptions_learns_reusable_units(self):
-        session = create_session("cdcl")
+        session = create_session("arena")
         session.add_clauses([[1, 2], [-1, 2]])
         assert not session.solve(assumptions=[-2]).satisfiable
         # The refutation taught the solver that 2 is forced; later calls
@@ -149,7 +141,7 @@ class TestCDCLRetention:
         assert result.satisfiable and result.model[2] is True
 
 
-# -- property-based cross-check: incremental CDCL vs. from-scratch DPLL ---------
+# -- property-based cross-check: incremental arena vs. from-scratch DPLL --------
 
 
 @st.composite
@@ -179,10 +171,10 @@ def clause_batches(draw):
 @given(clause_batches())
 @settings(max_examples=60, deadline=None)
 def test_incremental_session_agrees_with_from_scratch(payload):
-    """After every batch of added clauses, the incremental CDCL session and a
+    """After every batch of added clauses, the incremental arena session and a
     fresh DPLL solve of the accumulated formula agree on satisfiability."""
     num_variables, batches = payload
-    session = create_session("cdcl")
+    session = create_session("arena")
     session.ensure_variables(num_variables)
     accumulated = CNF(num_variables=num_variables)
     for clauses, assumptions in batches:

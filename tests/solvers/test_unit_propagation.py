@@ -16,7 +16,7 @@ from repro.solvers import CNF, create_session, solve
 
 from tests.solvers._unit_propagation_reference import propagate_units
 
-BACKENDS = ("arena", "cdcl", "dpll")
+BACKENDS = ("arena", "dpll")
 
 
 def _session(backend, cnf):
@@ -199,21 +199,3 @@ def test_propagate_leaves_a_conflict_free_solve_unchanged(case):
                 break
             assert ours == theirs
             assert session.statistics() == twin.statistics()
-
-
-@given(formulas_and_calls())
-@settings(max_examples=100, deadline=None)
-def test_arena_and_cdcl_agree_on_a_call_sequence(case):
-    """The two CDCL backends return the same trails, verdicts, models and counters."""
-    cnf, solves, assumptions = case
-    arena, cdcl = _session("arena", cnf), _session("cdcl", cnf)
-    assert arena.propagate(assumptions) == cdcl.propagate(assumptions)
-    for index, solve_assumptions in enumerate(solves):
-        assert arena.solve(solve_assumptions) == cdcl.solve(solve_assumptions)
-        assert arena.propagate(assumptions) == cdcl.propagate(assumptions)
-        # Added between calls, a clause may leave a root-level unit pending.
-        extra = solve_assumptions + [index % cnf.num_variables + 1]
-        arena.add_clause(extra)
-        cdcl.add_clause(extra)
-        assert arena.propagate(solve_assumptions) == cdcl.propagate(solve_assumptions)
-    assert arena.statistics() == cdcl.statistics()

@@ -45,9 +45,10 @@ class TestUsageErrors:
     """Bad invocations exit with code 2 and a one-line diagnostic on stderr."""
 
     @pytest.mark.parametrize("command", ["resolve", "pipeline"])
-    def test_zero_workers_rejected(self, command, people_csv, capsys):
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_non_positive_workers_rejected(self, command, workers, people_csv, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main([command, str(people_csv), "--entity-key", "name", "--workers", "0"])
+            main([command, str(people_csv), "--entity-key", "name", "--workers", workers])
         assert excinfo.value.code == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
 
@@ -95,7 +96,7 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         message = capsys.readouterr().err
         assert "unknown solver backend 'chaff'" in message
-        assert "cdcl" in message and "dpll" in message
+        assert "arena" in message and "dpll" in message
 
     def test_serve_unknown_solver_backend_rejected(self, requests_jsonl, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -185,57 +186,57 @@ class TestUsageErrors:
         assert "':memory:' is per-process" in capsys.readouterr().err
 
 
-class TestShardsFlag:
-    """``--shards`` validation and the sharded/unsharded identity contract."""
+class TestWorkersFlag:
+    """``--workers N`` changes how entities are resolved, never the output."""
 
-    @pytest.mark.parametrize("command", ["resolve", "pipeline"])
-    @pytest.mark.parametrize("shards", ["0", "-2"])
-    def test_non_positive_shards_rejected(self, command, shards, people_csv, capsys):
+    @pytest.mark.parametrize("command", ["resolve", "pipeline", "serve"])
+    def test_shards_flag_is_gone(self, command, people_csv, requests_jsonl, capsys):
+        """Sharding was folded into the worker pool; the old flag fails loudly."""
+        if command == "serve":
+            argv = ["serve", "--schema", "name,status", "--input", str(requests_jsonl)]
+        else:
+            argv = [command, str(people_csv), "--entity-key", "name"]
         with pytest.raises(SystemExit) as excinfo:
-            main([command, str(people_csv), "--entity-key", "name", "--shards", shards])
+            main([*argv, "--shards", "2"])
         assert excinfo.value.code == 2
-        assert "--shards must be >= 1" in capsys.readouterr().err
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
 
-    def test_serve_shards_rejected(self, requests_jsonl, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["serve", "--schema", "name,status", "--input", str(requests_jsonl),
-                 "--shards", "2"]
-            )
-        assert excinfo.value.code == 2
-        assert "--shards applies to resolve/pipeline only" in capsys.readouterr().err
-
-    def test_sharded_pipeline_output_byte_identical(self, people_csv, tmp_path, capsys):
+    def test_parallel_pipeline_output_byte_identical(self, people_csv, tmp_path, capsys):
         base = tmp_path / "base.jsonl"
-        sharded = tmp_path / "sharded.jsonl"
+        parallel = tmp_path / "parallel.jsonl"
         argv = ["pipeline", str(people_csv), "--entity-key", "name", "--quiet"]
         assert main([*argv, "--output", str(base)]) == 0
-        assert main([*argv, "--output", str(sharded), "--shards", "2"]) == 0
-        assert sharded.read_bytes() == base.read_bytes()
+        assert main([*argv, "--output", str(parallel), "--workers", "2"]) == 0
+        assert parallel.read_bytes() == base.read_bytes()
 
-    def test_sharded_resolve_output_byte_identical(self, people_csv, tmp_path, capsys):
+    def test_parallel_resolve_output_byte_identical(self, people_csv, tmp_path, capsys):
         base = tmp_path / "base.csv"
-        sharded = tmp_path / "sharded.csv"
+        parallel = tmp_path / "parallel.csv"
         argv = ["resolve", str(people_csv), "--entity-key", "name"]
         assert main([*argv, "-o", str(base)]) == 0
         base_stdout = capsys.readouterr().out
-        assert main([*argv, "-o", str(sharded), "--shards", "3"]) == 0
-        sharded_stdout = capsys.readouterr().out
-        assert sharded.read_bytes() == base.read_bytes()
-        assert sharded_stdout.replace(str(sharded), str(base)) == base_stdout
+        assert main([*argv, "-o", str(parallel), "--workers", "2"]) == 0
+        parallel_stdout = capsys.readouterr().out
+        assert parallel.read_bytes() == base.read_bytes()
+        assert parallel_stdout.replace(str(parallel), str(base)) == base_stdout
 
-    def test_sharded_checkpoint_records_shard_positions(
+    def test_parallel_checkpoint_resumes_without_duplicates(
         self, people_csv, tmp_path, capsys
     ):
+        base = tmp_path / "base.jsonl"
+        out = tmp_path / "resolved.jsonl"
         checkpoint = tmp_path / "pipeline.ckpt"
-        assert main(
-            ["pipeline", str(people_csv), "--entity-key", "name", "--quiet",
-             "--checkpoint", str(checkpoint), "--shards", "2"]
-        ) == 0
-        saved = json.loads(checkpoint.read_text())
-        positions = saved["state"]["shard_positions"]
-        assert set(positions) == {"0", "1"}
-        assert sum(positions.values()) == saved["processed"] == 2
+        argv = ["pipeline", str(people_csv), "--entity-key", "name", "--quiet"]
+        assert main([*argv, "--output", str(base)]) == 0
+        parallel = [*argv, "--output", str(out), "--workers", "2",
+                    "--checkpoint", str(checkpoint)]
+        assert main(parallel) == 0
+        assert json.loads(checkpoint.read_text())["processed"] == 2
+        capsys.readouterr()
+        # Resuming a finished run resolves nothing and appends nothing.
+        assert main([*parallel, "--resume"]) == 0
+        assert "resuming after 2 already-resolved entities" in capsys.readouterr().out
+        assert out.read_bytes() == base.read_bytes()
 
 
 class TestJsonlSchemaStability:

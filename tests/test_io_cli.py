@@ -175,7 +175,7 @@ class TestCLI:
         assert exit_code == 0
         assert "true values deduced" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("backend", ["cdcl", "dpll"])
+    @pytest.mark.parametrize("backend", ["arena", "dpll"])
     def test_resolve_accepts_registered_solver_backends(self, people_csv, constraints_file, backend, capsys):
         exit_code = main(
             [
@@ -198,7 +198,7 @@ class TestCLI:
         assert excinfo.value.code == 2
         message = capsys.readouterr().err
         assert "unknown solver backend 'minisat'" in message
-        assert "cdcl" in message and "dpll" in message
+        assert "arena" in message and "dpll" in message
 
     def test_pipeline_command_streams_jsonl(self, people_csv, constraints_file, tmp_path, capsys):
         import json
