@@ -18,10 +18,12 @@ from __future__ import annotations
 import functools
 import json
 import os
+import platform
+import subprocess
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.datasets import (
     CareerConfig,
@@ -32,13 +34,7 @@ from repro.datasets import (
     generate_nba_dataset,
     generate_person_dataset,
 )
-from repro.encoding import (
-    ConstraintProgramCache,
-    InstantiationOptions,
-    encode_specification,
-    instantiate,
-    instantiate_compiled,
-)
+from repro.encoding import encode_specification
 from repro.api import ResolutionClient, RunConfig
 from repro.engine import ResolutionEngine
 from repro.evaluation import (
@@ -59,7 +55,6 @@ def run_client_experiment(
     chunk_size: Optional[int] = None,
     max_inflight_chunks: Optional[int] = None,
     incremental: bool = True,
-    compiled: bool = True,
     resolver_options: Optional[ResolverOptions] = None,
     **kwargs,
 ):
@@ -73,7 +68,6 @@ def run_client_experiment(
         max_rounds=max_interaction_rounds,
         fallback="none",
         incremental=incremental,
-        compiled=compiled,
     )
     config = RunConfig(
         options=options,
@@ -119,15 +113,46 @@ def report(name: str, text: str) -> None:
     print(f"\n[{name}]\n{text}")
 
 
+def provenance() -> Dict[str, Any]:
+    """Where and on what the numbers were measured.
+
+    The fields ``perfbench/run.py`` records (less its seed): host, CPU
+    count, the checkout's git sha and whether tracked files differ from it,
+    and the Python version.
+    """
+    root = Path(__file__).resolve().parent.parent
+    sha, dirty = "unknown (not a git checkout)", None
+    if (root / ".git").exists():
+
+        def git(*args: str) -> str:
+            done = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, timeout=60)
+            return done.stdout.strip() if done.returncode == 0 else ""
+
+        try:
+            sha = git("rev-parse", "HEAD") or sha
+            dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+        except (OSError, subprocess.SubprocessError):
+            pass
+    return {
+        "host": platform.node(),
+        "nproc": os.cpu_count(),
+        "git_sha": sha,
+        "git_dirty": dirty,
+        "python": platform.python_version(),
+    }
+
+
 def report_json(name: str, payload: Dict) -> Path:
     """Persist a structured result as ``<name>.json`` (see :func:`_output_dir`).
 
     The JSON companion of :func:`report`: machine-readable numbers (timings,
     incremental-reuse counters, speedups) that the perf trajectory across PRs
-    can diff without re-parsing the text tables.
+    can diff without re-parsing the text tables, with a ``provenance`` block
+    (see :func:`provenance`).
     """
     path = _output_dir() / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    record = dict(payload, provenance=provenance())
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -359,7 +384,7 @@ def time_overall(dataset: GeneratedDataset, entity) -> Dict[str, float]:
     return result.total_seconds()
 
 
-# -- engine / compiled-program comparisons ------------------------------------------
+# -- engine comparison -------------------------------------------------------------
 
 
 def engine_overall_comparison(
@@ -370,25 +395,23 @@ def engine_overall_comparison(
     chunk_size: Optional[int] = None,
     repeats: int = 3,
 ) -> Dict[str, Dict[str, float]]:
-    """Wall-clock of the same overall workload under three execution modes.
+    """Wall-clock of the same overall workload under two execution modes.
 
-    * ``sequential_legacy`` — one in-process resolver, cold per-entity
-      constraint analysis (the pre-engine behaviour);
-    * ``sequential_compiled`` — one in-process resolver stamping the compiled
+    * ``sequential`` — one in-process resolver stamping the compiled
       constraint program;
     * ``engine_workers<N>`` — the :class:`ResolutionEngine` process pool with
       compiled programs warm per worker.
 
     The acceptance measurement of the engine refactor: the returned dict
     (serialised into the figure's JSON report) carries each mode's wall-clock
-    and compile-reuse counters plus the parallel-over-legacy speedup.  Each
-    mode is timed *repeats* times and the best run is reported (the standard
-    noise-robust estimator); task construction happens outside the timed
-    region and the pool is warmed before timing — a resolution service pays
-    process startup once, not per workload (the warmup cost is recorded
-    alongside so the report stays honest).  On a single-CPU host the engine's
-    win comes from compiled grounding alone; ``cpus`` is recorded so the
-    trajectory stays interpretable.
+    and compile-reuse counters plus the parallel-over-sequential speedup.
+    Each mode is timed *repeats* times and the best run is reported (the
+    standard noise-robust estimator); task construction happens outside the
+    timed region and the pool is warmed before timing — a resolution service
+    pays process startup once, not per workload (the warmup cost is recorded
+    alongside so the report stays honest).  ``cpus`` is recorded so the
+    trajectory stays interpretable: on a host with fewer CPUs than workers
+    the pool cannot beat one process.
     """
 
     def tasks():
@@ -398,13 +421,8 @@ def engine_overall_comparison(
         ]
 
     modes: Dict[str, Dict[str, float]] = {}
-    runs = (
-        ("sequential_legacy", False, 1),
-        ("sequential_compiled", True, 1),
-        (f"engine_workers{workers}", True, workers),
-    )
-    for name, compiled, mode_workers in runs:
-        options = ResolverOptions(max_rounds=max_rounds, fallback="none", compiled=compiled)
+    options = ResolverOptions(max_rounds=max_rounds, fallback="none")
+    for name, mode_workers in (("sequential", 1), (f"engine_workers{workers}", workers)):
         with ResolutionEngine(options, workers=mode_workers, chunk_size=chunk_size) as engine:
             warmup = engine.warm_up()
             wall = float("inf")
@@ -418,63 +436,24 @@ def engine_overall_comparison(
         stats["pool_warmup_seconds"] = warmup
         stats["repeats"] = float(repeats)
         modes[name] = stats
-    legacy = modes["sequential_legacy"]["wall_seconds"]
-    compiled_seq = modes["sequential_compiled"]["wall_seconds"]
+    sequential = modes["sequential"]["wall_seconds"]
     parallel = modes[f"engine_workers{workers}"]["wall_seconds"]
     modes["speedup"] = {
         "cpus": float(os.cpu_count() or 1),
         "entities": float(len(entities)),
-        "engine_over_legacy": legacy / parallel if parallel > 0 else 0.0,
-        "engine_over_compiled_sequential": compiled_seq / parallel if parallel > 0 else 0.0,
-        "compiled_over_legacy": legacy / compiled_seq if compiled_seq > 0 else 0.0,
+        "engine_over_sequential": sequential / parallel if parallel > 0 else 0.0,
     }
     return modes
 
 
 def report_engine_summary(name: str, dataset: GeneratedDataset, entities: Sequence, workers: int = 4) -> str:
-    """Run both engine acceptance measurements, persist the JSON report, and
+    """Run the engine acceptance measurement, persist the JSON report, and
     return a one-line table suffix (shared by the fig. 8c/8d benchmarks)."""
     engine = engine_overall_comparison(dataset, entities, workers=workers)
-    grounding = instantiate_comparison(dataset, entities)
-    report_json(name, {"engine_comparison": engine, "instantiate_comparison": grounding})
+    report_json(name, {"engine_comparison": engine})
     speedup = engine["speedup"]
     return (
         f"\nengine(workers={workers}) {engine[f'engine_workers{workers}']['wall_seconds']:.2f}s"
-        f" vs sequential legacy {engine['sequential_legacy']['wall_seconds']:.2f}s"
-        f" ({speedup['engine_over_legacy']:.2f}x, {speedup['cpus']:.0f} cpus)"
-        f"; compiled instantiate speedup {grounding['instantiate_speedup']:.2f}x"
+        f" vs sequential {engine['sequential']['wall_seconds']:.2f}s"
+        f" ({speedup['engine_over_sequential']:.2f}x, {speedup['cpus']:.0f} cpus)"
     )
-
-
-def instantiate_comparison(
-    dataset: GeneratedDataset, entities: Sequence, repeats: int = 3
-) -> Dict[str, float]:
-    """Per-entity ``instantiate()`` wall-clock: cold analysis vs compiled stamping.
-
-    The compiled program is taken from a warm cache, so the measurement shows
-    the steady-state per-entity cost the resolution engine actually pays.
-    """
-    options = InstantiationOptions()
-    cache = ConstraintProgramCache()
-    specs = [dataset.specification_for(entity) for entity in entities]
-    for spec in specs:
-        cache.program_for(spec, options)  # warm the program cache
-    cold = compiled = 0.0
-    for _ in range(repeats):
-        for spec in specs:
-            start = time.perf_counter()
-            instantiate(spec, options)
-            cold += time.perf_counter() - start
-            program = cache.program_for(spec, options)
-            start = time.perf_counter()
-            instantiate_compiled(spec, program)
-            compiled += time.perf_counter() - start
-    calls = repeats * len(specs)
-    return {
-        "entities": float(len(specs)),
-        "repeats": float(repeats),
-        "cold_seconds_per_entity": cold / calls,
-        "compiled_seconds_per_entity": compiled / calls,
-        "instantiate_speedup": cold / compiled if compiled > 0 else 0.0,
-        **{key: float(value) for key, value in cache.statistics().items()},
-    }

@@ -86,7 +86,7 @@ def _timed_run(
     engine, not once per repeat.  Fault counters are accumulated per repeat
     (``resolve_many`` starts a fresh statistics snapshot each call).
     """
-    options = ResolverOptions(max_rounds=max_rounds, fallback="none", compiled=True)
+    options = ResolverOptions(max_rounds=max_rounds, fallback="none")
     wall = float("inf")
     results = None
     counters = dict.fromkeys(_FAULT_COUNTERS, 0.0)

@@ -24,10 +24,9 @@ def bench_fig8c_overall_time_nba(benchmark) -> None:
     """Per-phase resolution time for NBA entities, bucketed by size.
 
     On top of the paper's phase breakdown, the JSON report records the
-    engine acceptance measurements on the same entity set: sequential legacy
-    vs. sequential compiled vs. ``ResolutionEngine(workers=4)`` wall-clock
-    (with compile-reuse counters), and the per-entity ``instantiate()``
-    speedup of compiled grounding.
+    engine acceptance measurement on the same entity set: one sequential
+    resolver vs. ``ResolutionEngine(workers=4)`` wall-clock (with
+    compile-reuse counters).
     """
     dataset = nba_scalability_dataset()
     grouped = dataset.entities_by_size(NBA_BUCKETS)

@@ -23,8 +23,8 @@ def bench_fig8d_overall_time_person(benchmark) -> None:
     """Per-phase resolution time for Person entities of growing size.
 
     As for Fig. 8(c), the JSON report additionally records the engine
-    (sequential vs. parallel) and compiled-grounding measurements, here on
-    the mid-size Person dataset.
+    (sequential vs. parallel) measurement, here on the mid-size Person
+    dataset.
     """
     rows = []
     largest = None

@@ -123,14 +123,25 @@ class ServeReport:
 class _ClientResolveStage(Stage):
     """The client's resolve stage: engine-ordered results with store skips.
 
-    A store-aware generalisation of :class:`~repro.pipeline.stages.ResolveStage`:
-    ``(key, specification)`` items whose ``(entity key, spec hash)`` is
-    already stored bypass the engine entirely and re-enter the output stream
-    *in input order* between the engine's ordered results; misses are
-    resolved through the leased engine and upserted as they complete.  Yields
+    Items are ``(key, specification)`` pairs where *key* is any caller
+    context (an entity, a name, …) to re-associate with the ordered results;
+    *oracle_factory* builds the oracle for an item (``None`` = automatic
+    resolution).  Items whose ``(entity key, spec hash)`` is already stored
+    bypass the engine entirely and re-enter the output stream *in input
+    order* between the engine's ordered results; misses are resolved through
+    the client's leased engine and upserted as they complete.  Yields
     ``(key, result, seconds)`` triples — *seconds* is the per-entity
-    wall-clock in sequential mode and ``None`` for parallel or stored
-    results.
+    wall-clock in sequential mode (timed from the task's hand-off, so it
+    excludes upstream generation and linkage) and ``None`` for parallel or
+    stored results.
+
+    The engine's bounded in-flight window provides the pipeline's
+    backpressure: the stage pulls new work from upstream only as the engine
+    frees slots, so generation and linkage overlap with worker-side
+    resolution while the working set stays capped at ``chunk_size ×
+    max_inflight_chunks`` entities.  The keys of in-flight misses wait in a
+    queue that window bounds; a run of store hits waits there until the next
+    engine result releases it.
     """
 
     def __init__(
@@ -429,8 +440,8 @@ class ResolutionClient:
         """The client's store-aware resolve stage for custom pipelines.
 
         Consumes ``(key, specification)`` items and yields ``(key, result,
-        seconds)`` triples in input order (see
-        :class:`~repro.pipeline.stages.ResolveStage` for the contract).
+        seconds)`` triples in input order (see :class:`_ClientResolveStage`
+        for the contract).
         """
         return _ClientResolveStage(self, oracle_factory, reset_statistics=reset_statistics, name=name)
 

@@ -101,7 +101,7 @@ class RunConfig:
     ----------
     options:
         The resolver configuration applied to every entity (round budget,
-        fallback, incremental/compiled paths, solver backend).
+        fallback, incremental path, solver backend).
     workers / chunk_size / max_inflight_chunks:
         Engine pool shape (see :class:`~repro.engine.ResolutionEngine`);
         ``None`` keeps the engine defaults.

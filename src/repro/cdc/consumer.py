@@ -378,16 +378,10 @@ class ChangeConsumer:
             cached.apply_delta(delta)
             return cached, True
         options = self.client.config.options
-        program = (
-            self._programs.program_for(spec, options.instantiation)
-            if options.compiled
-            else None
-        )
         encoder = IncrementalEncoder(
             spec,
-            options.instantiation,
             backend=options.solver_backend,
-            program=program,
+            program=self._programs.program_for(spec, options.instantiation),
             budget=options.budget,
         )
         return encoder, False

@@ -5,7 +5,7 @@ relation schemas, entity tuples and instances, partial currency orders,
 currency constraints, constant CFDs, completions and specifications.
 """
 
-from repro.core.cfd import ConstantCFD, VariableCFD
+from repro.core.cfd import ConstantCFD
 from repro.core.completion import Completion, enumerate_completions
 from repro.core.constraints import (
     ConstantComparisonPredicate,
@@ -62,7 +62,6 @@ __all__ = [
     "TupleComparisonPredicate",
     "Value",
     "ValueTypeError",
-    "VariableCFD",
     "compare_values",
     "enumerate_completions",
     "is_null",

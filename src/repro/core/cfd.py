@@ -5,24 +5,19 @@ of constants over a set ``X`` of left-hand-side attributes implying a constant
 for a single right-hand-side attribute.  They are evaluated on the *current
 tuple* of a completion: if the current tuple matches the LHS pattern, its RHS
 attribute must carry the RHS constant.
-
-For the constraint-discovery substrate (:mod:`repro.discovery`) we also provide
-*variable* CFDs in the classic two-tuple formulation, since discovery
-algorithms naturally produce both and the paper cites CFD discovery [14] as the
-source of its constant CFDs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Mapping, Tuple
 
 from repro.core.errors import ConstraintSyntaxError, SchemaError
 from repro.core.schema import RelationSchema
 from repro.core.tuples import EntityTuple
 from repro.core.values import Value, normalize, values_equal
 
-__all__ = ["ConstantCFD", "VariableCFD"]
+__all__ = ["ConstantCFD"]
 
 
 @dataclass(frozen=True)
@@ -104,67 +99,3 @@ class ConstantCFD:
         lhs = " ∧ ".join(f"{attribute}={value!r}" for attribute, value in self.lhs)
         label = f"{self.name}: " if self.name else ""
         return f"{label}({lhs} → {self.rhs_attribute}={self.rhs_value!r})"
-
-
-@dataclass(frozen=True)
-class VariableCFD:
-    """A classic (variable) CFD ``(X → B, t_p)`` over two tuples.
-
-    Used only by the discovery substrate: a variable CFD with an all-wildcard
-    pattern is a plain functional dependency; constant CFDs are the special
-    case where every pattern cell is a constant.  ``None`` in the pattern
-    denotes the wildcard ``_``.
-    """
-
-    lhs_attributes: Tuple[str, ...]
-    rhs_attribute: str
-    pattern: Tuple[Tuple[str, Value | None], ...] = field(default=())
-    name: str = ""
-
-    def __init__(
-        self,
-        lhs_attributes: Sequence[str],
-        rhs_attribute: str,
-        pattern: Mapping[str, Value | None] | None = None,
-        name: str = "",
-    ) -> None:
-        if not lhs_attributes:
-            raise ConstraintSyntaxError("a CFD needs at least one LHS attribute")
-        object.__setattr__(self, "lhs_attributes", tuple(lhs_attributes))
-        object.__setattr__(self, "rhs_attribute", rhs_attribute)
-        normalized = tuple(sorted((attribute, value) for attribute, value in (pattern or {}).items()))
-        object.__setattr__(self, "pattern", normalized)
-        object.__setattr__(self, "name", name)
-
-    def pattern_value(self, attribute: str) -> Value | None:
-        """Return the pattern constant for *attribute*, or ``None`` for the wildcard."""
-        for name, value in self.pattern:
-            if name == attribute:
-                return value
-        return None
-
-    def applies_to(self, tuple1: EntityTuple, tuple2: EntityTuple) -> bool:
-        """Return ``True`` when the two tuples match the LHS pattern and agree on the LHS."""
-        for attribute in self.lhs_attributes:
-            if not values_equal(tuple1[attribute], tuple2[attribute]):
-                return False
-            constant = self.pattern_value(attribute)
-            if constant is not None and not values_equal(tuple1[attribute], constant):
-                return False
-        return True
-
-    def violated_by(self, tuple1: EntityTuple, tuple2: EntityTuple) -> bool:
-        """Return ``True`` when the pair matches the LHS but disagrees on the RHS."""
-        if not self.applies_to(tuple1, tuple2):
-            return False
-        constant = self.pattern_value(self.rhs_attribute)
-        if constant is not None:
-            return not (
-                values_equal(tuple1[self.rhs_attribute], constant)
-                and values_equal(tuple2[self.rhs_attribute], constant)
-            )
-        return not values_equal(tuple1[self.rhs_attribute], tuple2[self.rhs_attribute])
-
-    def __str__(self) -> str:  # pragma: no cover - presentation only
-        lhs = ", ".join(self.lhs_attributes)
-        return f"({lhs} → {self.rhs_attribute}, pattern={dict(self.pattern)!r})"

@@ -158,7 +158,7 @@ class Completion:
     def _body_holds(self, constraint: CurrencyConstraint, tuple1: EntityTuple, tuple2: EntityTuple) -> bool:
         # Cross-attribute constraints do not fire on pairs whose body touches a
         # missing value (mirrors the SAT encoding, see
-        # repro.encoding.instance_constraints._instantiate_one_pair).
+        # repro.encoding.compiled._CompiledCurrencyConstraint).
         body_attributes = {
             attribute
             for predicate in constraint.body

@@ -1,6 +1,7 @@
 """SAT encoding of specifications (paper Section V-A).
 
-``instantiate`` builds the instance constraints Ω(S_e);
+``instantiate`` builds the instance constraints Ω(S_e) by compiling Σ ∪ Γ
+into a constraint program and stamping it onto the entity;
 ``encode_specification`` converts them into the CNF Φ(S_e) together with the
 ordering-variable registry.
 """
@@ -10,6 +11,7 @@ from repro.encoding.compiled import (
     CompiledConstraintProgram,
     ConstraintProgramCache,
     compile_program,
+    instantiate,
     instantiate_compiled,
 )
 from repro.encoding.incremental import IncrementalEncoder
@@ -17,7 +19,6 @@ from repro.encoding.instance_constraints import (
     InstanceConstraint,
     InstanceConstraintSet,
     InstantiationOptions,
-    instantiate,
 )
 from repro.encoding.variables import OrderLiteral, OrderVariableRegistry, canonical_value
 

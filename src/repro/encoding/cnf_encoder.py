@@ -26,11 +26,11 @@ from typing import (
 from repro.core.errors import ReproError
 from repro.core.specification import Specification
 from repro.core.values import Value
+from repro.encoding.compiled import CompiledConstraintProgram, compile_program, instantiate_compiled
 from repro.encoding.instance_constraints import (
     InstanceConstraint,
     InstanceConstraintSet,
     InstantiationOptions,
-    instantiate,
 )
 from repro.encoding.variables import OrderLiteral, OrderVariableRegistry, canonical_value
 from repro.solvers.cnf import CNF
@@ -223,23 +223,19 @@ def emit_order_axioms(
 def encode_specification(
     spec: Specification,
     options: InstantiationOptions | None = None,
-    program: "CompiledConstraintProgram | None" = None,
+    program: CompiledConstraintProgram | None = None,
 ) -> SpecificationEncoding:
     """Build Ω(S_e) and Φ(S_e) for *spec*.
 
-    When a :class:`~repro.encoding.compiled.CompiledConstraintProgram` is
-    given, instantiation stamps the pre-analysed program instead of
-    re-deriving the structure of Σ ∪ Γ (the result is identical; the
-    program's own options take precedence over *options*).
+    Ω is stamped from *program*, a
+    :class:`~repro.encoding.compiled.CompiledConstraintProgram` for *spec*'s
+    schema and Σ ∪ Γ; without one, a program is compiled from *options*.
+    The program's own options take precedence over *options*.
     """
-    if program is not None:
-        from repro.encoding.compiled import instantiate_compiled
-
-        options = program.options
-        omega = instantiate_compiled(spec, program)
-    else:
-        options = options or InstantiationOptions()
-        omega = instantiate(spec, options)
+    if program is None:
+        program = compile_program(spec, options)
+    options = program.options
+    omega = instantiate_compiled(spec, program)
     registry = OrderVariableRegistry()
     cnf = CNF()
     for constraint in omega:

@@ -1,13 +1,9 @@
-"""Compiled constraint programs: one-time analysis of Σ ∪ Γ per schema.
+"""The ``Instantiation`` procedure: Σ ∪ Γ compiled once, stamped per entity.
 
-``instantiate`` (:mod:`repro.encoding.instance_constraints`) re-derives the
-*structure* of the constraint sets from scratch for every entity: it re-sorts
-each constraint's referenced attributes, re-dispatches on predicate classes
-for every tuple pair, rebuilds CFD pattern lists, and re-scans active domains
-— even though Σ and Γ are shared by every entity of a dataset.  A
-:class:`CompiledConstraintProgram` performs that analysis **once** per
-(schema, Σ, Γ, options) and turns ``instantiate`` into a template-stamping
-pass:
+Σ and Γ are shared by every entity of a dataset, so their *structure* is
+analysed once per (schema, Σ, Γ, options) into a
+:class:`CompiledConstraintProgram`, and building Ω(S_e) for an entity is a
+template-stamping pass over its tuples:
 
 * every currency constraint is compiled into a flat evaluator over
   *positional* rows (tuples aligned with the constraint's sorted attribute
@@ -22,13 +18,11 @@ pass:
   classic frozenset key only for conditional constraints), and active-domain
   projections are computed once per attribute per entity.
 
-:func:`instantiate_compiled` is **equivalence-guaranteed**: it produces an
-:class:`~repro.encoding.instance_constraints.InstanceConstraintSet` whose
-constraint list, ``used_values``, ``conditional_keys`` and validity flags are
-element-for-element identical to what ``instantiate`` produces for the same
-specification and options (the cross-check suite in
-``tests/encoding/test_compiled.py`` and the end-to-end equivalence tests
-enforce this).
+The program is the one thing that builds Ω: :func:`instantiate` (compile,
+then stamp), :func:`instantiate_compiled`, the cold
+:func:`~repro.encoding.cnf_encoder.encode_specification` and both the full
+encode and the deltas of the
+:class:`~repro.encoding.incremental.IncrementalEncoder` all run on it.
 
 :class:`ConstraintProgramCache` keys programs *structurally* (constraints are
 frozen dataclasses, hence hashable by value), so a cache hit survives
@@ -40,7 +34,7 @@ per worker and stamp it for every entity of every chunk they receive.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cfd import ConstantCFD
 from repro.core.constraints import (
@@ -50,6 +44,7 @@ from repro.core.constraints import (
     TupleComparisonPredicate,
 )
 from repro.core.errors import EncodingError
+from repro.core.instance import EntityInstance
 from repro.core.schema import RelationSchema
 from repro.core.specification import Specification
 from repro.core.values import Value, compare_values, is_null, values_equal
@@ -66,8 +61,12 @@ __all__ = [
     "CompiledConstraintProgram",
     "ConstraintProgramCache",
     "compile_program",
+    "instantiate",
     "instantiate_compiled",
 ]
+
+#: An order atom as a plain ``(attribute, older, newer)`` triple.
+Triple = Tuple[str, Value, Value]
 
 
 # -- operator compilation ------------------------------------------------------
@@ -147,14 +146,17 @@ class _CompiledCurrencyConstraint:
                         predicate.constant,
                     )
                 )
-            else:  # pragma: no cover - defensive, mirrors _instantiate_one_pair
+            else:  # pragma: no cover - defensive
                 raise EncodingError(f"unsupported predicate {predicate!r}")
         self.checks = tuple(checks)
         self.order_steps = tuple(order_steps)
-        # A missing value is only temporal evidence about its own attribute:
+        # A missing value is pinned at the bottom of its own currency order by
+        # convention, but it is not temporal evidence about other attributes:
         # when the body mentions other attributes than the conclusion, a NULL
-        # in any body attribute makes the pair vacuous (see
-        # _instantiate_one_pair for the full rationale).
+        # in any body attribute makes the pair vacuous, so one incomplete
+        # observation cannot misorder attributes it says nothing about.
+        # Single-attribute constraints (e.g. ϕ4 "more kids is more current")
+        # keep the paper's ``null < k`` behaviour, which Example 2(b) relies on.
         cross_attribute = bool(body_attributes - {constraint.conclusion_attribute})
         self.null_check_indices = (
             tuple(index[attribute] for attribute in sorted(body_attributes))
@@ -166,6 +168,13 @@ class _CompiledCurrencyConstraint:
         self, row1: Tuple[Value, ...], row2: Tuple[Value, ...]
     ) -> Optional[Tuple[List[Tuple[str, Value, Value]], Tuple[str, Value, Value]]]:
         """Instantiate on one ordered pair; ``None`` when vacuous.
+
+        The instance is vacuous when a comparison predicate is false, a body
+        order predicate relates equal values, or the conclusion relates equal
+        values.  It is also vacuous when it would rank a missing value above
+        a present one: a NULL carries no currency information and sits at the
+        bottom of every currency order (a user-input tuple that answers only
+        some attributes is NULL on the others).
 
         Returns the body order-literal triples and the head triple as plain
         tuples; the caller materialises :class:`OrderLiteral` objects only for
@@ -218,12 +227,13 @@ def _compile_constant_check(tuple_index: int, position: int, op: str, constant: 
 class _CompiledCFD:
     """One constant CFD with its pattern pre-sorted and label pre-built."""
 
-    __slots__ = ("lhs_items", "rhs_attribute", "rhs_value", "source_name")
+    __slots__ = ("lhs_items", "rhs_attribute", "rhs_value", "attributes", "source_name")
 
     def __init__(self, cfd: ConstantCFD) -> None:
         self.lhs_items = tuple(sorted(cfd.lhs_pattern.items()))
         self.rhs_attribute = cfd.rhs_attribute
         self.rhs_value = cfd.rhs_value
+        self.attributes = cfd.referenced_attributes()
         self.source_name = cfd.name or str(cfd)
 
 
@@ -233,7 +243,6 @@ class _CompiledCFD:
 def _options_key(options: InstantiationOptions) -> Tuple:
     return (
         options.mode,
-        options.deduplicate,
         options.include_transitivity,
         options.include_asymmetry,
         options.transitivity_cap,
@@ -255,6 +264,12 @@ class CompiledConstraintProgram:
             raise EncodingError(f"unknown instantiation mode {self.options.mode!r}")
         self.schema = schema
         self.currency = tuple(_CompiledCurrencyConstraint(c) for c in currency_constraints)
+        groups: Dict[Tuple[str, ...], List[_CompiledCurrencyConstraint]] = {}
+        for compiled in self.currency:
+            groups.setdefault(compiled.attributes, []).append(compiled)
+        #: The currency constraints grouped by attribute list, in first-use
+        #: order: a delta projects its new rows once per group.
+        self.currency_groups = tuple((attributes, tuple(group)) for attributes, group in groups.items())
         self.cfds = tuple(_CompiledCFD(cfd) for cfd in cfds)
         #: Number of specifications this program has been stamped onto.
         self.instantiations = 0
@@ -338,29 +353,84 @@ class ConstraintProgramCache:
 # -- the stamping pass ---------------------------------------------------------
 
 
+def instantiate(spec: Specification, options: Optional[InstantiationOptions] = None) -> InstanceConstraintSet:
+    """Build Ω(S_e) for *spec* (paper procedure ``Instantiation``): compile, then stamp."""
+    return instantiate_compiled(spec, compile_program(spec, options))
+
+
+def _cfd_instances(
+    program: CompiledConstraintProgram, instance: EntityInstance
+) -> Iterator[Tuple[Tuple[OrderLiteral, ...], FrozenSet[Triple], Triple, str]]:
+    """The constant CFDs' instance constraints on *instance*, in Ω order.
+
+    ``t_p[X] → t_p[B]`` becomes, for every other value ``b`` of ``B``'s
+    active domain, "if every other X value is less current than the pattern
+    values then ``b ≺^v t_p[B]``".  Yields ``(body, body key, head triple,
+    source name)`` per instance, before deduplication; the body key is the
+    frozenset of the body's triples.  Active domains are projected once per
+    attribute.
+    """
+    domains: Dict[str, Tuple[Value, ...]] = {}
+    domain_keys: Dict[str, Set[Hashable]] = {}
+
+    def domain(attribute: str) -> Tuple[Value, ...]:
+        cached = domains.get(attribute)
+        if cached is None:
+            cached = domains[attribute] = instance.active_domain(attribute)
+            domain_keys[attribute] = {canonical_value(value) for value in cached}
+        return cached
+
+    for cfd in program.cfds:
+        # Current values always come from the active domain, so an LHS
+        # constant outside it makes the CFD vacuous for this entity.
+        vacuous = False
+        for attribute, pattern_value in cfd.lhs_items:
+            domain(attribute)
+            if canonical_value(pattern_value) not in domain_keys[attribute]:
+                vacuous = True
+                break
+        if vacuous:
+            continue
+        body: List[OrderLiteral] = []
+        for attribute, pattern_value in cfd.lhs_items:
+            for other in domain(attribute):
+                if values_equal(other, pattern_value):
+                    continue
+                body.append(OrderLiteral._trusted(attribute, other, pattern_value))
+        body_tuple = tuple(body)
+        body_key = frozenset((lit.attribute, lit.older, lit.newer) for lit in body_tuple)
+        # The paper defines ≺^v over adom ∪ CFD constants, so the RHS constant
+        # may lie outside the active domain: the CFD then acts as a *repair*,
+        # and when it fires its constant becomes the true value.
+        for other in domain(cfd.rhs_attribute):
+            if values_equal(other, cfd.rhs_value):
+                continue
+            yield body_tuple, body_key, (cfd.rhs_attribute, other, cfd.rhs_value), cfd.source_name
+
+
 def instantiate_compiled(
     spec: Specification, program: CompiledConstraintProgram
 ) -> InstanceConstraintSet:
     """Build Ω(S_e) by stamping *program* onto *spec*.
 
-    Produces exactly the constraint list ``instantiate(spec, program.options)``
-    would produce (same constraints, same order, same ``used_values`` and
-    ``conditional_keys``); only the per-entity analysis work is skipped.
+    Ω lists the currency-order facts, the currency-constraint instances, the
+    CFD instances and the closure of the ground facts, in that order,
+    without duplicates under the instance-constraint key (body atoms as a
+    set, head atom, head sign).  ``used_values`` and ``conditional_keys`` are
+    noted as constraints are admitted.
     """
     options = program.options
     program.instantiations += 1
     result = InstanceConstraintSet()
     constraints = result.constraints
-    dedup = options.deduplicate
     # Ground facts (empty body, positive head) are keyed by their head triple;
-    # everything else uses the frozenset key of the from-scratch
-    # _Deduplicator.  The two key spaces are disjoint (empty vs. non-empty
-    # body frozensets never compare equal), so admission decisions match.
-    fact_seen: Set[Tuple[str, Hashable, Hashable]] = set()
+    # everything else uses the frozenset key of _constraint_key.  The two key
+    # spaces are disjoint (empty vs. non-empty body frozensets never compare
+    # equal), so together they admit what one _constraint_key set would.
+    fact_seen: Set[Triple] = set()
     general_seen: Set[Tuple] = set()
-    # used-value bookkeeping, fused into emission (the from-scratch path runs
-    # a separate pass over the finished constraint list; emission order equals
-    # list order, so the fused notes produce identical buckets).
+    # used-value bookkeeping, fused into emission (emission order equals list
+    # order, so the buckets come out in first-use order).
     used: Dict[str, List[Value]] = {}
     used_keys: Dict[str, Set[Hashable]] = {}
     conditional: Dict[str, Set[Hashable]] = {}
@@ -377,7 +447,7 @@ def instantiate_compiled(
         if is_conditional:
             conditional.setdefault(attribute, set()).add(key)
 
-    # -- currency-order facts (fast path) ----------------------------------
+    # -- currency-order facts ----------------------------------------------
     instance = spec.instance
     for attribute, order in spec.temporal_instance.orders.items():
         value_of: Dict = {}
@@ -390,11 +460,10 @@ def instantiate_compiled(
                 # Normalised values make plain ``==`` identical to values_equal.
                 if older_value == newer_value:
                     continue
-                if dedup:
-                    key = (attribute, older_value, newer_value)
-                    if key in fact_seen:
-                        continue
-                    fact_seen.add(key)
+                key = (attribute, older_value, newer_value)
+                if key in fact_seen:
+                    continue
+                fact_seen.add(key)
                 constraints.append(
                     InstanceConstraint(
                         body=(),
@@ -433,16 +502,15 @@ def instantiate_compiled(
             if instantiated is None:
                 continue
             body_triples, head_triple = instantiated
-            if dedup:
-                if body_triples:
-                    key = (frozenset(body_triples), head_triple, False)
-                    if key in general_seen:
-                        continue
-                    general_seen.add(key)
-                else:
-                    if head_triple in fact_seen:
-                        continue
-                    fact_seen.add(head_triple)
+            if body_triples:
+                key = (frozenset(body_triples), head_triple, False)
+                if key in general_seen:
+                    continue
+                general_seen.add(key)
+            else:
+                if head_triple in fact_seen:
+                    continue
+                fact_seen.add(head_triple)
             is_conditional = bool(body_triples)
             for attribute, older_value, newer_value in body_triples:
                 note(attribute, older_value, True)
@@ -459,88 +527,49 @@ def instantiate_compiled(
                 )
             )
 
-    # -- constant CFDs (active domains projected once per attribute) -------
-    if program.cfds:
-        domains: Dict[str, Tuple[Value, ...]] = {}
-        domain_keys: Dict[str, Set[Hashable]] = {}
-
-        def domain(attribute: str) -> Tuple[Value, ...]:
-            cached = domains.get(attribute)
-            if cached is None:
-                cached = domains[attribute] = instance.active_domain(attribute)
-                domain_keys[attribute] = {canonical_value(value) for value in cached}
-            return cached
-
-        for cfd in program.cfds:
-            # Current values always come from the active domain, so an LHS
-            # constant outside it makes the CFD vacuous for this entity.
-            vacuous = False
-            for attribute, pattern_value in cfd.lhs_items:
-                domain(attribute)
-                if canonical_value(pattern_value) not in domain_keys[attribute]:
-                    vacuous = True
-                    break
-            if vacuous:
+    # -- constant CFDs -------------------------------------------------------
+    for body, body_key, head_triple, source_name in _cfd_instances(program, instance):
+        if body:
+            key = (body_key, head_triple, False)
+            if key in general_seen:
                 continue
-            body: List[OrderLiteral] = []
-            for attribute, pattern_value in cfd.lhs_items:
-                for other in domain(attribute):
-                    if values_equal(other, pattern_value):
-                        continue
-                    body.append(OrderLiteral._trusted(attribute, other, pattern_value))
-            body_tuple = tuple(body)
-            body_key = (
-                frozenset((lit.attribute, lit.older, lit.newer) for lit in body_tuple)
-                if body_tuple
-                else None
+            general_seen.add(key)
+        else:
+            if head_triple in fact_seen:
+                continue
+            fact_seen.add(head_triple)
+        is_conditional = bool(body)
+        for literal in body:
+            note(literal.attribute, literal.older, True)
+            note(literal.attribute, literal.newer, True)
+        attribute, older_value, newer_value = head_triple
+        note(attribute, older_value, is_conditional)
+        note(attribute, newer_value, is_conditional)
+        constraints.append(
+            InstanceConstraint(
+                body=body,
+                head=OrderLiteral._trusted(*head_triple),
+                source_kind="cfd",
+                source_name=source_name,
             )
-            is_conditional = bool(body_tuple)
-            for other in domain(cfd.rhs_attribute):
-                if values_equal(other, cfd.rhs_value):
-                    continue
-                head_triple = (cfd.rhs_attribute, other, cfd.rhs_value)
-                if dedup:
-                    if body_tuple:
-                        key = (body_key, head_triple, False)
-                        if key in general_seen:
-                            continue
-                        general_seen.add(key)
-                    else:
-                        if head_triple in fact_seen:
-                            continue
-                        fact_seen.add(head_triple)
-                for literal in body_tuple:
-                    note(literal.attribute, literal.older, True)
-                    note(literal.attribute, literal.newer, True)
-                note(cfd.rhs_attribute, other, is_conditional)
-                note(cfd.rhs_attribute, cfd.rhs_value, is_conditional)
-                constraints.append(
-                    InstanceConstraint(
-                        body=body_tuple,
-                        head=OrderLiteral._trusted(*head_triple),
-                        source_kind="cfd",
-                        source_name=cfd.source_name,
-                    )
-                )
+        )
 
-    # -- ground-fact closure (shared with the from-scratch path) -----------
+    # -- ground-fact closure ----------------------------------------------
     def emit_closed(constraint: InstanceConstraint) -> None:
         head = constraint.head
         if not constraint.body and head is not None and not constraint.negated_head:
-            if dedup:
-                key = (head.attribute, head.older, head.newer)
-                if key in fact_seen:
-                    return
-                fact_seen.add(key)
+            key = (head.attribute, head.older, head.newer)
+            if key in fact_seen:
+                return
+            fact_seen.add(key)
             constraints.append(constraint)
             note(head.attribute, head.older, False)
             note(head.attribute, head.newer, False)
             return
-        if dedup:
-            key = _constraint_key(constraint)
-            if key in general_seen:
-                return
-            general_seen.add(key)
+        key = _constraint_key(constraint)
+        if key in general_seen:
+            return
+        general_seen.add(key)
         constraints.append(constraint)
         is_conditional = bool(constraint.body) or head is None
         for literal in constraint.body:

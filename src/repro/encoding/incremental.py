@@ -13,7 +13,8 @@ constraints and clauses:
 * **currency-order facts** — the diff of the per-attribute tuple orders
   (including the NULL-lowest edges the extended temporal instance adds);
 * **currency-constraint instances** — only the tuple/projection pairs that
-  involve a projection first contributed by the delta;
+  involve a projection first contributed by the delta, evaluated by the
+  compiled program's positional evaluators;
 * **ground-fact closure** — maintained per attribute, emitting only the
   closure pairs the new facts introduce (a cycle marks the specification
   inherently invalid, exactly as in the from-scratch path);
@@ -33,11 +34,13 @@ are retired simply by no longer assuming their guards, and replacements are
 appended under fresh guards; nothing is ever removed from the solver, so
 learned clauses stay sound.
 
-The encoder deduplicates Ω at the instance-constraint level (the keys of
-the from-scratch :class:`~repro.encoding.instance_constraints._Deduplicator`)
-and enumerates each order axiom once, which makes the incremental Φ
-logically equivalent to a from-scratch encoding of the extended
-specification.
+Ω is built only through the encoder's compiled constraint program
+(:mod:`repro.encoding.compiled`): the full encode stamps it, and the deltas
+run its currency evaluators and its CFD instance generator.  The encoder
+deduplicates Ω by the instance-constraint key
+(:func:`~repro.encoding.instance_constraints._constraint_key`) and enumerates
+each order axiom once, which makes the incremental Φ logically equivalent to
+a from-scratch encoding of the extended specification.
 """
 
 from __future__ import annotations
@@ -60,14 +63,18 @@ from repro.encoding.cnf_encoder import (
     _transitive_positions,
     emit_order_axioms,
 )
+from repro.encoding.compiled import (
+    CompiledConstraintProgram,
+    Triple,
+    _cfd_instances,
+    compile_program,
+    instantiate_compiled,
+)
 from repro.encoding.instance_constraints import (
     InstanceConstraint,
     InstanceConstraintSet,
     InstantiationOptions,
     _constraint_key,
-    _instantiate_cfds,
-    _instantiate_one_pair,
-    instantiate,
 )
 from repro.encoding.variables import OrderLiteral, OrderVariableRegistry, canonical_value
 from repro.solvers.budget import SolverBudget
@@ -85,9 +92,8 @@ class IncrementalEncoder:
         The initial specification ``S_e`` (fully encoded once, at
         construction).
     options:
-        Instantiation options.  Deltas are always deduplicated at the
-        instance-constraint level regardless of ``options.deduplicate``
-        (diffing requires it).
+        Instantiation options, used to compile a program when *program* is
+        not given.
     backend:
         Solver-session backend name (see
         :func:`repro.solvers.session.create_session`); ignored when *session*
@@ -96,11 +102,11 @@ class IncrementalEncoder:
         An existing :class:`SolverSession` to load the clauses into.  It is
         the only place Φ is kept: the encoding's ``cnf`` is ``None``.
     program:
-        Optional pre-compiled constraint program
+        The compiled constraint program
         (:class:`~repro.encoding.compiled.CompiledConstraintProgram`) for the
-        specification's schema and Σ ∪ Γ; the initial full encoding then
-        stamps the program instead of re-analysing the constraints.  The
-        program's options take precedence over *options*.
+        specification's schema and Σ ∪ Γ, typically from a cache shared
+        across entities; one is compiled from *options* when none is given.
+        The program's options take precedence over *options*.
 
     Clause order, variable numbers and the solver counters depend on
     ``PYTHONHASHSEED``: :class:`~repro.core.partial_order.PartialOrder`
@@ -115,11 +121,11 @@ class IncrementalEncoder:
         options: Optional[InstantiationOptions] = None,
         backend: str = "arena",
         session: Optional[SolverSession] = None,
-        program: "CompiledConstraintProgram | None" = None,
+        program: CompiledConstraintProgram | None = None,
         budget: "SolverBudget | None" = None,
     ) -> None:
-        self._program = program
-        self._options = program.options if program is not None else (options or InstantiationOptions())
+        self._program = program if program is not None else compile_program(spec, options)
+        self._options = self._program.options
         self._session = session if session is not None else create_session(backend, budget=budget)
         self._registry = OrderVariableRegistry()
         self._spec = spec
@@ -128,8 +134,8 @@ class IncrementalEncoder:
         self._guards: Dict[Tuple, int] = {}
         self._guard_constraints: Dict[Tuple, InstanceConstraint] = {}
         self._retired_guards = 0
-        self._projection_rows: Dict[Tuple[str, ...], List[Dict[str, Value]]] = {}
-        self._projection_seen: Dict[Tuple[str, ...], Set[Tuple[Hashable, ...]]] = {}
+        self._projection_rows: Dict[Tuple[str, ...], List[Tuple[Value, ...]]] = {}
+        self._projection_seen: Dict[Tuple[str, ...], Set[Tuple[Value, ...]]] = {}
         self._fact_orders: Dict[str, PartialOrder] = {}
         self._used_values: Dict[str, List[Value]] = {}
         self._used_keys: Dict[str, Set[Hashable]] = {}
@@ -237,12 +243,7 @@ class IncrementalEncoder:
 
     def _full_encode(self) -> None:
         spec = self._spec
-        if self._program is not None:
-            from repro.encoding.compiled import instantiate_compiled
-
-            omega = instantiate_compiled(spec, self._program)
-        else:
-            omega = instantiate(spec, self._options)
+        omega = instantiate_compiled(spec, self._program)
         self._omega.inherently_invalid = omega.inherently_invalid
         self._omega.invalid_reason = omega.invalid_reason
         self._omega.used_values = omega.used_values
@@ -250,16 +251,12 @@ class IncrementalEncoder:
         self._used_values = omega.used_values
         self._conditional = omega.conditional_keys
 
+        # Ω comes deduplicated, so every key is new here.
         for constraint in omega.constraints:
+            key = _constraint_key(constraint)
             if constraint.source_kind == "cfd":
-                key = _constraint_key(constraint)
-                if key in self._guards:
-                    continue
                 self._push_guarded(constraint, key, initial=True)
             else:
-                key = _constraint_key(constraint)
-                if key in self._keys and self._options.deduplicate:
-                    continue
                 self._keys.add(key)
                 self._push_constraint(constraint, initial=True)
         self._initial_clauses += emit_order_axioms(
@@ -390,40 +387,58 @@ class IncrementalEncoder:
     ) -> None:
         if not delta.new_tuples:
             return
-        by_attributes: Dict[Tuple[str, ...], List] = {}
-        for constraint in new_spec.currency_constraints:
-            attributes = tuple(sorted(constraint.referenced_attributes()))
-            by_attributes.setdefault(attributes, []).append(constraint)
-        for attributes, constraints in by_attributes.items():
+        projected = self._options.mode == "projected"
+        for attributes, group in self._program.currency_groups:
             # The cache is seeded lazily from the *old* instance: new tuples
             # are already part of new_spec, so seed from old rows only.
             if attributes not in self._projection_rows:
                 self._seed_projection_cache_from_old(new_spec, delta, attributes)
             rows = self._projection_rows[attributes]
             seen = self._projection_seen[attributes]
-            fresh_rows: List[Dict[str, Value]] = []
+            # Values are normalised, so a positional row is its own
+            # projection key.
+            fresh_rows: List[Tuple[Value, ...]] = []
             for item in delta.new_tuples:
-                row = {attribute: item[attribute] for attribute in attributes}
-                key = tuple(canonical_value(row[attribute]) for attribute in attributes)
-                if self._options.mode == "projected" and key in seen:
+                row = tuple(item[attribute] for attribute in attributes)
+                if projected and row in seen:
                     continue
-                seen.add(key)
+                seen.add(row)
                 fresh_rows.append(row)
             if not fresh_rows:
                 continue
             old_rows = list(rows)
-            for constraint in constraints:
+            for compiled in group:
+                evaluate, source_name = compiled.evaluate, compiled.source_name
                 for new_row in fresh_rows:
                     for old_row in old_rows:
-                        for row1, row2 in ((new_row, old_row), (old_row, new_row)):
-                            instantiated = _instantiate_one_pair(constraint, row1, row2)
-                            if instantiated is not None:
-                                self._admit(instantiated, out)
+                        self._admit_currency(evaluate(new_row, old_row), source_name, out)
+                        self._admit_currency(evaluate(old_row, new_row), source_name, out)
                 for row1, row2 in itertools.permutations(fresh_rows, 2):
-                    instantiated = _instantiate_one_pair(constraint, row1, row2)
-                    if instantiated is not None:
-                        self._admit(instantiated, out)
+                    self._admit_currency(evaluate(row1, row2), source_name, out)
             rows.extend(fresh_rows)
+
+    def _admit_currency(
+        self,
+        instantiated: Optional[Tuple[List[Triple], Triple]],
+        source_name: str,
+        out: List[InstanceConstraint],
+    ) -> None:
+        """Admit one evaluated currency instance (``None``: vacuous) unless its key is known."""
+        if instantiated is None:
+            return
+        body_triples, head_triple = instantiated
+        key = (frozenset(body_triples), head_triple, False)
+        if key in self._keys:
+            return
+        self._keys.add(key)
+        out.append(
+            InstanceConstraint(
+                body=tuple(OrderLiteral(*triple) for triple in body_triples),
+                head=OrderLiteral(*head_triple),
+                source_kind="currency",
+                source_name=source_name,
+            )
+        )
 
     def _seed_projection_cache_from_old(
         self, new_spec: Specification, delta: TemporalOrderDelta, attributes: Tuple[str, ...]
@@ -433,16 +448,16 @@ class IncrementalEncoder:
         # the instance), so "old" is the positional prefix, not a tid match.
         tids = new_spec.instance.tids
         new_tids = set(tids[len(tids) - len(delta.new_tuples):])
-        rows: List[Dict[str, Value]] = []
-        seen: Set[Tuple[Hashable, ...]] = set()
+        projected = self._options.mode == "projected"
+        rows: List[Tuple[Value, ...]] = []
+        seen: Set[Tuple[Value, ...]] = set()
         for item in new_spec.instance:
             if item.tid in new_tids:
                 continue
-            row = {attribute: item[attribute] for attribute in attributes}
-            key = tuple(canonical_value(row[attribute]) for attribute in attributes)
-            if self._options.mode == "projected" and key in seen:
+            row = tuple(item[attribute] for attribute in attributes)
+            if projected and row in seen:
                 continue
-            seen.add(key)
+            seen.add(row)
             rows.append(row)
         self._projection_rows[attributes] = rows
         self._projection_seen[attributes] = seen
@@ -456,7 +471,8 @@ class IncrementalEncoder:
 
         Returns the *newly added* CFD constraints (for used-value accounting).
         """
-        if not new_spec.cfds or not delta.new_tuples:
+        program = self._program
+        if not program.cfds or not delta.new_tuples:
             return []
         changed: Set[str] = set()
         for attribute in new_spec.schema.attribute_names:
@@ -466,14 +482,13 @@ class IncrementalEncoder:
                 if key not in keys:
                     keys.add(key)
                     changed.add(attribute)
-        if not any(changed & set(cfd.referenced_attributes()) for cfd in new_spec.cfds):
+        if all(changed.isdisjoint(cfd.attributes) for cfd in program.cfds):
             return []
 
-        collected: List[InstanceConstraint] = []
-        _instantiate_cfds(new_spec, collected.append)
-        fresh: Dict[Tuple, InstanceConstraint] = {}
-        for constraint in collected:
-            fresh.setdefault(_constraint_key(constraint), constraint)
+        # The CFD instances of the current active domains, by key.
+        fresh: Dict[Tuple, Tuple[Tuple[OrderLiteral, ...], Triple, str]] = {}
+        for body, body_key, head_triple, source_name in _cfd_instances(program, new_spec.instance):
+            fresh.setdefault((body_key, head_triple, False), (body, head_triple, source_name))
         # Retire guards of CFD instances no longer produced by the current
         # active domains (their bodies grew): stop assuming their guards.
         stale_constraints = []
@@ -487,9 +502,15 @@ class IncrementalEncoder:
                 constraint for constraint in self._omega.constraints if id(constraint) not in stale_ids
             ]
         added: List[InstanceConstraint] = []
-        for key, constraint in fresh.items():
+        for key, (body, head_triple, source_name) in fresh.items():
             if key in self._guards:
                 continue
+            constraint = InstanceConstraint(
+                body=body,
+                head=OrderLiteral._trusted(*head_triple),
+                source_kind="cfd",
+                source_name=source_name,
+            )
             self._push_guarded(constraint, key, initial=False)
             added.append(constraint)
         return added

@@ -64,7 +64,6 @@ class EntityOutcome:
 #: ``encoding_statistics`` carries the totals for the whole resolve loop).
 _REUSE_KEYS = (
     "incremental",
-    "compiled",
     "delta_encodings",
     "initial_clauses",
     "incremental_clauses",

@@ -3,8 +3,9 @@
 The end-to-end data-quality flow of the paper — raw tuples → record linkage →
 interactive conflict resolution → accuracy metrics — runs here as a single
 pull-based pass: generic plumbing in :mod:`repro.pipeline.core`, resumable
-checkpoints in :mod:`repro.pipeline.checkpoint`, and the domain stages
-(streaming linkage, engine-backed resolution) in :mod:`repro.pipeline.stages`.
+checkpoints in :mod:`repro.pipeline.checkpoint`, and streaming linkage in
+:mod:`repro.pipeline.stages`; the resolve stage is the client's
+(:meth:`repro.api.ResolutionClient.resolve_stage`).
 """
 
 from repro.pipeline.checkpoint import Checkpoint, CheckpointSink, skip_items
@@ -24,7 +25,7 @@ from repro.pipeline.core import (
     Stage,
     StreamProbe,
 )
-from repro.pipeline.stages import LinkageStage, ResolveStage
+from repro.pipeline.stages import LinkageStage
 
 __all__ = [
     "BatchStage",
@@ -40,7 +41,6 @@ __all__ = [
     "Pipeline",
     "PipelineReport",
     "ProgressSink",
-    "ResolveStage",
     "Sink",
     "SkipStage",
     "Stage",

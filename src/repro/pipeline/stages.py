@@ -1,32 +1,20 @@
 """Domain stages wiring the repro layers into streaming pipelines.
 
-Two stages connect the generic pipeline plumbing (:mod:`repro.pipeline.core`)
-to the system's heavy layers:
-
-* :class:`LinkageStage` — raw row mappings in, :class:`EntityInstance`
-  objects out, via an incrementally flushed :class:`StreamingLinker`;
-* :class:`ResolveStage` — keyed specifications in, keyed
-  :class:`ResolutionResult` objects out, via a
-  :class:`~repro.engine.ResolutionEngine` whose bounded in-flight window
-  provides the pipeline's backpressure: the stage pulls new work from
-  upstream only as the engine frees slots, so generation/linkage overlap with
-  worker-side resolution while the working set stays capped at
-  ``chunk_size × max_inflight_chunks`` entities.
+:class:`LinkageStage` connects the generic pipeline plumbing
+(:mod:`repro.pipeline.core`) to record linkage: raw row mappings in,
+:class:`EntityInstance` objects out, via an incrementally flushed
+:class:`StreamingLinker`.  The resolve stage is the client's
+(:meth:`repro.api.ResolutionClient.resolve_stage`).
 """
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from typing import Any, Callable, Iterator, Optional, Tuple
+from typing import Any, Iterator
 
-from repro.core.specification import Specification
-from repro.engine import ResolutionEngine
 from repro.linkage.streaming import StreamingLinker
 from repro.pipeline.core import Stage
-from repro.resolution.framework import Oracle, ResolutionResult
 
-__all__ = ["LinkageStage", "ResolveStage"]
+__all__ = ["LinkageStage"]
 
 
 class LinkageStage(Stage):
@@ -41,59 +29,3 @@ class LinkageStage(Stage):
         for row in stream:
             yield from self.linker.add(row)
         yield from self.linker.flush()
-
-
-class ResolveStage(Stage):
-    """Resolve a stream of ``(key, specification)`` items through an engine.
-
-    Parameters
-    ----------
-    engine:
-        The (sequential or parallel) resolution engine.  The stage does not
-        own it — callers manage its lifecycle, so one warm engine can serve
-        several pipelines.
-    oracle_factory:
-        Builds the oracle for an item (``None`` = automatic resolution).
-
-    Items are ``(key, spec)`` pairs where *key* is any caller context (an
-    entity, a name, …) to re-associate with the ordered results; the stage
-    yields ``(key, result, seconds)`` triples.  *seconds* is the per-entity
-    wall-clock in sequential mode and ``None`` in parallel mode, where
-    per-entity wall-clock has no meaning (the paper-faithful fallback is the
-    sum of the result's per-phase timings).
-    """
-
-    def __init__(
-        self,
-        engine: ResolutionEngine,
-        oracle_factory: Optional[Callable[[Any, Specification], Optional[Oracle]]] = None,
-        name: str = "resolve",
-    ) -> None:
-        self.engine = engine
-        self.oracle_factory = oracle_factory
-        self.name = name
-
-    def process(
-        self, stream: Iterator[Tuple[Any, Specification]]
-    ) -> Iterator[Tuple[Any, ResolutionResult, Optional[float]]]:
-        """Yield ``(key, result, seconds)`` in input order.
-
-        The keys of in-flight entities wait in a queue whose length the
-        engine's backpressure bounds, so the stage itself adds no unbounded
-        buffering.
-        """
-        pending: deque[Tuple[Any, float]] = deque()
-        sequential = self.engine.workers <= 1
-
-        def tasks():
-            for key, spec in stream:
-                oracle = self.oracle_factory(key, spec) if self.oracle_factory else None
-                # Timestamp after building the task: the elapsed time at the
-                # matching result excludes upstream generation/linkage work.
-                pending.append((key, time.perf_counter()))
-                yield spec, oracle
-
-        for result in self.engine.resolve_stream(tasks()):
-            elapsed = time.perf_counter()
-            key, submitted = pending.popleft()
-            yield key, result, (elapsed - submitted) if sequential else None

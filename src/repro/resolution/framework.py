@@ -32,7 +32,7 @@ from repro.core.specification import Specification, TrueValueAssignment
 from repro.core.tuples import EntityTuple
 from repro.core.values import NULL, Value, is_null
 from repro.encoding.cnf_encoder import SpecificationEncoding, encode_specification
-from repro.encoding.compiled import CompiledConstraintProgram, ConstraintProgramCache
+from repro.encoding.compiled import ConstraintProgramCache
 from repro.encoding.incremental import IncrementalEncoder
 from repro.encoding.instance_constraints import InstantiationOptions
 from repro.resolution.baselines import pick_resolution
@@ -159,12 +159,6 @@ class ResolverOptions:
         Registry name of the solver-session backend (``"arena"`` — the flat
         clause-arena CDCL solver, the default — or ``"dpll"``); only used on
         the incremental path.
-    compiled:
-        When ``True`` (the default) the resolver compiles the constraint
-        program of Σ ∪ Γ once per schema (cached across entities in
-        :attr:`ConflictResolver.program_cache`) and stamps it during
-        instantiation; ``False`` restores the cold per-entity re-analysis.
-        The two paths produce identical encodings (equivalence-tested).
     budget:
         Optional :class:`~repro.solvers.budget.SolverBudget` bounding every
         SAT call of the loop (and, via ``wall_seconds``, the entity as a
@@ -189,7 +183,6 @@ class ResolverOptions:
     random_seed: int = 0
     incremental: bool = True
     solver_backend: str = "arena"
-    compiled: bool = True
     budget: Optional[SolverBudget] = None
     max_attempts: int = 3
 
@@ -207,10 +200,10 @@ class ResolverOptions:
 class ConflictResolver:
     """Drives the interactive conflict-resolution loop of Fig. 4.
 
-    The resolver is meant to be reused across the entities of a dataset: when
-    ``options.compiled`` is on, the constraint program of Σ ∪ Γ is compiled on
-    the first entity and every later entity of the same schema stamps the
-    cached program (see :attr:`program_cache`).
+    The resolver is meant to be reused across the entities of a dataset: the
+    constraint program of Σ ∪ Γ is compiled on the first entity and every
+    later entity of the same schema stamps the cached program (see
+    :attr:`program_cache`).
     """
 
     def __init__(self, options: Optional[ResolverOptions] = None) -> None:
@@ -327,11 +320,7 @@ class ConflictResolver:
         known = TrueValueAssignment({})
         valid = True
         user_validated: Dict[str, Value] = {}
-        program: Optional[CompiledConstraintProgram] = (
-            self.program_cache.program_for(spec, options.instantiation)
-            if options.compiled
-            else None
-        )
+        program = self.program_cache.program_for(spec, options.instantiation)
 
         for round_index in range(options.max_rounds + 1):
             # Per-call solver caps bound a single spin; this bounds the whole
@@ -456,7 +445,6 @@ class ConflictResolver:
             statistics.update(encoder.statistics())
         else:
             statistics["incremental"] = 0
-        statistics["compiled"] = 1 if self.options.compiled else 0
         return statistics
 
     def _finalize(

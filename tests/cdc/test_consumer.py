@@ -123,6 +123,34 @@ class TestConstraintChanges:
             gamma=tuple(dataset.cfds),
         )
 
+    def test_cold_encoders_stamp_one_program_per_constraint_state(self, cdc_nba_dataset):
+        """Every cold encoder stamps the program compiled for the Σ ∪ Γ in force."""
+        dataset = cdc_nba_dataset
+        events = bootstrap_events(dataset, changes=4)
+        edit = ConstraintChanged(
+            constraints=dump_constraints(list(dataset.currency_constraints), [])
+        )
+        events = events[:-2] + [edit] + events[-2:]
+        feed = make_feed(MemoryChangeFeed(), events)
+        with ResolutionClient(cdc_run_config(MemoryResultStore())) as client:
+            with ChangeConsumer(
+                feed,
+                client,
+                dataset.schema,
+                sigma=tuple(dataset.currency_constraints),
+                gamma=tuple(dataset.cfds),
+            ) as consumer:
+                report = consumer.consume()
+                programs = consumer._programs.statistics()
+        assert report.full_encodes > 2
+        # One program before the edit and one after it; every other cold
+        # encoder is a cache hit, and each stamps its program once.
+        assert programs == {
+            "programs_compiled": 2,
+            "program_cache_hits": report.full_encodes - 2,
+            "program_instantiations": report.full_encodes,
+        }
+
 
 class TestExactlyOnce:
     def test_crash_mid_event_resumes_without_double_effects(

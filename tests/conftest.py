@@ -32,7 +32,6 @@ def run_client_experiment(
     chunk_size: Optional[int] = None,
     max_inflight_chunks: Optional[int] = None,
     incremental: bool = True,
-    compiled: bool = True,
     resolver_options: Optional[ResolverOptions] = None,
     store=None,
     host=None,
@@ -49,7 +48,6 @@ def run_client_experiment(
         max_rounds=max_interaction_rounds,
         fallback="none",
         incremental=incremental,
-        compiled=compiled,
     )
     config = RunConfig(
         options=options,

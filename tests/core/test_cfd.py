@@ -1,4 +1,4 @@
-"""Tests for constant and variable CFDs."""
+"""Tests for constant CFDs."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.core import (
     EntityTuple,
     RelationSchema,
     SchemaError,
-    VariableCFD,
 )
 
 
@@ -61,36 +60,3 @@ class TestConstantCFD:
     def test_lhs_matches_respects_null(self):
         cfd = ConstantCFD({"AC": "213"}, "city", "LA")
         assert not cfd.lhs_matches({"AC": None, "city": "LA"})
-
-
-class TestVariableCFD:
-    def test_requires_lhs(self):
-        with pytest.raises(ConstraintSyntaxError):
-            VariableCFD([], "city")
-
-    def test_plain_fd_violation(self, schema):
-        fd = VariableCFD(["AC"], "city")
-        first = EntityTuple(schema, {"AC": "213", "city": "LA"})
-        second = EntityTuple(schema, {"AC": "213", "city": "NY"})
-        third = EntityTuple(schema, {"AC": "212", "city": "NY"})
-        assert fd.violated_by(first, second)
-        assert not fd.violated_by(first, third)
-
-    def test_pattern_restricts_applicability(self, schema):
-        cfd = VariableCFD(["AC"], "city", pattern={"AC": "213"})
-        matching = EntityTuple(schema, {"AC": "213", "city": "LA"})
-        other = EntityTuple(schema, {"AC": "212", "city": "NY"})
-        assert cfd.applies_to(matching, matching)
-        assert not cfd.applies_to(other, other)
-
-    def test_constant_rhs_pattern(self, schema):
-        cfd = VariableCFD(["AC"], "city", pattern={"AC": "213", "city": "LA"})
-        good = EntityTuple(schema, {"AC": "213", "city": "LA"})
-        bad = EntityTuple(schema, {"AC": "213", "city": "NY"})
-        assert not cfd.violated_by(good, good)
-        assert cfd.violated_by(good, bad)
-
-    def test_pattern_value_lookup(self):
-        cfd = VariableCFD(["AC"], "city", pattern={"AC": "213"})
-        assert cfd.pattern_value("AC") == "213"
-        assert cfd.pattern_value("city") is None

@@ -18,16 +18,18 @@ from repro.core.instance import TemporalOrderDelta
 from repro.core.partial_order import PartialOrder
 from repro.core.values import Value
 from repro.encoding.cnf_encoder import _constraint_to_clause
+from repro.encoding.compiled import instantiate_compiled
 from repro.encoding.incremental import IncrementalEncoder
 from repro.encoding.instance_constraints import (
     InstanceConstraint,
     InstanceConstraintSet,
     InstantiationOptions,
     _constraint_key,
-    instantiate,
 )
 from repro.encoding.variables import OrderLiteral, OrderVariableRegistry, canonical_value
 from repro.solvers.cnf import CNF
+
+from tests.encoding._instantiate_reference import reference_instantiate
 
 STRUCTURAL_KINDS = ("asymmetry", "transitivity")
 
@@ -73,18 +75,17 @@ def structural_axioms(
 
 def reference_encoding(spec, options: InstantiationOptions) -> Tuple[CNF, OrderVariableRegistry]:
     """Φ(S_e) through the object path: Ω plus its axioms, deduplicated, one fresh registry."""
-    omega = instantiate(spec, options)
+    omega = reference_instantiate(spec, options)
     seen = {_constraint_key(constraint) for constraint in omega}
     registry = OrderVariableRegistry()
     cnf = CNF()
     for constraint in omega:
         cnf.add_clause(_constraint_to_clause(constraint, registry))
     for constraint in structural_axioms(omega, options):
-        if options.deduplicate:
-            key = _constraint_key(constraint)
-            if key in seen:
-                continue
-            seen.add(key)
+        key = _constraint_key(constraint)
+        if key in seen:
+            continue
+        seen.add(key)
         cnf.add_clause(_constraint_to_clause(constraint, registry))
     if omega.inherently_invalid and not cnf.has_empty_clause():
         cnf.add_clause([])
@@ -104,12 +105,7 @@ class ReferenceIncrementalEncoder(IncrementalEncoder):
 
     def _full_encode(self) -> None:
         spec = self._spec
-        if self._program is not None:
-            from repro.encoding.compiled import instantiate_compiled
-
-            omega = instantiate_compiled(spec, self._program)
-        else:
-            omega = instantiate(spec, self._options)
+        omega = instantiate_compiled(spec, self._program)
         self._omega.inherently_invalid = omega.inherently_invalid
         self._omega.invalid_reason = omega.invalid_reason
         self._omega.used_values = omega.used_values
@@ -124,7 +120,7 @@ class ReferenceIncrementalEncoder(IncrementalEncoder):
                 self._push_guarded(constraint, key, initial=True)
             else:
                 key = _constraint_key(constraint)
-                if key in self._keys and self._options.deduplicate:
+                if key in self._keys:
                     continue
                 self._keys.add(key)
                 self._push_constraint(constraint, initial=True)

@@ -49,7 +49,6 @@ OPTION_VARIANTS = (
     InstantiationOptions(include_asymmetry=False),
     InstantiationOptions(include_transitivity=False),
     InstantiationOptions(transitivity_cap=3),
-    InstantiationOptions(deduplicate=False),
 )
 
 ATTRIBUTES = ("status", "city", "kids")

@@ -1,7 +1,8 @@
 """Perf regression guard for compiled instantiation.
 
 A coarse, generously-thresholded check that the fast path actually buys time:
-compiled stamping has measured 3–5× faster than cold analysis, so the floor
+compiled stamping has measured 3–5× faster than the cold object-path
+analysis (the reference in ``_instantiate_reference.py``), so the floor
 below stays far inside the measured margin while still failing CI if a
 refactor silently reroutes the path onto a slow implementation (best-of-N
 timing keeps it robust to slow or noisy hosts).
@@ -9,7 +10,9 @@ timing keeps it robust to slow or noisy hosts).
 
 import time
 
-from repro.encoding import InstantiationOptions, compile_program, instantiate, instantiate_compiled
+from repro.encoding import InstantiationOptions, compile_program, instantiate_compiled
+
+from tests.encoding._instantiate_reference import reference_instantiate
 
 #: Compiled stamping must be at least this many times faster than the cold path.
 GENEROUS_SPEEDUP_FLOOR = 1.2
@@ -32,10 +35,10 @@ def test_compiled_instantiate_beats_cold_on_nba(small_nba_dataset):
     program = compile_program(specs[0], options)
     # Warm both paths once (allocator, caches) before timing.
     for spec in specs:
-        instantiate(spec, options)
+        reference_instantiate(spec, options)
         instantiate_compiled(spec, program)
 
-    cold = _best_of(REPEATS, lambda: [instantiate(spec, options) for spec in specs])
+    cold = _best_of(REPEATS, lambda: [reference_instantiate(spec, options) for spec in specs])
     compiled = _best_of(REPEATS, lambda: [instantiate_compiled(spec, program) for spec in specs])
     assert compiled > 0.0
     speedup = cold / compiled

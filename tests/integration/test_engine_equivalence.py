@@ -1,11 +1,10 @@
-"""End-to-end equivalence: parallel engine + compiled grounding vs. legacy path.
+"""End-to-end equivalence: the parallel engine vs. one sequential resolver.
 
 The acceptance property of the engine refactor: for NBA, CAREER and Person,
-``ResolutionEngine(workers=N)`` with compiled constraint programs resolves
-every entity to exactly the same result — same resolved values, same deduced
-true values, same per-round deduced orders and suggestions — as the legacy
-sequential path (one in-process resolver, cold per-entity constraint
-analysis).
+``ResolutionEngine(workers=N)``, whose workers each keep their own compiled
+constraint programs, resolves every entity to exactly the same result — same
+resolved values, same deduced true values, same per-round deduced orders and
+suggestions — as the sequential path (one in-process resolver).
 """
 
 import pytest
@@ -39,8 +38,9 @@ def assert_resolutions_identical(reference, candidate):
             assert actual.suggestion.candidates == expected.suggestion.candidates
 
 
-def legacy_results(dataset, limit, max_rounds):
-    options = ResolverOptions(max_rounds=max_rounds, fallback="none", compiled=False)
+def sequential_results(dataset, limit, max_rounds):
+    """One in-process resolver, entity after entity."""
+    options = ResolverOptions(max_rounds=max_rounds, fallback="none")
     resolver = ConflictResolver(options)
     results = []
     for entity, spec in dataset.specifications(limit=limit):
@@ -49,7 +49,7 @@ def legacy_results(dataset, limit, max_rounds):
 
 
 def engine_results(dataset, limit, max_rounds, workers, **engine_kwargs):
-    options = ResolverOptions(max_rounds=max_rounds, fallback="none", compiled=True)
+    options = ResolverOptions(max_rounds=max_rounds, fallback="none")
     tasks = [
         (spec, ReluctantOracle(entity, max_rounds=max_rounds))
         for entity, spec in dataset.specifications(limit=limit)
@@ -62,7 +62,7 @@ def engine_results(dataset, limit, max_rounds, workers, **engine_kwargs):
 def test_parallel_compiled_matches_legacy_sequential(dataset_fixture, request):
     dataset = request.getfixturevalue(dataset_fixture)
     limit, max_rounds = 4, 2
-    reference = legacy_results(dataset, limit, max_rounds)
+    reference = sequential_results(dataset, limit, max_rounds)
     candidate = engine_results(dataset, limit, max_rounds, workers=2, chunk_size=2)
     assert len(candidate) == len(reference)
     for expected, actual in zip(reference, candidate):
@@ -70,7 +70,7 @@ def test_parallel_compiled_matches_legacy_sequential(dataset_fixture, request):
 
 
 def test_sequential_compiled_matches_legacy_sequential(small_nba_dataset):
-    reference = legacy_results(small_nba_dataset, limit=4, max_rounds=2)
+    reference = sequential_results(small_nba_dataset, limit=4, max_rounds=2)
     candidate = engine_results(small_nba_dataset, limit=4, max_rounds=2, workers=1)
     for expected, actual in zip(reference, candidate):
         assert_resolutions_identical(expected, actual)

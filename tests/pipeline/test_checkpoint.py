@@ -5,12 +5,12 @@ import json
 
 import pytest
 
+from repro.api import ResolutionClient, RunConfig
 from repro.datasets import PersonConfig, generate_person_dataset, stream_person_dataset
-from repro.engine import ResolutionEngine
 from repro.evaluation import ExperimentResult, MetricsSink, ScoreStage
 from tests.conftest import run_client_experiment
 from repro.evaluation.interaction import ReluctantOracle
-from repro.pipeline import Checkpoint, CheckpointSink, Pipeline, ResolveStage, skip_items
+from repro.pipeline import Checkpoint, CheckpointSink, Pipeline, skip_items
 from repro.resolution import ResolverOptions
 
 
@@ -48,10 +48,10 @@ def _experiment_pipeline(dataset_stream, result, checkpoint, skip, every=2):
         return ReluctantOracle(entity, max_rounds=1)
 
     pairs = skip_items(dataset_stream.specifications(), skip)
-    with ResolutionEngine(options) as engine:
+    with ResolutionClient(RunConfig(options=options)) as client:
         Pipeline(
             pairs,
-            [ResolveStage(engine, oracle_for), ScoreStage(dataset_stream.schema)],
+            [client.resolve_stage(oracle_for), ScoreStage(dataset_stream.schema)],
             [
                 MetricsSink(result),
                 CheckpointSink(

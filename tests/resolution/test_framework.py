@@ -198,3 +198,23 @@ class TestInvalidSpecifications:
         assert not result.valid
         assert [round_report.valid for round_report in result.rounds] == [False]
         assert result.true_values.values == {}
+
+
+class TestProgramCache:
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_entities_of_one_schema_stamp_one_program(self, edith_spec, george_spec, incremental):
+        """Both encode paths compile Σ ∪ Γ once and stamp it for every full encode."""
+        resolver = ConflictResolver(ResolverOptions(incremental=incremental))
+        edith = resolver.resolve(edith_spec, SilentOracle())
+        george = resolver.resolve(george_spec, OneShotOracle({"status": "retired"}))
+        assert (len(edith.rounds), len(george.rounds)) == (1, 2)
+        # The incremental path encodes each entity in full once and extends
+        # it by a delta; the cold path re-encodes every round.
+        assert resolver.program_cache.statistics() == {
+            "programs_compiled": 1,
+            "program_cache_hits": 1,
+            "program_instantiations": 2 if incremental else 3,
+        }
+        for result in (edith, george):
+            for round_report in result.rounds:
+                assert "compiled" not in round_report.encoding_statistics

@@ -49,7 +49,10 @@ def test_harness_writes_smoke_runs_outside_the_results(harness, monkeypatch, cap
         else (harness.RESULTS_DIR, harness.SMOKE_RESULTS_DIR)
     )
     assert path == written / "probe.json"
-    assert json.loads(path.read_text()) == {"smoke": smoke}
+    record = json.loads(path.read_text())
+    provenance = record.pop("provenance")
+    assert record == {"smoke": smoke}
+    assert set(provenance) == {"host", "nproc", "git_sha", "git_dirty", "python"}
     assert (written / "probe.txt").read_text() == "table\n"
     assert not untouched.exists()
     assert "[probe]" in capsys.readouterr().out
