@@ -17,6 +17,7 @@ from _harness import (
     nba_bucket_specs,
     person_size_specs,
     report,
+    report_json,
     time_validity,
 )
 from repro.evaluation import format_table
@@ -69,6 +70,15 @@ def bench_fig8a_validity_checking(benchmark) -> None:
         title="Fig. 8(a) — validity checking time vs. entity size",
     )
     report("fig8a_validity", table)
+    report_json(
+        "fig8a_validity",
+        {
+            "buckets": [
+                {"workload": workload, "entities": entities, "mean_isvalid_ms": ms, "mean_clauses": clauses}
+                for workload, entities, ms, clauses in rows
+            ]
+        },
+    )
 
     # The pytest-benchmark timing is taken on the largest specification seen.
     benchmark(lambda: time_validity(largest_spec))

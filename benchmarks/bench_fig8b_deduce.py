@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from _harness import NBA_BUCKETS, nba_bucket_specs, person_size_specs, report, time_deduction
+from _harness import (
+    NBA_BUCKETS,
+    nba_bucket_specs,
+    person_size_specs,
+    report,
+    report_json,
+    time_deduction,
+)
 from repro.evaluation import format_table
 
 
@@ -57,5 +64,14 @@ def bench_fig8b_deduce_vs_naive(benchmark) -> None:
         title="Fig. 8(b) — deducing true values: DeduceOrder vs NaiveDeduce",
     )
     report("fig8b_deduce", table)
+    report_json(
+        "fig8b_deduce",
+        {
+            "buckets": [
+                {"workload": workload, "deduce_order_ms": fast_ms, "naive_deduce_ms": slow_ms}
+                for workload, fast_ms, slow_ms in rows
+            ]
+        },
+    )
 
     benchmark(lambda: time_deduction(largest_spec, naive=False))

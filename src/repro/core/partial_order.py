@@ -11,7 +11,7 @@ restriction operations, and extension to a total order (topological sort).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Set, Tuple
 
 from repro.core.errors import CyclicOrderError
 
@@ -26,13 +26,17 @@ class PartialOrder:
     edge that would create a cycle (including a self-loop) raises
     :class:`~repro.core.errors.CyclicOrderError`, because a strict order is
     irreflexive and acyclic by definition.
+
+    Successors and predecessors are kept in insertion-ordered dicts (values
+    ``None``), so every iteration follows the order edges were added in and
+    never the hash order of the elements.
     """
 
     __slots__ = ("_successors", "_predecessors")
 
     def __init__(self, pairs: Iterable[Tuple[Hashable, Hashable]] | None = None) -> None:
-        self._successors: Dict[Hashable, Set[Hashable]] = {}
-        self._predecessors: Dict[Hashable, Set[Hashable]] = {}
+        self._successors: Dict[Hashable, Dict[Hashable, None]] = {}
+        self._predecessors: Dict[Hashable, Dict[Hashable, None]] = {}
         if pairs is not None:
             for smaller, larger in pairs:
                 self.add(smaller, larger)
@@ -41,8 +45,8 @@ class PartialOrder:
 
     def add_element(self, element: Hashable) -> None:
         """Register *element* without relating it to anything."""
-        self._successors.setdefault(element, set())
-        self._predecessors.setdefault(element, set())
+        self._successors.setdefault(element, {})
+        self._predecessors.setdefault(element, {})
 
     def add(self, smaller: Hashable, larger: Hashable) -> bool:
         """Record ``smaller ≺ larger``.
@@ -57,17 +61,17 @@ class PartialOrder:
         predecessors = self._predecessors
         succ_smaller = successors.get(smaller)
         if succ_smaller is None:
-            succ_smaller = successors[smaller] = set()
-            predecessors[smaller] = set()
+            succ_smaller = successors[smaller] = {}
+            predecessors[smaller] = {}
         if larger not in successors:
-            successors[larger] = set()
-            predecessors[larger] = set()
+            successors[larger] = {}
+            predecessors[larger] = {}
         if larger in succ_smaller:
             return False
         if self.precedes(larger, smaller):
             raise CyclicOrderError(f"adding {smaller!r} ≺ {larger!r} would create a cycle")
-        succ_smaller.add(larger)
-        predecessors[larger].add(smaller)
+        succ_smaller[larger] = None
+        predecessors[larger][smaller] = None
         return True
 
     def try_add(self, smaller: Hashable, larger: Hashable) -> bool:
@@ -91,26 +95,26 @@ class PartialOrder:
         already checked for cycles).
         """
         order = cls()
-        order._successors = {smaller: set(larger) for smaller, larger in successors.items()}
-        predecessors = order._predecessors = {element: set() for element in order._successors}
+        order._successors = {smaller: dict.fromkeys(larger) for smaller, larger in successors.items()}
+        predecessors = order._predecessors = {element: {} for element in order._successors}
         for smaller, larger_elements in order._successors.items():
             for larger in larger_elements:
-                predecessors.setdefault(larger, set()).add(smaller)
+                predecessors.setdefault(larger, {})[smaller] = None
         for element in predecessors:
-            order._successors.setdefault(element, set())
+            order._successors.setdefault(element, {})
         return order
 
     def copy(self) -> "PartialOrder":
         """Return an independent copy of this order.
 
-        The adjacency sets are copied structurally — the source order is
+        The adjacency dicts are copied structurally — the source order is
         acyclic by construction, so re-running the per-edge cycle check of
         :meth:`add` (a BFS per edge) would only re-derive what already holds.
         """
         clone = PartialOrder()
-        clone._successors = {element: set(successors) for element, successors in self._successors.items()}
+        clone._successors = {element: dict(successors) for element, successors in self._successors.items()}
         clone._predecessors = {
-            element: set(predecessors) for element, predecessors in self._predecessors.items()
+            element: dict(predecessors) for element, predecessors in self._predecessors.items()
         }
         return clone
 
@@ -127,7 +131,7 @@ class PartialOrder:
             for larger in successors:
                 yield (smaller, larger)
 
-    def successor_map(self) -> Dict[Hashable, Set[Hashable]]:
+    def successor_map(self) -> Dict[Hashable, Dict[Hashable, None]]:
         """The internal element → direct-successors adjacency, NOT a copy.
 
         Hot paths (constraint grounding) iterate hundreds of thousands of
@@ -177,8 +181,8 @@ class PartialOrder:
         candidates = set(among) if among is not None else set(self._successors)
         maximal: Set[Hashable] = set()
         for element in candidates:
-            successors = self._successors.get(element, set())
-            if not (successors & candidates if among is not None else successors):
+            successors = self._successors.get(element, {})
+            if not (successors.keys() & candidates if among is not None else successors):
                 maximal.add(element)
         return maximal
 
@@ -187,14 +191,18 @@ class PartialOrder:
         candidates = set(among) if among is not None else set(self._predecessors)
         minimal: Set[Hashable] = set()
         for element in candidates:
-            predecessors = self._predecessors.get(element, set())
-            if not (predecessors & candidates if among is not None else predecessors):
+            predecessors = self._predecessors.get(element, {})
+            if not (predecessors.keys() & candidates if among is not None else predecessors):
                 minimal.add(element)
         return minimal
 
-    def transitive_closure_pairs(self) -> Set[Tuple[Hashable, Hashable]]:
-        """Return all pairs ``(a, b)`` with ``a ≺ b`` (the full order relation)."""
-        closure: Set[Tuple[Hashable, Hashable]] = set()
+    def transitive_closure_pairs(self) -> List[Tuple[Hashable, Hashable]]:
+        """Return all pairs ``(a, b)`` with ``a ≺ b`` (the full order relation).
+
+        Each pair comes once, ordered by ``a``'s insertion and then
+        breadth-first from ``a`` along the edges in insertion order.
+        """
+        closure: List[Tuple[Hashable, Hashable]] = []
         for start in self._successors:
             seen: Set[Hashable] = set()
             frontier: deque[Hashable] = deque(self._successors[start])
@@ -203,7 +211,7 @@ class PartialOrder:
                 if node in seen:
                     continue
                 seen.add(node)
-                closure.add((start, node))
+                closure.append((start, node))
                 frontier.extend(self._successors.get(node, ()))
         return closure
 
@@ -249,7 +257,7 @@ class PartialOrder:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartialOrder):
             return NotImplemented
-        return self.transitive_closure_pairs() == other.transitive_closure_pairs()
+        return set(self.transitive_closure_pairs()) == set(other.transitive_closure_pairs())
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         edges = ", ".join(f"{s!r}≺{l!r}" for s, l in sorted(self.pairs(), key=repr))

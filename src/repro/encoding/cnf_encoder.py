@@ -1,13 +1,14 @@
 """Conversion of instance constraints into CNF (paper procedure ``ConvertToCNF``).
 
-Each ordering atom ``a1 ≺^v_A a2`` is mapped to a propositional variable by an
-:class:`~repro.encoding.variables.OrderVariableRegistry`; every instance
-constraint ``x1 ∧ … ∧ xk → x`` becomes the clause ``¬x1 ∨ … ∨ ¬xk ∨ x`` (with
-the obvious variant for an absent head).  The asymmetry and transitivity
-axioms of every ``≺^v_A`` over its used values are not instance constraints:
-:func:`emit_order_axioms` writes them straight into Φ as integer clauses
-after Ω's.  The result Φ(S_e) is satisfiable iff the specification is valid
-(paper Lemma 5).
+Each ordering atom ``a1 ≺^v_A a2`` is mapped to a signed literal by an
+:class:`~repro.encoding.variables.OrderVariableRegistry`, one variable per
+pair of values; every instance constraint ``x1 ∧ … ∧ xk → x`` becomes the
+clause ``¬x1 ∨ … ∨ ¬xk ∨ x`` (with the obvious variant for an absent head).
+The total-order axioms of every ``≺^v_A`` over its used values are not
+instance constraints: :func:`emit_order_axioms` writes them straight into Φ
+as integer clauses after Ω's, two per value triple.  Every model of Φ(S_e)
+then totally orders each attribute's used values, and Φ(S_e) is satisfiable
+iff the specification is valid (paper Lemma 5).
 
 :class:`SpecificationEncoding` bundles the specification, Ω(S_e), the variable
 registry and Φ(S_e); it is the object every resolution algorithm works on.
@@ -19,9 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import (
-    Callable, Collection, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import ReproError
 from repro.core.specification import Specification
@@ -82,7 +81,7 @@ class SpecificationEncoding:
     # -- literal helpers ------------------------------------------------------
 
     def literal(self, atom: OrderLiteral) -> int:
-        """Return the (positive) SAT literal for *atom*, registering it if new."""
+        """Return the signed SAT literal for *atom*, registering its pair if new."""
         return self.registry.variable(atom)
 
     def find_literal(self, atom: OrderLiteral) -> Optional[int]:
@@ -94,7 +93,7 @@ class SpecificationEncoding:
         return self.find_literal(OrderLiteral(attribute, older, newer))
 
     def decode(self, literal: int) -> Tuple[OrderLiteral, bool]:
-        """Decode a signed SAT literal into (atom, positive?)."""
+        """Decode a signed SAT literal into (canonical atom, positive?)."""
         return self.registry.decode_literal(literal)
 
     # -- statistics -----------------------------------------------------------
@@ -128,95 +127,82 @@ Push = Callable[[Tuple[int, ...]], None]
 
 
 class OrderAxioms:
-    """The asymmetry and transitivity clauses of one attribute's ``≺^v_A``.
+    """The total-order clauses of one attribute's ``≺^v_A``: two per value triple.
 
-    Values are addressed by position in the used-value list.  A pair →
-    variable table fills on first use through
-    :meth:`OrderVariableRegistry.variable_for`, in clause order, and the
-    clauses go to *push* as integer tuples: no atom object per clause.
+    Values are addressed by position in the used-value list, and ``x_ij``
+    (``i < j``) is the signed literal for "value ``i`` ≺ value ``j``": one
+    variable per pair, so every model orders every pair.  A tournament with
+    no 3-cycle is acyclic, so the two clauses per triple ``i < j < k``
+
+    * ``¬x_ij ∨ ¬x_jk ∨ x_ik`` (no cycle ``i ≺ j ≺ k ≺ i``) and
+    * ``x_ij ∨ x_jk ∨ ¬x_ik`` (no cycle ``k ≺ j ≺ i ≺ k``)
+
+    make every model a strict total order.  A pair → literal table fills on
+    first use through :meth:`OrderVariableRegistry.variable_for`, in clause
+    order, and the clauses go to *push* as integer tuples: no atom object
+    per clause.
     """
 
     def __init__(
         self, registry: OrderVariableRegistry, attribute: str, values: Sequence[Value], push: Push
     ) -> None:
-        self.keys = [canonical_value(value) for value in values]
+        self._keys = [canonical_value(value) for value in values]
         self._attribute, self._registry, self._push = attribute, registry, push
         self._table = [[0] * len(values) for _ in values]  # 0: not looked up yet
 
-    def _variable(self, older: int, newer: int) -> int:
-        row = self._table[older]
-        variable = row[newer]
-        if not variable:
-            variable = row[newer] = self._registry.variable_for(
-                self._attribute, self.keys[older], self.keys[newer]
+    def _literal(self, lower: int, higher: int) -> int:
+        row = self._table[lower]
+        literal = row[higher]
+        if not literal:
+            literal = row[higher] = self._registry.variable_for(
+                self._attribute, self._keys[lower], self._keys[higher]
             )
-        return variable
+        return literal
 
-    def asymmetry(self, pairs: Iterable[Tuple[int, int]]) -> int:
-        """Push ``¬(a ≺ b) ∨ ¬(b ≺ a)`` per position pair; return how many."""
-        variable, push, count = self._variable, self._push, 0
-        for count, (older, newer) in enumerate(pairs, 1):
-            body = variable(older, newer)
-            push((-body, -variable(newer, older)))
+    def triangles(self, start: int = 0) -> int:
+        """Push both clauses of each triple whose highest position is ≥ *start*; return how many.
+
+        A triple is emitted when its newest value is first used: the full
+        encode starts at 0, and a delta that adds positions ``start …`` runs
+        the same generator from ``start``.
+        """
+        literal, push, count = self._literal, self._push, 0
+        for k in range(start, len(self._keys)):
+            for i, j in itertools.combinations(range(k), 2):
+                ij, jk, ik = literal(i, j), literal(j, k), literal(i, k)
+                push((-ij, -jk, ik))
+                push((ij, jk, -ik))
+                count += 2
         return count
-
-    def transitivity(self, triples: Iterable[Tuple[int, int, int]]) -> int:
-        """Push ``¬(a ≺ b) ∨ ¬(b ≺ c) ∨ (a ≺ c)`` per position triple; return how many."""
-        variable, push, count = self._variable, self._push, 0
-        for count, (first, second, third) in enumerate(triples, 1):
-            left, right = variable(first, second), variable(second, third)
-            push((-left, -right, variable(first, third)))
-        return count
-
-
-def _transitive_positions(
-    keys: Sequence[Hashable], cap: Optional[int], conditional: Collection[Hashable]
-) -> List[int]:
-    """Positions of the values transitivity ranges over (see ``transitivity_cap``)."""
-    if cap is not None and len(keys) > cap:
-        return [position for position, key in enumerate(keys) if key in conditional]
-    return list(range(len(keys)))
 
 
 def emit_order_axioms(
-    registry: OrderVariableRegistry,
-    push: Push,
-    options: InstantiationOptions,
-    used_values: Mapping[str, Sequence[Value]],
-    conditional_keys: Mapping[str, Set[Hashable]],
+    registry: OrderVariableRegistry, push: Push, used_values: Mapping[str, Sequence[Value]]
 ) -> int:
     """Write the order axioms of every attribute into Φ; return the clause count.
 
-    Attributes come in ``used_values`` order; per attribute, asymmetry runs
-    over ``combinations`` and transitivity over ``permutations`` of the
-    (capped) used values.  Call it after Ω's clauses.
+    Attributes come in ``used_values`` order, and each gets
+    :meth:`OrderAxioms.triangles` over all its used values.  Call it after
+    Ω's clauses.
 
-    No clause emitted here needs deduplication against Ω or against another
-    axiom, under the instance-constraint key (body atoms as a set, head atom,
-    head sign):
+    No clause emitted here repeats a clause of Ω or another triangle clause,
+    compared as sets of literals:
 
-    * asymmetry is the only kind with a negated head, and the pairs of
-      ``combinations`` are distinct unordered pairs;
-    * a transitivity body is a two-literal chain ``a ≺ b, b ≺ c`` on the
-      head's attribute, with ``b`` fixed by body and head, so distinct
-      triples give distinct keys;
-    * a currency instance has at most one literal per attribute (every order
-      predicate on ``A`` instantiates to the same ``t1[A] ≺ t2[A]``), so its
-      body set is never a two-literal chain on one attribute;
-    * a CFD instance's body literals on one attribute share their newer value
-      (the pattern constant), while a chain's newer values ``b ≠ c`` differ;
-    * facts and closure facts have empty bodies, and a conflict has no head.
+    * a triangle clause has three literals, all on one attribute, over the
+      three pairs of a value triple, so no value lies in all three pairs;
+    * a currency instance has at most one body literal per attribute (every
+      order predicate on ``A`` instantiates to the same ``t1[A] ≺ t2[A]``)
+      plus its head, so at most two literals on one attribute;
+    * a CFD instance's literals on one attribute share one value (the
+      pattern constant for the body, the RHS constant for the head), which
+      lies in every pair they name;
+    * facts and closure facts are unit clauses, and a conflict is empty;
+    * distinct triples have distinct variable sets, and a triple's two
+      clauses have opposite signs.
     """
     count = 0
     for attribute, values in used_values.items():
-        axioms = OrderAxioms(registry, attribute, values, push)
-        if options.include_asymmetry:
-            count += axioms.asymmetry(itertools.combinations(range(len(values)), 2))
-        if options.include_transitivity:
-            positions = _transitive_positions(
-                axioms.keys, options.transitivity_cap, conditional_keys.get(attribute, ())
-            )
-            count += axioms.transitivity(itertools.permutations(positions, 3))
+        count += OrderAxioms(registry, attribute, values, push).triangles()
     return count
 
 
@@ -240,7 +226,7 @@ def encode_specification(
     cnf = CNF()
     for constraint in omega:
         cnf.add_clause(_constraint_to_clause(constraint, registry))
-    emit_order_axioms(registry, cnf.add_clause, options, omega.used_values, omega.conditional_keys)
+    emit_order_axioms(registry, cnf.add_clause, omega.used_values)
     if omega.inherently_invalid and not cnf.has_empty_clause():
         cnf.add_clause([])
     cnf.num_variables = max(cnf.num_variables, registry.num_variables)

@@ -240,15 +240,6 @@ class _CompiledCFD:
 # -- the program ---------------------------------------------------------------
 
 
-def _options_key(options: InstantiationOptions) -> Tuple:
-    return (
-        options.mode,
-        options.include_transitivity,
-        options.include_asymmetry,
-        options.transitivity_cap,
-    )
-
-
 class CompiledConstraintProgram:
     """Σ ∪ Γ analysed once, ready to be stamped onto any entity of the schema."""
 
@@ -293,7 +284,7 @@ class CompiledConstraintProgram:
             schema.attribute_names,
             tuple(currency_constraints),
             tuple(cfds),
-            _options_key(options),
+            options.mode,
         )
 
 
@@ -416,8 +407,8 @@ def instantiate_compiled(
     Ω lists the currency-order facts, the currency-constraint instances, the
     CFD instances and the closure of the ground facts, in that order,
     without duplicates under the instance-constraint key (body atoms as a
-    set, head atom, head sign).  ``used_values`` and ``conditional_keys`` are
-    noted as constraints are admitted.
+    set, head atom, head sign).  ``used_values`` is noted as constraints are
+    admitted.
     """
     options = program.options
     program.instantiations += 1
@@ -433,9 +424,8 @@ def instantiate_compiled(
     # order, so the buckets come out in first-use order).
     used: Dict[str, List[Value]] = {}
     used_keys: Dict[str, Set[Hashable]] = {}
-    conditional: Dict[str, Set[Hashable]] = {}
 
-    def note(attribute: str, value: Value, is_conditional: bool) -> None:
+    def note(attribute: str, value: Value) -> None:
         keys = used_keys.get(attribute)
         if keys is None:
             keys = used_keys[attribute] = set()
@@ -444,8 +434,6 @@ def instantiate_compiled(
         if key not in keys:
             keys.add(key)
             used[attribute].append(value)
-        if is_conditional:
-            conditional.setdefault(attribute, set()).add(key)
 
     # -- currency-order facts ----------------------------------------------
     instance = spec.instance
@@ -472,8 +460,8 @@ def instantiate_compiled(
                         source_name=f"{older_tid}≺{newer_tid}",
                     )
                 )
-                note(attribute, older_value, False)
-                note(attribute, newer_value, False)
+                note(attribute, older_value)
+                note(attribute, newer_value)
 
     # -- currency constraints (compiled evaluators over positional rows) ---
     projection_rows: Dict[Tuple[str, ...], List[Tuple[Value, ...]]] = {}
@@ -511,13 +499,12 @@ def instantiate_compiled(
                 if head_triple in fact_seen:
                     continue
                 fact_seen.add(head_triple)
-            is_conditional = bool(body_triples)
             for attribute, older_value, newer_value in body_triples:
-                note(attribute, older_value, True)
-                note(attribute, newer_value, True)
+                note(attribute, older_value)
+                note(attribute, newer_value)
             attribute, older_value, newer_value = head_triple
-            note(attribute, older_value, is_conditional)
-            note(attribute, newer_value, is_conditional)
+            note(attribute, older_value)
+            note(attribute, newer_value)
             constraints.append(
                 InstanceConstraint(
                     body=tuple(OrderLiteral(*triple) for triple in body_triples),
@@ -538,13 +525,12 @@ def instantiate_compiled(
             if head_triple in fact_seen:
                 continue
             fact_seen.add(head_triple)
-        is_conditional = bool(body)
         for literal in body:
-            note(literal.attribute, literal.older, True)
-            note(literal.attribute, literal.newer, True)
+            note(literal.attribute, literal.older)
+            note(literal.attribute, literal.newer)
         attribute, older_value, newer_value = head_triple
-        note(attribute, older_value, is_conditional)
-        note(attribute, newer_value, is_conditional)
+        note(attribute, older_value)
+        note(attribute, newer_value)
         constraints.append(
             InstanceConstraint(
                 body=body,
@@ -563,23 +549,21 @@ def instantiate_compiled(
                 return
             fact_seen.add(key)
             constraints.append(constraint)
-            note(head.attribute, head.older, False)
-            note(head.attribute, head.newer, False)
+            note(head.attribute, head.older)
+            note(head.attribute, head.newer)
             return
         key = _constraint_key(constraint)
         if key in general_seen:
             return
         general_seen.add(key)
         constraints.append(constraint)
-        is_conditional = bool(constraint.body) or head is None
         for literal in constraint.body:
-            note(literal.attribute, literal.older, is_conditional)
-            note(literal.attribute, literal.newer, is_conditional)
+            note(literal.attribute, literal.older)
+            note(literal.attribute, literal.newer)
         if head is not None:
-            note(head.attribute, head.older, is_conditional)
-            note(head.attribute, head.newer, is_conditional)
+            note(head.attribute, head.older)
+            note(head.attribute, head.newer)
 
     _close_ground_facts(result, emit_closed)
     result.used_values = used
-    result.conditional_keys = conditional
     return result

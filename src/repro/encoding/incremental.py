@@ -3,8 +3,8 @@
 The interactive framework (paper Fig. 4) extends the specification once per
 user round and re-runs ``IsValid`` → ``DeduceOrder`` → ``Suggest`` on the
 result.  Re-instantiating Ω(S_e ⊕ O_t) and rebuilding Φ from scratch each
-round throws away everything the previous round computed, including all the
-conflicts the SAT solver learned.  :class:`IncrementalEncoder` keeps one
+round throws away everything the previous round computed.
+:class:`IncrementalEncoder` keeps one
 registry and one :class:`~repro.solvers.session.SolverSession` alive for the
 whole resolve loop — the session is the only store of Φ's clauses — and,
 given a :class:`TemporalOrderDelta`, emits *only the new* instance
@@ -18,9 +18,9 @@ constraints and clauses:
 * **ground-fact closure** — maintained per attribute, emitting only the
   closure pairs the new facts introduce (a cycle marks the specification
   inherently invalid, exactly as in the from-scratch path);
-* **order axioms** — asymmetry pairs and transitivity triples involving at
-  least one newly used value, written straight into Φ as integer clauses
-  (they are not part of Ω; see
+* **order axioms** — the two total-order clauses of every value triple whose
+  newest value the delta first uses, written straight into Φ as integer
+  clauses (they are not part of Ω; see
   :func:`~repro.encoding.cnf_encoder.emit_order_axioms`).
 
 Constant CFDs are the one non-monotone ingredient: their instance constraints
@@ -31,23 +31,23 @@ classic assumption-based incremental-SAT idiom: a CFD clause is
 ``¬g ∨ ¬body ∨ head`` and every query assumes the guards of the currently
 valid CFD instances.  When a delta grows an active domain, stale CFD clauses
 are retired simply by no longer assuming their guards, and replacements are
-appended under fresh guards; nothing is ever removed from the solver, so
-learned clauses stay sound.
+appended under fresh guards; no clause of Φ is ever removed from the
+solver.
 
 Ω is built only through the encoder's compiled constraint program
 (:mod:`repro.encoding.compiled`): the full encode stamps it, and the deltas
 run its currency evaluators and its CFD instance generator.  The encoder
 deduplicates Ω by the instance-constraint key
-(:func:`~repro.encoding.instance_constraints._constraint_key`) and enumerates
-each order axiom once, which makes the incremental Φ logically equivalent to
-a from-scratch encoding of the extended specification.
+(:func:`~repro.encoding.instance_constraints._constraint_key`) and emits each
+value triple's order axioms once, which makes the incremental Φ logically
+equivalent to a from-scratch encoding of the extended specification.
 """
 
 from __future__ import annotations
 
 import itertools
 from time import perf_counter
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro import profiling
 
@@ -60,7 +60,6 @@ from repro.encoding.cnf_encoder import (
     OrderAxioms,
     SpecificationEncoding,
     _constraint_to_clause,
-    _transitive_positions,
     emit_order_axioms,
 )
 from repro.encoding.compiled import (
@@ -107,12 +106,6 @@ class IncrementalEncoder:
         specification's schema and Σ ∪ Γ, typically from a cache shared
         across entities; one is compiled from *options* when none is given.
         The program's options take precedence over *options*.
-
-    Clause order, variable numbers and the solver counters depend on
-    ``PYTHONHASHSEED``: :class:`~repro.core.partial_order.PartialOrder`
-    keeps successors in sets of tuple identifiers, so the order facts come
-    out in hash order.  Outcomes do not (resolved tuples, deduced attributes
-    and suggestions agree across seeds; ``tests/encoding/test_hash_seed.py``).
     """
 
     def __init__(
@@ -139,8 +132,6 @@ class IncrementalEncoder:
         self._fact_orders: Dict[str, PartialOrder] = {}
         self._used_values: Dict[str, List[Value]] = {}
         self._used_keys: Dict[str, Set[Hashable]] = {}
-        self._conditional: Dict[str, Set[Hashable]] = {}
-        self._transitive_applied: Dict[str, Set[Hashable]] = {}
         self._adom_keys: Dict[str, Set[Hashable]] = {}
         # Statistics.
         self._delta_encodings = 0
@@ -179,7 +170,7 @@ class IncrementalEncoder:
 
     @property
     def session(self) -> SolverSession:
-        """The solver session holding Φ (plus its learned clauses)."""
+        """The solver session holding Φ."""
         return self._session
 
     @property
@@ -247,9 +238,7 @@ class IncrementalEncoder:
         self._omega.inherently_invalid = omega.inherently_invalid
         self._omega.invalid_reason = omega.invalid_reason
         self._omega.used_values = omega.used_values
-        self._omega.conditional_keys = omega.conditional_keys
         self._used_values = omega.used_values
-        self._conditional = omega.conditional_keys
 
         # Ω comes deduplicated, so every key is new here.
         for constraint in omega.constraints:
@@ -260,11 +249,7 @@ class IncrementalEncoder:
                 self._keys.add(key)
                 self._push_constraint(constraint, initial=True)
         self._initial_clauses += emit_order_axioms(
-            self._registry,
-            self._session.add_clause,
-            self._options,
-            self._used_values,
-            self._conditional,
+            self._registry, self._session.add_clause, self._used_values
         )
         self._session.ensure_variables(self._registry.num_variables)
         if self._omega.inherently_invalid:
@@ -280,12 +265,6 @@ class IncrementalEncoder:
             order.try_add(
                 canonical_value(constraint.head.older), canonical_value(constraint.head.newer)
             )
-        if self._options.include_transitivity:
-            cap = self._options.transitivity_cap
-            for attribute, values in self._used_values.items():
-                keys = [canonical_value(value) for value in values]
-                positions = _transitive_positions(keys, cap, self._conditional.get(attribute, ()))
-                self._transitive_applied[attribute] = {keys[position] for position in positions}
         for attribute in spec.schema.attribute_names:
             self._adom_keys[attribute] = {
                 canonical_value(value) for value in spec.instance.active_domain(attribute)
@@ -529,7 +508,7 @@ class IncrementalEncoder:
         closure_facts: List[InstanceConstraint] = []
         for attribute, edges in new_edges.items():
             order = self._fact_orders.setdefault(attribute, PartialOrder())
-            before = order.transitive_closure_pairs()
+            before = set(order.transitive_closure_pairs())
             try:
                 for older, newer in edges:
                     order.add(older, newer)
@@ -544,8 +523,8 @@ class IncrementalEncoder:
                 self._keys.add(_constraint_key(conflict))
                 self._push_constraint(conflict, initial=False)
                 return False
-            for older, newer in order.transitive_closure_pairs() - before:
-                if (older, newer) in edges:
+            for older, newer in order.transitive_closure_pairs():
+                if (older, newer) in before or (older, newer) in edges:
                     continue
                 self._admit(
                     InstanceConstraint(
@@ -561,73 +540,41 @@ class IncrementalEncoder:
 
     # -- delta: used values and order axioms -----------------------------------------
 
-    def _note_used(self, attribute: str, value: Value, is_conditional: bool) -> bool:
+    def _note_used(self, attribute: str, value: Value) -> bool:
         """Record a used value; returns ``True`` when the value is new for *attribute*."""
         keys = self._used_keys.setdefault(attribute, set())
         key = canonical_value(value)
-        new = key not in keys
-        if new:
-            keys.add(key)
-            self._used_values.setdefault(attribute, []).append(value)
-        if is_conditional:
-            self._conditional.setdefault(attribute, set()).add(key)
-        return new
+        if key in keys:
+            return False
+        keys.add(key)
+        self._used_values.setdefault(attribute, []).append(value)
+        return True
 
     def _delta_order_axioms(self, new_constraints: List[InstanceConstraint]) -> int:
         """Note the used values of *new_constraints*, push the axioms they add; return how many.
 
-        A newly used value joins the tail of its attribute's used values.
-        Asymmetry pairs it with the old values and the new values after it.
-        Transitivity pins each fresh value (one that entered the capped range
-        now) at each place of a triple, skipping the fresh values pinned
-        before it, so each new triple comes out once; no earlier triple holds
-        a fresh value, and no Ω key is an axiom's (see :func:`emit_order_axioms`).
+        A newly used value joins the tail of its attribute's used values, so
+        the triples it is the newest value of are exactly those
+        :meth:`OrderAxioms.triangles` emits from the first new position: no
+        earlier delta emitted them, and no Ω clause equals one (see
+        :func:`emit_order_axioms`).
         """
         new_counts: Dict[str, int] = {}  # touched attribute → how many values it newly uses
         for constraint in new_constraints:
-            is_conditional = bool(constraint.body) or constraint.head is None
             head = () if constraint.head is None else (constraint.head,)
             for literal in constraint.body + head:
                 count = new_counts.get(literal.attribute, 0)
                 for value in (literal.older, literal.newer):
-                    count += self._note_used(literal.attribute, value, is_conditional)
+                    count += self._note_used(literal.attribute, value)
                 new_counts[literal.attribute] = count
 
-        options = self._options
         pushed = 0
         for attribute in sorted(new_counts):
-            values = self._used_values.get(attribute, [])
-            axioms = OrderAxioms(self._registry, attribute, values, self._session.add_clause)
-            if options.include_asymmetry:
-                old = len(values) - new_counts[attribute]
-                pushed += axioms.asymmetry(
-                    (other, new)
-                    for new in range(old, len(values))
-                    for other in itertools.chain(range(old), range(new + 1, len(values)))
-                )
-            if not options.include_transitivity:
+            if not new_counts[attribute]:
                 continue
-            keys = axioms.keys
-            positions = _transitive_positions(
-                keys, options.transitivity_cap, self._conditional.get(attribute, ())
-            )
-            applied = self._transitive_applied.setdefault(attribute, set())
-            fresh = [position for position in positions if keys[position] not in applied]
-            if fresh:
-                pushed += axioms.transitivity(_fresh_triples(positions, fresh))
-                applied.update(keys[position] for position in fresh)
+            values = self._used_values[attribute]
+            axioms = OrderAxioms(self._registry, attribute, values, self._session.add_clause)
+            pushed += axioms.triangles(len(values) - new_counts[attribute])
         self._incremental_clauses += pushed
         self._last_delta_clauses += pushed
         return pushed
-
-
-def _fresh_triples(positions: List[int], fresh: List[int]) -> Iterator[Tuple[int, int, int]]:
-    """Ordered triples over *positions* holding a *fresh* one, each at its first fresh one."""
-    done: Set[int] = set()
-    for pinned in fresh:
-        others = [position for position in positions if position != pinned and position not in done]
-        for left, right in itertools.permutations(others, 2):
-            yield pinned, left, right
-            yield left, pinned, right
-            yield left, right, pinned
-        done.add(pinned)

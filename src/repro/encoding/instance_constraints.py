@@ -15,10 +15,10 @@ implications over the value-level ordering atoms ``a1 ≺^v_A a2``:
 
 Ω holds the constraints that carry information: these three kinds, the
 closure of the ground facts and, when the facts form a cycle, a conflict.
-The structural axioms (asymmetry and transitivity of each ``≺^v_A``) follow
-from the used values, so Ω keeps only their inputs — ``used_values`` and, for
-the transitivity cap, ``conditional_keys`` — and the encoder writes them
-straight into Φ (:func:`~repro.encoding.cnf_encoder.emit_order_axioms`).
+The structural axioms (each ``≺^v_A`` is a strict total order) follow from
+the used values, so Ω keeps only their input, ``used_values``, and the
+encoder writes them straight into Φ
+(:func:`~repro.encoding.cnf_encoder.emit_order_axioms`).
 
 This module holds Ω's types and the ground-fact closure; the procedure that
 builds Ω is the compiled constraint program of :mod:`repro.encoding.compiled`.
@@ -48,8 +48,7 @@ class InstanceConstraint:
     """One instance constraint: ``body → head`` over ordering atoms.
 
     ``head is None`` encodes an implication to *false* (the body must not hold);
-    ``negated_head`` encodes a negative conclusion (no kind in Ω has one: the
-    asymmetry axioms go straight into Φ).
+    ``negated_head`` encodes a negative conclusion (no kind in Ω has one).
     """
 
     body: Tuple[OrderLiteral, ...]
@@ -77,41 +76,27 @@ class InstanceConstraint:
 
 @dataclass
 class InstantiationOptions:
-    """Tuning knobs for the instantiation procedure.
+    """Options of the instantiation procedure.
 
     Attributes
     ----------
     mode:
         ``"projected"`` (default) or ``"naive"`` — see the module docstring.
-    include_transitivity / include_asymmetry:
-        Emit the structural axioms of ``≺^v_A`` (into Φ; they are not part of
-        Ω).
-    transitivity_cap:
-        When an attribute has more than this many *used* values, transitivity
-        axioms are restricted to the values appearing in conditional
-        constraints (ground facts are closed transitively beforehand, so no
-        information is lost for deduction; extremely long conflict cycles
-        through fact-only values may go undetected).  ``None`` disables the cap.
     """
 
     mode: str = "projected"
-    include_transitivity: bool = True
-    include_asymmetry: bool = True
-    transitivity_cap: Optional[int] = 80
 
 
 @dataclass
 class InstanceConstraintSet:
     """The result of instantiation: Ω(S_e) plus bookkeeping used by the encoder.
 
-    The order axioms' inputs: ``used_values`` per attribute in first-use
-    order, and the canonical ``conditional_keys`` of those used in a
-    constraint with a body (or a conflict).
+    The order axioms' input: ``used_values`` per attribute in first-use
+    order.
     """
 
     constraints: List[InstanceConstraint] = field(default_factory=list)
     used_values: Dict[str, List[Value]] = field(default_factory=dict)
-    conditional_keys: Dict[str, Set[Hashable]] = field(default_factory=dict)
     inherently_invalid: bool = False
     invalid_reason: str = ""
 
@@ -148,10 +133,10 @@ def _close_ground_facts(result: InstanceConstraintSet, emit) -> None:
     """Transitively close the ground facts of Ω(S_e).
 
     Facts (unit constraints) form a ground order per attribute.  Closing them
-    here keeps ``DeduceOrder`` independent of how many transitivity axioms the
-    encoder emits (see :class:`InstantiationOptions.transitivity_cap`) and
-    detects cycles among facts eagerly: a cycle makes the whole specification
-    invalid, recorded as an empty implication ``true → false``.
+    here detects cycles among facts eagerly: a cycle makes the whole
+    specification invalid, recorded as an empty implication ``true → false``.
+    The closure facts come in :meth:`PartialOrder.transitive_closure_pairs`
+    order, which follows the facts' order.
     """
     from repro.core.errors import CyclicOrderError
     from repro.core.partial_order import PartialOrder

@@ -1,9 +1,12 @@
 """Ordering variables ``x^A_{a1,a2}`` and their registry (paper Section V-A).
 
 Every predicate ``a1 ≺^v_A a2`` ("value a2 is more current than value a1 in
-attribute A") is mapped to one propositional variable.  The registry performs
-the mapping in both directions, canonicalising values so that, e.g., the NULL
-marker always maps to the same key.
+attribute A") is mapped to a signed literal.  A completion orders each pair
+of distinct values one way or the other, so one variable stands for the
+*unordered* pair: the orientation registered first is the positive literal
+and the reversed atom is its negation.  The registry performs the mapping in
+both directions, canonicalising values so that, e.g., the NULL marker always
+maps to the same key.
 """
 
 from __future__ import annotations
@@ -64,7 +67,13 @@ class OrderLiteral:
 
 
 class OrderVariableRegistry:
-    """Bidirectional mapping between :class:`OrderLiteral` atoms and SAT variables."""
+    """Bidirectional mapping between :class:`OrderLiteral` atoms and signed SAT literals.
+
+    A pair of values gets one variable, in the orientation it is first
+    registered in (its *canonical atom*): ``a ≺ b`` maps to ``+v`` and
+    ``b ≺ a`` to ``−v``.  Lookups by atom return signed literals; lookups by
+    variable return the canonical atom.
+    """
 
     def __init__(self) -> None:
         self._pool = VariablePool()
@@ -74,34 +83,36 @@ class OrderVariableRegistry:
     # -- registration ------------------------------------------------------
 
     def variable(self, literal: OrderLiteral) -> int:
-        """Return the variable for *literal*, allocating it on first use."""
+        """Return the signed literal for *literal*, allocating its variable on first use."""
         return self.variable_for(literal.attribute, literal.older, literal.newer, literal)
 
     def variable_for(
         self, attribute: str, older: Hashable, newer: Hashable, label: Optional[OrderLiteral] = None
     ) -> int:
-        """Return the variable for ``older ≺ newer`` on *attribute*, allocating it on first use.
+        """Return the signed literal for ``older ≺ newer`` on *attribute*.
 
-        The values must be canonical and distinct.  Only a new variable builds
-        an :class:`OrderLiteral`, as its label, when no *label* is given.
+        A pair seen for the first time gets a new variable with this
+        orientation as its positive literal.  The values must be canonical
+        and distinct.  Only a new variable builds an :class:`OrderLiteral`,
+        as its label, when no *label* is given.
         """
-        key = (attribute, older, newer)
-        existing = self._by_literal.get(key)
+        existing = self._by_literal.get((attribute, older, newer))
         if existing is not None:
             return existing
         if label is None:
             label = OrderLiteral._trusted(attribute, older, newer)
         variable = self._pool.new_variable(label=label)
-        self._by_literal[key] = variable
+        self._by_literal[(attribute, older, newer)] = variable
+        self._by_literal[(attribute, newer, older)] = -variable
         self._by_variable[variable] = label
         return variable
 
     def find(self, literal: OrderLiteral) -> Optional[int]:
-        """Return the variable for *literal* if it was registered, else ``None``."""
+        """Return the signed literal for *literal* if its pair was registered, else ``None``."""
         return self._by_literal.get((literal.attribute, literal.older, literal.newer))
 
     def find_for(self, attribute: str, older: Hashable, newer: Hashable) -> Optional[int]:
-        """Return the variable for ``older ≺ newer`` on *attribute* if registered, else ``None``.
+        """Return the signed literal for ``older ≺ newer`` on *attribute* if registered, else ``None``.
 
         The values must be canonical; no :class:`OrderLiteral` is built.
         """
@@ -119,34 +130,34 @@ class OrderVariableRegistry:
         return self._pool.new_variable(label=label)
 
     def decode(self, variable: int) -> OrderLiteral:
-        """Return the atom represented by *variable*."""
+        """Return the canonical atom of *variable* (its positive literal)."""
         try:
             return self._by_variable[variable]
         except KeyError:
             raise EncodingError(f"variable {variable} is not an ordering variable") from None
 
     def get(self, variable: int) -> Optional[OrderLiteral]:
-        """Return the atom for *variable*, or ``None`` for auxiliary/guard variables."""
+        """Return the canonical atom of *variable*, or ``None`` for auxiliary/guard variables."""
         return self._by_variable.get(variable)
 
     def decode_literal(self, literal: int) -> Tuple[OrderLiteral, bool]:
-        """Decode a signed SAT literal into (atom, positive?)."""
+        """Decode a signed SAT literal into (canonical atom, positive?)."""
         return self.decode(abs(literal)), literal > 0
 
     # -- inspection ----------------------------------------------------------
 
     @property
     def num_variables(self) -> int:
-        """Number of ordering variables allocated."""
+        """Number of variables allocated: one per registered value pair, plus auxiliaries."""
         return self._pool.count
 
     def literals(self) -> Iterator[Tuple[OrderLiteral, int]]:
-        """Iterate over all registered (atom, variable) pairs."""
+        """Iterate over all registered (canonical atom, variable) pairs."""
         for variable, literal in self._by_variable.items():
             yield literal, variable
 
     def variables_for_attribute(self, attribute: str) -> Dict[int, OrderLiteral]:
-        """All registered variables whose atom orders values of *attribute*."""
+        """All registered variables whose canonical atom orders values of *attribute*."""
         return {
             variable: literal
             for variable, literal in self._by_variable.items()

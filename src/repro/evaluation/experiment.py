@@ -74,8 +74,6 @@ _REUSE_KEYS = (
     "session_incremental_solves",
     "session_clauses_added",
     "session_clauses_reused",
-    "session_learned_clauses",
-    "session_learned_reused",
 )
 
 #: Phases folded into the aggregate per-phase totals.

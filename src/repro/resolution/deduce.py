@@ -4,8 +4,9 @@
 ``DeduceOrder`` (Fig. 5) repeatedly consumes one-literal clauses of Φ(S_e):
 each forced positive literal ``x^A_{a1,a2}`` contributes the order
 ``a1 ≺^v a2`` to the deduced order O_d, each forced negative literal
-contributes the reversed order (distinct values are totally ordered in every
-completion), and the formula is reduced by the literal.  The loop is exactly
+contributes the reversed order (one variable stands for both orientations of
+a pair, since distinct values are totally ordered in every completion), and
+the formula is reduced by the literal.  The loop is exactly
 unit propagation, so the implementation runs it as a propagate-only call on
 the solver session that already holds Φ(S_e) (see
 :meth:`~repro.solvers.session.SolverSession.propagate`) and then transitively
@@ -131,26 +132,28 @@ def deduce_order(
     user-validated orders without rebuilding the encoding.  Propagation runs
     on *session*, which must hold Φ(S_e) (the framework passes its
     incremental encoder's); without one, on a pooled arena solver loaded
-    with ``encoding.cnf``.  A session that learned clauses in earlier solves
-    propagates them too.  They are implied by Φ(S_e), so every literal they
-    add to the forced set still holds in every model: O_d can only grow, and
-    stays sound.
+    with ``encoding.cnf``.  Either way only Φ(S_e) propagates: a session
+    forgets what its solves learned, so O_d does not depend on which queries
+    ran on it before.
 
     Beyond the literal loop of Fig. 5, the implementation iterates to a
-    fixpoint: every order obtained from a forced *negative* literal (via the
-    totality of completions) or from transitive closure is fed back into the
-    propagation as a positive unit, so that constraint bodies mentioning it
-    can fire.  Each injected literal holds in every valid completion, so the
-    extension is sound; it only makes the deduced order O_d larger.
+    fixpoint: every order of the transitive closure that propagation did not
+    force is fed back into it as a unit, so that constraint bodies mentioning
+    it can fire.  A forced negative literal already is the reversed order,
+    and Φ's order axioms close orders over used values transitively, so the
+    feedback finds nothing on an encoding of this package; it is kept for
+    *extra_literals* and as a check.  Each injected literal holds in every
+    valid completion, so the extension is sound; it only makes the deduced
+    order O_d larger.
 
     A propagation conflict, or forced orders that form a cycle, mean that no
     valid completion exists: the result then has ``conflict`` set and no
     orders.
 
-    The loop ends: the injected set only grows, each round but the last adds
-    at least one positive ordering variable to it, and it holds nothing but
-    *extra_literals* and ordering variables.  So there are at most
-    ``registry.num_variables + 1`` rounds.
+    The loop ends: the forced set only grows, each round but the last adds
+    at least one ordering literal to it, and no variable is forced both ways
+    without a conflict.  So there are at most ``registry.num_variables + 1``
+    rounds.
     """
     if session is not None:
         return _deduce_fixpoint(encoding, session, extra_literals)
@@ -184,7 +187,7 @@ def _deduce_fixpoint(encoding: SpecificationEncoding, propagator, extra_literals
                 # Guard/auxiliary literal of the incremental encoding: carries
                 # no ordering information.
                 continue
-            # ¬(a1 ≺ a2) together with totality of completions gives a2 ≺ a1.
+            # ¬(a1 ≺ a2) is the literal of a2 ≺ a1.
             older, newer = (atom.older, atom.newer) if literal > 0 else (atom.newer, atom.older)
             successors.setdefault(atom.attribute, {}).setdefault(older, set()).add(newer)
             touched.add(atom.attribute)
@@ -196,9 +199,9 @@ def _deduce_fixpoint(encoding: SpecificationEncoding, propagator, extra_literals
             closures[attribute] = closure
             for older, reached in closure.items():
                 for newer in reached:
-                    variable = registry.find_for(attribute, older, newer)
-                    if variable is not None and variable not in injected:
-                        fed_back.append(variable)
+                    literal = registry.find_for(attribute, older, newer)
+                    if literal is not None and literal not in recorded:
+                        fed_back.append(literal)
         if not fed_back:
             break
         injected.update(fed_back)
@@ -218,6 +221,9 @@ def naive_deduce(
 ) -> DeducedOrders:
     """Run ``NaiveDeduce``: one SAT call per ordered pair of used values.
 
+    The refutation of ``older ≺ newer`` assumes its negated signed literal,
+    which is ``newer ≺ older``.
+
     Parameters
     ----------
     encoding:
@@ -226,10 +232,9 @@ def naive_deduce(
         Optional cap on the number of pairs examined (benchmarks use it to
         keep the deliberately-slow baseline bounded); ``None`` checks all.
     session:
-        Optional solver session already holding Φ(S_e).  The per-pair
-        refutation loop is the textbook beneficiary of incremental solving:
-        every ``solve(assumptions=[¬x])`` call reuses the clauses learned by
-        all the previous ones instead of starting cold.
+        Optional solver session already holding Φ(S_e): every
+        ``solve(assumptions=[¬x])`` call reuses the loaded clauses instead of
+        re-encoding.
     assumptions:
         Base assumptions for every call (the incremental encoding's guard
         literals).

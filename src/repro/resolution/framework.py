@@ -152,8 +152,8 @@ class ResolverOptions:
         When ``True`` (the default) the resolver performs one full encoding
         per entity and keeps a persistent solver session: each interaction
         round extends Φ through the :class:`IncrementalEncoder` delta path,
-        and validity/deduction/suggestion all share the session's learned
-        clauses.  ``False`` restores the from-scratch behaviour (re-encode and
+        and validity/deduction/suggestion all run on the session's clauses.
+        ``False`` restores the from-scratch behaviour (re-encode and
         cold-solve every round) — the cross-check tests compare the two.
     solver_backend:
         Registry name of the solver-session backend (``"arena"`` — the flat
@@ -270,8 +270,8 @@ class ConflictResolver:
             Optional warm :class:`IncrementalEncoder` whose specification is
             already *spec* (e.g. a previous resolve of the entity extended
             with a :class:`TemporalOrderDelta` — the CDC delta path).  The
-            loop then reuses its solver session and learned clauses instead
-            of re-encoding from scratch.  Requires ``options.incremental``.
+            loop then reuses its solver session instead of re-encoding from
+            scratch.  Requires ``options.incremental``.
 
         Raises
         ------
@@ -333,8 +333,7 @@ class ConflictResolver:
             start = time.perf_counter()
             if options.incremental:
                 # One full encoding per entity; later rounds only append the
-                # delta clauses of S_e ⊕ O_t and the solver session keeps its
-                # learned clauses across all queries of the whole loop.
+                # delta clauses of S_e ⊕ O_t to the one solver session.
                 if encoder is None:
                     encoder = IncrementalEncoder(
                         current,
@@ -364,9 +363,9 @@ class ConflictResolver:
                 deduced = deduce_order(encoding, extra_literals=guard_assumptions, session=session)
                 deduce_seconds = time.perf_counter() - start
             if not validity.valid or deduced.conflict:
-                # Φ has no totality clauses, so IsValid can pass a
-                # specification whose deduced orders contradict each other;
-                # either way no valid completion exists.
+                # Φ orders every pair of used values, so a satisfiable Φ
+                # propagates without conflict; a deduce conflict is kept as
+                # a guard.  Either way no valid completion exists.
                 valid = False
                 rounds.append(
                     RoundReport(
@@ -454,11 +453,16 @@ class ConflictResolver:
         valid: bool,
         rng: Optional[random.Random] = None,
     ) -> Tuple[Dict[str, Value], Tuple[str, ...]]:
-        """Assemble the resolved tuple, filling unresolved attributes by fallback."""
+        """Assemble the resolved tuple, filling unresolved attributes by fallback.
+
+        Pick runs only when some attribute is still open: a complete entity
+        takes none of its values.  ``resolve`` draws from a fresh rng per
+        call, so skipping it moves no later draw.
+        """
         resolved: Dict[str, Value] = {}
         fallback_attributes: List[str] = []
         fallback_values: Dict[str, Value] = {}
-        if self.options.fallback == "pick":
+        if self.options.fallback == "pick" and not known.is_total_for(spec.schema):
             fallback_values = pick_resolution(
                 spec, rng=rng or random.Random(self.options.random_seed)
             )

@@ -153,8 +153,7 @@ def suggest(
 
     When the framework supplies a *session* (and the guard *assumptions* of
     the incremental encoding), the MaxSAT repair of ``GetSug`` probes the
-    shared solver instead of launching cold SAT runs, so it reuses everything
-    the validity check and earlier rounds already learned about Φ(S_e).
+    shared solver instead of loading Φ(S_e) into cold SAT runs.
     """
     options = options or SuggestOptions()
     hard = encoding.cnf if session is not None else encoding.require_cnf("suggest")

@@ -57,9 +57,8 @@ def check_validity(
     An already-built *encoding* can be supplied to avoid re-encoding the same
     specification (the framework reuses one encoding per interaction round).
     When a *session* already holds Φ(S_e) (the incremental path), the check is
-    a single ``solve(assumptions)`` call on it — clauses learned by earlier
-    rounds and by the other pipeline stages are reused, and *assumptions*
-    carries the guard literals of the currently valid clauses.
+    a single ``solve(assumptions)`` call on it, and *assumptions* carries the
+    guard literals of the currently valid clauses.
 
     *budget* caps the cold (session-less) solve; a session carries its own
     budget.  Either way an exhausted budget surfaces as

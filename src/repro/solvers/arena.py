@@ -673,6 +673,46 @@ class ArenaSolver:
             # Geometric growth of the budget, as in MiniSat.
             self._max_learned = int(self._max_learned * 1.3) + 1
 
+    # -- forgetting what a solve learned ---------------------------------------
+
+    def mark(self) -> Tuple[int, int, int]:
+        """The clause count, root trail length and queue head, at level zero (see :meth:`forget`)."""
+        self._backtrack(0)
+        return len(self._clause_offset), len(self._trail), self._queue_head
+
+    def forget(self, mark: Tuple[int, int, int]) -> None:
+        """Drop the clauses and the root-level assignments added since *mark*.
+
+        Taken just before a solve, *mark* lets the caller undo what the solve
+        learned: its clauses (appended after every clause held at the mark)
+        and the root units it derived.  A clause sits in the watch lists of
+        its first two literals only, so those are the lists cleaned.  Root
+        assignments the solve made by unit propagation over the other
+        clauses go too; the next call derives them again.
+        """
+        clauses, root, queue_head = mark
+        self._backtrack(0)
+        arena, offset, watches = self._arena, self._clause_offset, self._watches
+        for index in range(clauses, len(offset)):
+            base = offset[index]
+            for lit in (arena[base], arena[base + 1]):
+                variable = lit if lit > 0 else -lit
+                watches[(variable << 1) | (lit < 0)].remove(index)
+        if clauses < len(offset):
+            del arena[offset[clauses]:]
+        del offset[clauses:]
+        del self._clause_length[clauses:]
+        del self._clause_learned[clauses:]
+        del self._clause_activity[clauses:]
+        self.num_learned_clauses = sum(self._clause_learned)
+        for literal in self._trail[root:]:
+            variable = literal if literal > 0 else -literal
+            self._assignment[variable] = _UNASSIGNED
+            self._reason[variable] = -1
+            self._heap_insert(variable)
+        del self._trail[root:]
+        self._queue_head = queue_head
+
     # -- main entry points ----------------------------------------------------
 
     def propagate(self, assumptions: Sequence[int] = ()) -> Tuple[List[int], bool]:

@@ -4,10 +4,9 @@ A :class:`SolverBudget` caps how much work a single ``solve`` call may
 perform before the solver returns a clean ``BUDGET_EXCEEDED`` verdict
 (:attr:`~repro.solvers.arena.SATResult.budget_exceeded`).  Exceeding a
 budget is *not* an error inside the solver: the trail is backtracked to
-decision level zero, learned clauses and activities are kept, and the
-solver (or the :class:`~repro.solvers.session.SolverSession` wrapping
-it) stays fully reusable — the next call behaves exactly as it would on
-a fresh session modulo the clauses learned so far.
+decision level zero, activities are kept, and the solver (or the
+:class:`~repro.solvers.session.SolverSession` wrapping it, which also
+forgets what the call learned) stays fully reusable.
 
 Budgets are deliberately tiny, frozen, and picklable so they can ride
 inside :class:`~repro.resolution.framework.ResolverOptions` across the

@@ -78,8 +78,7 @@ def solve_group_maxsat(
         ``"greedy"`` adds groups one at a time.
     session:
         Optional solver session holding the hard clauses.  Every probe of the
-        subset search is then an assumption-only incremental call, so the
-        whole search shares one learned-clause database.
+        subset search is then an assumption-only call on the loaded clauses.
     assumptions:
         Base assumptions added to every call (incremental-encoding guards).
     """

@@ -1,4 +1,4 @@
-"""Stateful solver sessions with clause retention across calls.
+"""Stateful solver sessions that keep their clauses across calls.
 
 The interactive resolution framework (paper Fig. 4) issues many SAT queries
 against the *same* growing formula Φ(S_e ⊕ O_t): one validity check per round,
@@ -9,13 +9,14 @@ solver alive for that whole lifecycle:
 * ``add_clauses`` appends delta clauses (from the incremental encoder) without
   rebuilding anything;
 * ``solve(assumptions)`` answers a query under per-call assumptions; the
-  arena backend retains learned clauses, variable activities and saved phases
-  between calls, so later queries reuse the conflicts of earlier ones;
+  arena backend keeps variable activities and saved phases between calls,
+  and forgets the clauses a solve learned when it returns;
 * ``propagate(assumptions)`` runs unit propagation alone (``DeduceOrder``'s
-  loop) on the same clauses, counting no solve;
+  loop) on the same clauses, counting no solve.  It sees the session formula
+  and nothing a solve learned, so what it forces does not depend on which
+  queries ran before;
 * ``statistics()`` reports the reuse counters (cold vs. incremental solves,
-  clauses carried over, learned clauses retained) that the benchmark harness
-  surfaces.
+  clauses carried over) that the benchmark harness surfaces.
 
 Backends are pluggable through a small registry: ``"arena"`` (the default —
 the flat clause-arena CDCL solver, fully incremental, pooled buffers) and
@@ -54,8 +55,8 @@ class SolverSession:
 
     #: Registry name of the backend (set by subclasses).
     backend = "abstract"
-    #: Whether the backend carries learned clauses from one solve to the next.
-    retains_learned_clauses = False
+    #: Whether a solve reuses the clauses loaded for earlier ones.
+    reuses_clauses = False
 
     def __init__(self) -> None:
         self._clauses_added = 0
@@ -63,7 +64,6 @@ class SolverSession:
         self._cold_solves = 0
         self._incremental_solves = 0
         self._clauses_reused = 0
-        self._learned_reused = 0
         #: Budget applied to every solve on this session (``None`` = unbounded).
         #: Mutable on purpose: after a :class:`BudgetExceededError` the caller
         #: may clear or raise it and keep using the same session.
@@ -92,14 +92,12 @@ class SolverSession:
         :class:`~repro.core.errors.BudgetExceededError`; the session stays
         reusable (the backend backtracked to level zero before returning).
         """
-        carried = self.learned_clauses
         self._solve_calls += 1
-        if self._solve_calls == 1 or not self.retains_learned_clauses:
+        if self._solve_calls == 1 or not self.reuses_clauses:
             self._cold_solves += 1
         else:
             self._incremental_solves += 1
             self._clauses_reused += self._clauses_added
-            self._learned_reused += carried
         result = self._solve(assumptions, conflict_limit)
         if result.budget_exceeded:
             self._budget_exceeded_calls += 1
@@ -123,15 +121,10 @@ class SolverSession:
         Returns the literals forced true (the root-level ones included) and
         whether propagation reached a conflict.  No solve is counted and no
         counter moves (see :meth:`~repro.solvers.arena.ArenaSolver.propagate`).
-        Learned clauses take part: they are implied by the formula, so what
-        they add to the forced set still holds in every model.
+        Only the session formula takes part, never a clause a solve learned,
+        so every backend forces the same literals whatever ran before.
         """
         raise NotImplementedError
-
-    @property
-    def learned_clauses(self) -> int:
-        """Learned clauses currently held by the backend (0 when stateless)."""
-        return 0
 
     # -- reporting -------------------------------------------------------------
 
@@ -144,8 +137,7 @@ class SolverSession:
         """Reuse counters for reports and the benchmark harness.
 
         ``clauses_reused`` accumulates, per incremental solve, the number of
-        already-loaded clauses the call did *not* have to re-encode;
-        ``learned_reused`` does the same for retained learned clauses.
+        already-loaded clauses the call did *not* have to re-encode.
         """
         return {
             "solve_calls": self._solve_calls,
@@ -153,25 +145,27 @@ class SolverSession:
             "incremental_solves": self._incremental_solves,
             "clauses_added": self._clauses_added,
             "clauses_reused": self._clauses_reused,
-            "learned_clauses": self.learned_clauses,
-            "learned_reused": self._learned_reused,
         }
 
 
 class ArenaSession(SolverSession):
     """Incremental session backed by the flat clause-arena solver.
 
-    Clauses are pushed straight into the solver's database; learned clauses,
-    VSIDS activities and saved phases survive between ``solve`` calls, so the
+    Clauses are pushed straight into the solver's database, and VSIDS
+    activities and saved phases survive between ``solve`` calls, so the
     repeated queries of one resolution round (and of later rounds, after the
-    incremental encoder appends the delta clauses) share their work.  The
+    incremental encoder appends the delta clauses) share their work.  A
+    solve that met a conflict forgets what it learned before it returns: a
+    learned clause is implied by the formula but not always by unit
+    propagation over it, so keeping it would let ``propagate`` — and hence
+    ``DeduceOrder`` — force more after some queries than after others.  The
     underlying :class:`~repro.solvers.arena.ArenaSolver` is drawn from the
     per-process pool, so a worker resolving many entities reuses the same
     warm buffers across their sessions.
     """
 
     backend = "arena"
-    retains_learned_clauses = True
+    reuses_clauses = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -186,10 +180,6 @@ class ArenaSession(SolverSession):
         """The underlying pooled arena solver (exposed for diagnostics)."""
         return self._solver
 
-    @property
-    def learned_clauses(self) -> int:
-        return self._solver.num_learned_clauses
-
     def ensure_variables(self, count: int) -> None:
         self._solver.ensure_variables(count)
 
@@ -197,7 +187,13 @@ class ArenaSession(SolverSession):
         self._solver.add_clause(literals)
 
     def _solve(self, assumptions: Sequence[int], conflict_limit: Optional[int]) -> SATResult:
-        return self._solver.solve(assumptions, conflict_limit=conflict_limit, budget=self.budget)
+        solver = self._solver
+        mark, conflicts = solver.mark(), solver.total_conflicts
+        try:
+            return solver.solve(assumptions, conflict_limit=conflict_limit, budget=self.budget)
+        finally:
+            if solver.total_conflicts != conflicts:
+                solver.forget(mark)
 
     def propagate(self, assumptions: Sequence[int] = ()) -> Tuple[List[int], bool]:
         return self._solver.propagate(assumptions)
@@ -221,7 +217,6 @@ class DPLLSession(SolverSession):
     """
 
     backend = "dpll"
-    retains_learned_clauses = False
 
     def __init__(self) -> None:
         super().__init__()

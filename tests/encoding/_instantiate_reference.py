@@ -10,7 +10,7 @@ runs the incremental encoder's deltas on the same object path.
 The tests check that :func:`repro.encoding.instantiate_compiled` (every full
 and cold encode) and the :class:`IncrementalEncoder` deltas give exactly the
 same Ω — constraint for constraint, in the same order, with the same source
-kinds and names, used values and conditional keys.
+kinds and names, and the same used values.
 """
 
 from __future__ import annotations
@@ -74,26 +74,21 @@ def reference_instantiate(
 
     # Values per attribute that occur in at least one emitted literal.
     used: Dict[str, List[Value]] = {}
-    conditional: Dict[str, Set[Hashable]] = {}
 
-    def note(attribute: str, value: Value, is_conditional: bool) -> None:
+    def note(attribute: str, value: Value) -> None:
         bucket = used.setdefault(attribute, [])
         key = canonical_value(value)
         if not any(canonical_value(existing) == key for existing in bucket):
             bucket.append(value)
-        if is_conditional:
-            conditional.setdefault(attribute, set()).add(key)
 
     for constraint in result.constraints:
-        is_conditional = bool(constraint.body) or constraint.head is None
         for literal in constraint.body:
-            note(literal.attribute, literal.older, is_conditional)
-            note(literal.attribute, literal.newer, is_conditional)
+            note(literal.attribute, literal.older)
+            note(literal.attribute, literal.newer)
         if constraint.head is not None:
-            note(constraint.head.attribute, constraint.head.older, is_conditional)
-            note(constraint.head.attribute, constraint.head.newer, is_conditional)
+            note(constraint.head.attribute, constraint.head.older)
+            note(constraint.head.attribute, constraint.head.newer)
     result.used_values = used
-    result.conditional_keys = conditional
     return result
 
 

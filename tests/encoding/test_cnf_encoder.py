@@ -1,5 +1,7 @@
 """Tests for the CNF conversion (Φ(S_e)) and the SpecificationEncoding object."""
 
+import math
+
 import pytest
 
 from repro.core import ConstantCFD, CurrencyConstraint, RelationSchema, Specification
@@ -47,11 +49,11 @@ class TestEncoding:
     def test_clause_count_matches_omega(self, schema, rows, sigma, gamma):
         spec = Specification.from_rows(schema, rows, sigma, gamma)
         encoding = encode_specification(spec)
-        # One clause per instance constraint of Ω, then one per asymmetry pair
-        # and transitivity triple of each attribute's used values.
+        # One clause per instance constraint of Ω, then two per triple of
+        # each attribute's used values; one variable per pair of them.
         sizes = [len(values) for values in encoding.omega.used_values.values()]
-        axioms = sum(n * (n - 1) // 2 + n * (n - 1) * (n - 2) for n in sizes)
-        assert len(encoding.cnf) == len(encoding.omega) + axioms
+        assert len(encoding.cnf) == len(encoding.omega) + sum(2 * math.comb(n, 3) for n in sizes)
+        assert encoding.registry.num_variables == sum(math.comb(n, 2) for n in sizes)
 
     def test_lemma5_satisfiable_for_valid_specification(self, schema, rows, sigma, gamma):
         spec = Specification.from_rows(schema, rows, sigma, gamma)

@@ -1,10 +1,11 @@
-"""Resolution outcomes do not depend on ``PYTHONHASHSEED``.
+"""Encodings and resolution outcomes do not depend on ``PYTHONHASHSEED``.
 
-The encoders' clause order, variable numbers and solver counters do: a
-:class:`~repro.core.partial_order.PartialOrder` keeps successors in sets of
-tuple identifiers, so the order facts come out in hash order.  What a
-resolution decides must not move with it: the same resolved tuples, deduced
-attributes and suggestions under every seed.
+A :class:`~repro.core.partial_order.PartialOrder` keeps successors in
+insertion-ordered dicts and yields its closure pairs in a fixed order, so
+the order facts, the closure facts and hence every variable number and
+clause come out the same under every seed.  So do the resolutions: the
+same resolved tuples, deduced attributes and suggestions, and the same
+per-round encoding statistics (clause counts and solver counters).
 """
 
 import json
@@ -16,11 +17,13 @@ from pathlib import Path
 import repro
 
 _RESOLVE = """
+import hashlib
 import json
 from repro.datasets import (
     CareerConfig, NBAConfig, PersonConfig,
     generate_career_dataset, generate_nba_dataset, generate_person_dataset,
 )
+from repro.encoding import encode_specification
 from repro.evaluation import GroundTruthOracle
 from repro.resolution import ConflictResolver, ResolverOptions
 
@@ -33,8 +36,11 @@ resolver = ConflictResolver(ResolverOptions())
 outcomes = []
 for dataset in datasets:
     for entity, spec in dataset.specifications(1.0, 1.0):
+        clauses = hashlib.sha1(repr(encode_specification(spec).cnf.clauses).encode())
         result = resolver.resolve(spec, GroundTruthOracle(entity, max_attributes_per_round=1))
         outcomes.append({
+            "clauses": clauses.hexdigest(),
+            "statistics": [round.encoding_statistics for round in result.rounds],
             "entity": entity.name,
             "tuple": {a: repr(value) for a, value in result.resolved_tuple.items()},
             "deduced": list(result.deduced_attributes),
@@ -61,7 +67,9 @@ def _resolve_under(seed):
 
 
 def test_outcomes_agree_across_hash_seeds():
+    """Clause streams, encoding statistics and outcomes, entity by entity."""
     first, second = _resolve_under(0), _resolve_under(1)
     assert len(first) > 20
     assert any(len(outcome["suggestions"]) > 1 for outcome in first)
+    assert any(outcome["statistics"][0]["clauses"] > 0 for outcome in first)
     assert first == second

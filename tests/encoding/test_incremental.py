@@ -25,19 +25,27 @@ def _recording_encoder(spec):
 
 
 def _decoded_clauses(registry, cnf, active_guards=()):
-    """Φ as a set of clauses over signed atoms, guards resolved.
+    """Φ as a set of clauses over the orders their literals assert, guards resolved.
 
-    A guarded clause counts, without its guard, only while the guard is
-    active; a retired guard's clause is left out.  Each clause is a set, so
-    an asymmetry clause reads the same in either orientation.
+    A literal reads as the order it asserts: ``+v`` as ``v``'s canonical atom
+    and ``−v`` as the reversed atom, so two encodings that registered a pair
+    in opposite orientations still compare equal.  A guarded clause counts,
+    without its guard, only while the guard is active; a retired guard's
+    clause is left out.
     """
     active = set(active_guards)
     clauses = set()
     for clause in cnf:
-        atoms = [(registry.get(abs(literal)), literal > 0) for literal in clause]
-        guards = {-literal for literal, (atom, _) in zip(clause, atoms) if atom is None}
+        atoms = [registry.get(abs(literal)) for literal in clause]
+        guards = {-literal for literal, atom in zip(clause, atoms) if atom is None}
         if guards <= active:
-            clauses.add(frozenset(signed for signed in atoms if signed[0] is not None))
+            clauses.add(
+                frozenset(
+                    atom if literal > 0 else atom.reversed()
+                    for literal, atom in zip(clause, atoms)
+                    if atom is not None
+                )
+            )
     return clauses
 
 

@@ -28,28 +28,26 @@ def spec_from_rows(schema, rows, sigma=(), gamma=(), orders=None):
 
 
 def order_axiom_clauses(encoding):
-    """Φ's asymmetry and transitivity clauses, each as a set of signed atoms.
+    """Φ's order-axiom clauses, each as the set of orders its literals assert.
 
-    Asymmetry is ``¬(a ≺ b) ∨ ¬(b ≺ a)``; transitivity is
-    ``¬(a ≺ b) ∨ ¬(b ≺ c) ∨ (a ≺ c)`` on one attribute.  No instance
-    constraint of Ω has either shape.
+    An order axiom forbids a 3-cycle: it has three literals on one attribute
+    whose asserted orders themselves form a cycle ``a ≺ b ≺ c ≺ a`` (the
+    clause fails only when all three reversed orders hold).  No instance
+    constraint of Ω has that shape.
     """
-    asymmetry, transitivity = set(), set()
+    axioms = set()
     for clause in encoding.cnf:
-        signed = [encoding.decode(literal) for literal in clause]
-        negative = [atom for atom, positive in signed if not positive]
-        positive = [atom for atom, positive in signed if positive]
-        if len(clause) == 2 and len(negative) == 2 and negative[0].reversed() == negative[1]:
-            asymmetry.add(frozenset(signed))
-        elif len(clause) == 3 and len(negative) == 2 and len(positive) == 1:
-            head = positive[0]
-            for first, second in (negative, negative[::-1]):
-                chained = (first.newer, first.older, second.newer) == (
-                    second.older, head.older, head.newer
-                )
-                if chained and first.attribute == second.attribute == head.attribute:
-                    transitivity.add(frozenset(signed))
-    return asymmetry, transitivity
+        asserted = []
+        for literal in clause:
+            atom, positive = encoding.decode(literal)
+            asserted.append(atom if positive else atom.reversed())
+        if len(asserted) != 3 or len({atom.attribute for atom in asserted}) != 1:
+            continue
+        successor = {atom.older: atom.newer for atom in asserted}
+        start = asserted[0].older
+        if len(successor) == 3 and successor.get(successor.get(successor[start])) == start:
+            axioms.add(frozenset(asserted))
+    return axioms
 
 
 class TestCurrencyOrderInstantiation:
@@ -220,6 +218,7 @@ class TestCFDInstantiation:
 
 class TestStructuralAxioms:
     def test_asymmetry_and_transitivity_emitted(self, schema):
+        """Three used values of one attribute give one triple: its two no-cycle clauses."""
         rows = [
             {"status": "a", "job": "x", "kids": 0, "city": "NY", "AC": "1"},
             {"status": "b", "job": "y", "kids": 1, "city": "LA", "AC": "2"},
@@ -230,21 +229,13 @@ class TestStructuralAxioms:
             CurrencyConstraint.value_transition("status", "b", "c"),
         ]
         encoding = encode_specification(spec_from_rows(schema, rows, sigma))
-        asymmetry, transitivity = order_axiom_clauses(encoding)
-        a, b, c = (OrderLiteral("status", *pair) for pair in (("a", "b"), ("b", "c"), ("a", "c")))
-        assert frozenset({(a, False), (a.reversed(), False)}) in asymmetry
-        assert frozenset({(a, False), (b, False), (c, True)}) in transitivity
-
-    def test_axioms_can_be_disabled(self, schema):
-        rows = [
-            {"status": "a", "job": "x", "kids": 0, "city": "NY", "AC": "1"},
-            {"status": "b", "job": "y", "kids": 1, "city": "LA", "AC": "2"},
-        ]
-        sigma = [CurrencyConstraint.value_transition("status", "a", "b")]
-        options = InstantiationOptions(include_transitivity=False, include_asymmetry=False)
-        encoding = encode_specification(spec_from_rows(schema, rows, sigma), options)
-        assert order_axiom_clauses(encoding) == (set(), set())
-        assert len(encoding.cnf) == len(encoding.omega)
+        order = {pair: OrderLiteral("status", *pair) for pair in ("ab", "bc", "ca", "ba", "cb", "ac")}
+        assert order_axiom_clauses(encoding) == {
+            frozenset({order["ba"], order["cb"], order["ac"]}),
+            frozenset({order["ab"], order["bc"], order["ca"]}),
+        }
+        assert len(encoding.cnf) == len(encoding.omega) + 2
+        assert all(len(clause) != 2 for clause in encoding.cnf)
 
     def test_ground_fact_closure(self, schema):
         rows = [

@@ -1,11 +1,11 @@
 """The integer order-axiom emitter against the object-based reference.
 
 ``emit_order_axioms`` (full and cold encodes) and the incremental encoder's
-delta path write the asymmetry and transitivity clauses of each ``≺^v_A``
-straight into Φ.  The reference in ``_order_axioms_reference.py`` builds the
-same axioms as ``InstanceConstraint`` objects, deduplicates them by their
-instance-constraint key and converts them with ``_constraint_to_clause``:
-both must give the same clauses, in the same order, over the same variables.
+delta path write the total-order clauses of each ``≺^v_A`` — two per value
+triple — straight into Φ.  The reference in ``_order_axioms_reference.py``
+builds the same clauses from ``OrderLiteral`` objects, one triple at a time,
+through a fresh registry: both must give the same clauses, in the same order,
+over the same variables.
 """
 
 import random
@@ -33,23 +33,19 @@ from repro.encoding import (
     encode_specification,
     instantiate,
 )
-from repro.encoding.instance_constraints import _constraint_key
-from repro.encoding.variables import OrderLiteral
+from repro.encoding.cnf_encoder import _constraint_to_clause
+from repro.encoding.variables import OrderLiteral, OrderVariableRegistry
 from repro.resolution.framework import ResolverOptions
 
 from tests.encoding._order_axioms_reference import (
     ReferenceIncrementalEncoder,
     reference_encoding,
-    structural_axioms,
+    to_clause,
+    triangle_clauses,
 )
 from tests.encoding._recording_session import RecordingSession
 
-OPTION_VARIANTS = (
-    InstantiationOptions(),
-    InstantiationOptions(include_asymmetry=False),
-    InstantiationOptions(include_transitivity=False),
-    InstantiationOptions(transitivity_cap=3),
-)
+OPTION_VARIANTS = (InstantiationOptions(),)
 
 ATTRIBUTES = ("status", "city", "kids")
 VALUES = {"status": ("s0", "s1", "s2", "s3"), "city": ("c0", "c1", "c2"), "kids": (0, 1, 2, 3)}
@@ -152,13 +148,20 @@ def test_emitter_matches_the_object_reference(case):
 @given(specs_with_deltas())
 @settings(max_examples=100, deadline=None)
 def test_no_omega_key_is_an_axiom_key(case):
+    """No order-axiom clause repeats an Ω clause or another axiom clause, as literal sets."""
     spec, deltas = case
     for options in OPTION_VARIANTS:
         for current in [spec] + [spec.extend(delta) for delta in deltas]:
             omega = instantiate(current, options)
-            axiom_keys = [_constraint_key(axiom) for axiom in structural_axioms(omega, options)]
-            assert len(set(axiom_keys)) == len(axiom_keys)
-            assert not {_constraint_key(constraint) for constraint in omega} & set(axiom_keys)
+            registry = OrderVariableRegistry()
+            omega_clauses = {frozenset(_constraint_to_clause(c, registry)) for c in omega}
+            axioms = [
+                frozenset(to_clause(clause, registry))
+                for attribute, values in omega.used_values.items()
+                for clause in triangle_clauses(attribute, values)
+            ]
+            assert len(set(axioms)) == len(axioms)
+            assert not omega_clauses & set(axioms)
 
 
 # -- atom objects per full encode ---------------------------------------------------
@@ -166,8 +169,9 @@ def test_no_omega_key_is_an_axiom_key(case):
 #: (tuples per entity, entities) of the batch benchmark's Person size mix; its
 #: populations hold three times as many entities, seeded 1000 + tuples.
 _BATCH_SIZE_MIX = ((4, 150), (12, 50), (24, 10), (48, 2))
-#: Atom objects one full encode may build per registered ordering variable.
-LITERALS_PER_VARIABLE = 3
+#: Atom objects one full encode may build per ordered value pair; a variable
+#: stands for the two ordered pairs of one value pair.
+LITERALS_PER_ORDERED_PAIR = 3
 
 
 def _population(tuples, entities):
@@ -230,7 +234,7 @@ def test_full_encode_builds_at_most_three_literals_per_variable(pool, literal_co
         program = programs.program_for(spec, options)
         literal_counter[0] = 0
         encoder = IncrementalEncoder(spec, program=program)
-        variables = sum(1 for _ in encoder.encoding.registry.literals())
-        assert literal_counter[0] <= LITERALS_PER_VARIABLE * variables, (
-            f"{entity.name}: {literal_counter[0]} literals for {variables} variables"
+        ordered_pairs = 2 * sum(1 for _ in encoder.encoding.registry.literals())
+        assert literal_counter[0] <= LITERALS_PER_ORDERED_PAIR * ordered_pairs, (
+            f"{entity.name}: {literal_counter[0]} literals for {ordered_pairs} ordered pairs"
         )

@@ -61,11 +61,26 @@ class TestRegistry:
         with pytest.raises(EncodingError):
             registry.decode(42)
 
-    def test_opposite_atoms_get_distinct_variables(self):
+    def test_reversed_atom_is_the_negated_literal(self):
+        """One variable per value pair: the first orientation registered is positive."""
         registry = OrderVariableRegistry()
         forward = registry.variable(OrderLiteral("a", 1, 2))
         backward = registry.variable(OrderLiteral("a", 2, 1))
-        assert forward != backward
+        assert forward > 0 and backward == -forward
+        assert registry.num_variables == 1
+        assert registry.find(OrderLiteral("a", 2, 1)) == -forward
+        assert registry.find_for("a", 2, 1) == -forward
+        assert registry.variable_for("a", 2, 1) == -forward
+
+    def test_negative_literal_decodes_to_the_canonical_atom(self):
+        registry = OrderVariableRegistry()
+        canonical = OrderLiteral("a", 2, 1)
+        variable = registry.variable_for("a", 2, 1)
+        literal = registry.variable(canonical.reversed())
+        assert literal == -variable
+        assert registry.decode_literal(literal) == (canonical, False)
+        assert registry.get(variable) == canonical
+        assert list(registry.literals()) == [(canonical, variable)]
 
     def test_variables_for_attribute(self):
         registry = OrderVariableRegistry()

@@ -3,7 +3,14 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.core import CurrencyConstraint, PartialOrder, RelationSchema, Specification, values_equal
+from repro.core import (
+    ConstantCFD,
+    CurrencyConstraint,
+    PartialOrder,
+    RelationSchema,
+    Specification,
+    values_equal,
+)
 from repro.core.errors import CyclicOrderError
 from repro.encoding import (
     IncrementalEncoder,
@@ -192,7 +199,9 @@ def _reference_deduce(cnf, registry, extra_literals=()):
                 orders.setdefault(atom.attribute, PartialOrder()).add(older, newer)
             except CyclicOrderError:
                 return None
-        closures = {attribute: order.transitive_closure_pairs() for attribute, order in orders.items()}
+        closures = {
+            attribute: set(order.transitive_closure_pairs()) for attribute, order in orders.items()
+        }
         fed_back = {
             registry.find(OrderLiteral(attribute, older, newer))
             for attribute, pairs in closures.items()
@@ -207,7 +216,7 @@ def _closure_pairs(deduced):
     if deduced.conflict:
         return None
     return {
-        attribute: order.transitive_closure_pairs()
+        attribute: set(order.transitive_closure_pairs())
         for attribute, order in deduced.orders.items()
         if len(order)
     }
@@ -231,3 +240,32 @@ def test_deduce_matches_the_standalone_propagator_fixpoint(case):
             encoder.session.cnf, encoder.encoding.registry, encoder.assumptions
         )
         assert _closure_pairs(deduced) == expected
+
+
+def test_deduce_does_not_depend_on_what_the_session_solved_before():
+    """A solve's learned clauses must not make DeduceOrder force more afterwards.
+
+    Σ carries the arena order over to capacity and Γ says ``arena=A →
+    capacity=15000``: Φ is ``x → y``, ``¬x → ¬y`` and ``¬x → y`` with
+    ``x = A ≺ R`` and ``y = 15001 ≺ 15000``.  Every model has ``x``, but unit
+    propagation forces nothing.  Refuting ``¬x`` learns the unit ``x``; the
+    deduced orders must stay those of a session that never solved.
+    """
+    schema = RelationSchema("r", ["arena", "capacity"])
+    rows = [
+        dict(arena="A", capacity=15000),
+        dict(arena="A", capacity=15001),
+        dict(arena="R", capacity=15000),
+    ]
+    sigma = [CurrencyConstraint.order_propagation(["arena"], "capacity")]
+    gamma = [ConstantCFD({"arena": "A"}, "capacity", 15000)]
+    spec = Specification.from_rows(schema, rows, sigma, gamma)
+    encoder = IncrementalEncoder(spec)
+    encoding, session = encoder.encoding, encoder.session
+    before = deduce_order(encoding, extra_literals=encoder.assumptions, session=session)
+    x = encoding.order_literal("arena", "A", "R")
+    refutation = session.solve(list(encoder.assumptions) + [-x])
+    assert not refutation.satisfiable and refutation.conflicts > 0
+    after = deduce_order(encoding, extra_literals=encoder.assumptions, session=session)
+    assert _closure_pairs(after) == _closure_pairs(before) == {}
+    assert _closure_pairs(deduce_order(encode_specification(spec))) == {}

@@ -1,5 +1,7 @@
 """Tests for the interactive conflict-resolution framework (Fig. 4)."""
 
+import random
+
 import pytest
 
 from repro.api import RunConfig
@@ -13,7 +15,7 @@ from repro.core import (
     values_equal,
 )
 from repro.engine import ResolutionEngine
-from repro.resolution import ConflictResolver, ResolverOptions, SilentOracle
+from repro.resolution import ConflictResolver, ResolverOptions, SilentOracle, framework
 
 from tests.conftest import GEORGE_TRUTH, EDITH_TRUTH
 
@@ -71,6 +73,31 @@ class TestAutomaticResolution:
         assert len(result.fallback_attributes) == 6
         # Every attribute still receives some value.
         assert all(attribute in result.resolved_tuple for attribute in george_spec.schema.attribute_names)
+
+    def test_complete_entity_never_calls_pick(self, edith_spec, george_spec, monkeypatch):
+        """Pick runs only for an entity with open attributes, and draws as it always did."""
+        calls = []
+        pick = framework.pick_resolution
+
+        def counting_pick(spec, rng=None):
+            calls.append(spec.name)
+            return pick(spec, rng=rng)
+
+        monkeypatch.setattr(framework, "pick_resolution", counting_pick)
+        resolver = ConflictResolver(ResolverOptions(fallback="pick"))
+        complete = resolver.resolve(edith_spec, SilentOracle())
+        assert complete.complete and calls == []
+
+        incomplete = resolver.resolve(george_spec)
+        assert not incomplete.complete and calls == ["George"]
+        drawn = pick(george_spec, rng=random.Random(resolver.options.random_seed))
+        expected = {
+            attribute: incomplete.true_values[attribute]
+            if attribute in incomplete.true_values
+            else drawn[attribute]
+            for attribute in george_spec.schema.attribute_names
+        }
+        assert repr(incomplete.resolved_tuple) == repr(expected)
 
     def test_george_without_fallback_leaves_nulls(self, george_spec):
         result = ConflictResolver(ResolverOptions(fallback="none")).resolve(george_spec)
@@ -173,12 +200,12 @@ class TestInvalidSpecifications:
 
     @pytest.mark.parametrize("incremental", [True, False])
     def test_deduce_conflict_makes_the_round_invalid(self, incremental):
-        """IsValid passes this spec (Φ has no totality clauses), but no completion exists.
+        """No completion exists, so the first round is invalid and deduces nothing.
 
         ``s1 ≺ s0`` on status carries over to ``c1 ≺ c0`` on city, so the
         newest tuple is ``(s0, c0)``, which the CFD ``status=s0 → city=c1``
-        forbids.  Deduction meets the contradiction; the round must end as
-        invalid instead of reporting the deduced ``{status: s0, city: c0}``.
+        forbids.  The round must end as invalid instead of reporting the
+        deduced ``{status: s0, city: c0}``.
         """
         schema = RelationSchema("r", ["status", "city"])
         rows = [

@@ -22,13 +22,13 @@ class TestBackendRegistry:
         session = create_session("arena")
         assert isinstance(session, ArenaSession)
         assert session.backend == "arena"
-        assert session.retains_learned_clauses
+        assert session.reuses_clauses
 
     def test_dpll_resolves_by_name(self):
         session = create_session("dpll")
         assert isinstance(session, DPLLSession)
         assert session.backend == "dpll"
-        assert not session.retains_learned_clauses
+        assert not session.reuses_clauses
 
     def test_default_backend_is_arena(self):
         assert isinstance(create_session(), ArenaSession)
@@ -104,7 +104,8 @@ class TestSessionSemantics:
 
 
 class TestCDCLRetention:
-    def test_learned_clauses_are_retained(self):
+    def test_learned_clauses_are_forgotten(self):
+        """A solve learns, then leaves the clause database as it found it."""
         # Pigeonhole (4 pigeons / 3 holes) forces genuine clause learning.
         def var(i, h):
             return 3 * i + h + 1
@@ -116,8 +117,11 @@ class TestCDCLRetention:
             for i in range(4):
                 for j in range(i + 1, 4):
                     session.add_clause([-var(i, h), -var(j, h)])
+        clauses = session.solver.num_clauses
         assert not session.solve().satisfiable
-        assert session.learned_clauses > 0
+        assert session.statistics()["conflicts"] > 0
+        assert session.solver.num_learned_clauses == 0
+        assert session.solver.num_clauses == clauses
 
     def test_incremental_solves_reuse_clauses(self):
         session = create_session("arena")
@@ -131,12 +135,14 @@ class TestCDCLRetention:
         # The second call reused the three clauses loaded before the first.
         assert stats["clauses_reused"] >= 3
 
-    def test_unsat_under_assumptions_learns_reusable_units(self):
+    def test_unsat_under_assumptions_leaves_propagation_unchanged(self):
         session = create_session("arena")
         session.add_clauses([[1, 2], [-1, 2]])
+        before = session.propagate()
         assert not session.solve(assumptions=[-2]).satisfiable
-        # The refutation taught the solver that 2 is forced; later calls
-        # agree without contradiction.
+        # The refutation learned that 2 is forced, but unit propagation over
+        # the formula alone does not force it, and propagate stays that way.
+        assert session.propagate() == before == ([], False)
         result = session.solve()
         assert result.satisfiable and result.model[2] is True
 

@@ -142,14 +142,16 @@ def _models(cnf, assumptions):
 
 @given(formulas_and_calls())
 @settings(max_examples=100, deadline=None)
-def test_propagate_matches_the_reference_before_learning(case):
-    """Until a session learns a clause, it forces what the reference forces.
+def test_propagate_matches_the_reference_after_every_solve(case):
+    """A session forces what the reference forces, whatever it solved before.
 
-    Every conflict a solve meets above the root level teaches the session a
-    clause (a unit one too), so "nothing learned" means "no conflict yet".
+    A solve forgets the clauses it learned, so propagation stays a function
+    of the formula.  A formula a solve proves unsatisfiable outright stays
+    refuted, which the reference cannot see: those stop after the first call.
     """
     cnf, solves, assumptions = case
     reference = propagate_units(cnf, assumptions)
+    satisfiable = solve(cnf).satisfiable
     for backend in BACKENDS:
         session = _session(backend, cnf)
         for solve_assumptions in solves + [None]:
@@ -157,11 +159,9 @@ def test_propagate_matches_the_reference_before_learning(case):
             assert conflict == reference.conflict
             if not conflict:
                 assert set(forced) == set(reference.forced_literals)
-            if solve_assumptions is None:
+            if solve_assumptions is None or not satisfiable:
                 break
             session.solve(solve_assumptions)
-            if session.statistics().get("conflicts", 0):
-                break
 
 
 @given(formulas_and_calls())

@@ -56,3 +56,34 @@ def test_harness_writes_smoke_runs_outside_the_results(harness, monkeypatch, cap
     assert (written / "probe.txt").read_text() == "table\n"
     assert not untouched.exists()
     assert "[probe]" in capsys.readouterr().out
+
+
+@pytest.fixture
+def fault_recovery(monkeypatch):
+    """``bench_fault_recovery``, importable with the benchmarks directory on the path."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    spec = importlib.util.spec_from_file_location(
+        "bench_fault_recovery", BENCHMARKS / "bench_fault_recovery.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fault_recovery_compares_only_the_recorded_workload(fault_recovery):
+    """A smoke run (2 entities on 2 workers) is not compared with the recorded 11 on 4."""
+    recorded = fault_recovery._recorded_baseline()
+    assert recorded is not None
+    entities, workers = recorded["entities"], recorded["workers"]
+    smoke = fault_recovery.no_fault_comparison(0.01, 2, 2, recorded)
+    assert smoke["overhead_vs_recorded_pct"] is None
+    assert smoke["within_2pct_of_recorded"] is None
+    same = fault_recovery.no_fault_comparison(recorded["wall_seconds"], entities, workers, recorded)
+    assert same["overhead_vs_recorded_pct"] == 0.0
+    assert same["within_2pct_of_recorded"] is True
+    committed = json.loads((RESULTS / "fault_recovery.json").read_text())
+    if committed["no_fault"]["overhead_vs_recorded_pct"] is not None:
+        assert (committed["entities"], committed["workers"]) == (
+            committed["no_fault"]["recorded_fig8c_entities"],
+            committed["no_fault"]["recorded_fig8c_workers"],
+        )
