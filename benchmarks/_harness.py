@@ -163,10 +163,10 @@ def reuse_statistics(result: ExperimentResult) -> Dict[str, float]:
     """Reuse counters plus per-phase time totals for one experiment run."""
     totals: Dict[str, float] = {
         phase: sum(outcome.seconds.get(phase, 0.0) for outcome in result.outcomes)
-        for phase in ("validity", "deduce", "suggest", "total")
+        for phase in ("encode", "validity", "deduce", "suggest", "total")
     }
     stats: Dict[str, float] = {f"seconds_{phase}": value for phase, value in totals.items()}
-    stats["seconds_pipeline"] = totals["validity"] + totals["deduce"] + totals["suggest"]
+    stats["seconds_pipeline"] = totals["encode"] + totals["validity"] + totals["deduce"] + totals["suggest"]
     stats["entities"] = float(len(result.outcomes))
     for key, value in result.reuse_summary().items():
         stats[key] = value

@@ -57,6 +57,7 @@ def main() -> None:
         print(f"  {round_index} rounds: {fraction:.2%}")
     print()
     print(format_summary("timing (per entity)", {
+        "encode_s": interactive.mean_seconds("encode"),
         "validity_s": interactive.mean_seconds("validity"),
         "deduce_s": interactive.mean_seconds("deduce"),
         "suggest_s": interactive.mean_seconds("suggest"),

@@ -62,7 +62,8 @@ def main() -> None:
             f"  after round {report.round_index}: "
             f"{len(report.deduced_attributes)}/{len(dataset.schema)} true values known, "
             f"encoding: {report.encoding_statistics.get('clauses', 0)} clauses, "
-            f"times: validity {report.validity_seconds*1000:.1f} ms, "
+            f"times: encode {report.encode_seconds*1000:.1f} ms, "
+            f"validity {report.validity_seconds*1000:.1f} ms, "
             f"deduce {report.deduce_seconds*1000:.1f} ms, "
             f"suggest {report.suggest_seconds*1000:.1f} ms"
         )

@@ -28,13 +28,13 @@ the specification name), so results the consumer stores land under the same
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cfd import ConstantCFD
 from repro.core.constraints import CurrencyConstraint
 from repro.core.instance import EntityInstance, TemporalInstance
 from repro.core.schema import RelationSchema
-from repro.core.specification import Specification
+from repro.core.specification import Specification, ValidatedConstraints, validated_constraints
 from repro.core.tuples import EntityTuple
 from repro.core.values import Value, is_null
 from repro.io.constraints_io import dump_constraints, parse_constraint_text
@@ -131,6 +131,8 @@ class RegistryState:
         self.gamma: List[ConstantCFD] = list(gamma)
         #: Observed rows per entity key, in arrival order.
         self.rows: Dict[str, List[Dict[str, Value]]] = {}
+        # The Σ and Γ last validated (see validated_constraints).
+        self._validated: Optional[ValidatedConstraints] = None
 
     # -- event application -----------------------------------------------------
 
@@ -190,8 +192,8 @@ class RegistryState:
         rows = self.rows.get(entity)
         if not rows:
             raise FeedError(f"no observed rows for entity {entity!r}")
+        self._validated = validated_constraints(self.schema, self.sigma, self.gamma, self._validated)
+        _, sigma, gamma = self._validated
         tuples = [EntityTuple(self.schema, dict(row)) for row in rows]
         instance = EntityInstance(self.schema, tuples)
-        return Specification(
-            TemporalInstance(instance), list(self.sigma), list(self.gamma), name=entity
-        )
+        return Specification._from_validated(TemporalInstance(instance), sigma, gamma, name=entity)

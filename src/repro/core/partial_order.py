@@ -172,6 +172,18 @@ class PartialOrder:
                     frontier.append(successor)
         return False
 
+    def above(self, element: Hashable) -> Set[Hashable]:
+        """Every ``x`` with ``element ≺ x``: the successors of *element*, walked once."""
+        seen: Set[Hashable] = set()
+        frontier: List[Hashable] = [element]
+        successors = self._successors
+        while frontier:
+            for successor in successors.get(frontier.pop(), ()):
+                if successor not in seen:
+                    seen.add(successor)
+                    frontier.append(successor)
+        return seen
+
     def comparable(self, a: Hashable, b: Hashable) -> bool:
         """Return ``True`` when *a* and *b* are ordered one way or the other."""
         return self.precedes(a, b) or self.precedes(b, a)

@@ -68,6 +68,33 @@ class TrueValueAssignment:
         return len(self.values)
 
 
+#: ``(schema, Σ, Γ)`` with Σ and Γ validated against the schema.
+ValidatedConstraints = Tuple[RelationSchema, Tuple[CurrencyConstraint, ...], Tuple[ConstantCFD, ...]]
+
+
+def validated_constraints(
+    schema: RelationSchema,
+    currency_constraints: Sequence[CurrencyConstraint],
+    cfds: Sequence[ConstantCFD],
+    previous: Optional[ValidatedConstraints] = None,
+) -> ValidatedConstraints:
+    """Validate Σ and Γ against *schema*, unless *previous* already holds exactly them.
+
+    A holder that builds many specifications from one Σ ∪ Γ keeps the return
+    value, passes it back as *previous* and builds each specification with
+    :meth:`Specification._from_validated`.  The check is by equality, so a
+    changed schema or constraint list is validated again and nothing needs
+    invalidating; a constraint that fails raises on every call.
+    """
+    current = (schema, tuple(currency_constraints), tuple(cfds))
+    if current != previous:
+        for constraint in current[1]:
+            constraint.validate(schema)
+        for cfd in current[2]:
+            cfd.validate(schema)
+    return current
+
+
 class Specification:
     """A specification ``S_e = (I_t, Σ, Γ)`` of one entity.
 
@@ -91,14 +118,10 @@ class Specification:
         name: str = "",
     ) -> None:
         self._temporal = temporal_instance
-        self._sigma: Tuple[CurrencyConstraint, ...] = tuple(currency_constraints)
-        self._gamma: Tuple[ConstantCFD, ...] = tuple(cfds)
+        _, self._sigma, self._gamma = validated_constraints(
+            temporal_instance.schema, currency_constraints, cfds
+        )
         self.name = name
-        schema = temporal_instance.schema
-        for constraint in self._sigma:
-            constraint.validate(schema)
-        for cfd in self._gamma:
-            cfd.validate(schema)
 
     # -- construction helpers -----------------------------------------------
 
@@ -110,12 +133,13 @@ class Specification:
         cfds: Tuple[ConstantCFD, ...],
         name: str = "",
     ) -> "Specification":
-        """Rebuild a specification whose constraints were already validated.
+        """Build a specification whose constraints were already validated against its schema.
 
-        Used by the engine's constraint-shipping path: the parent process
-        validated Σ and Γ against the schema when it built the original
-        specification, so the worker-side rebuild skips the per-constraint
-        validation pass.  Callers must pass tuples they will not mutate.
+        Used wherever Σ and Γ were validated once for many specifications:
+        the engine's constraint-shipping path (the parent process validated
+        them when it built the original specification), :meth:`extend`, the
+        CDC registry and the dataset generators.  Callers must pass tuples
+        they will not mutate.
         """
         spec = cls.__new__(cls)
         spec._temporal = temporal_instance
@@ -183,10 +207,15 @@ class Specification:
     # -- the ⊕ operator -------------------------------------------------------
 
     def extend(self, delta: TemporalOrderDelta) -> "Specification":
-        """Return ``S_e ⊕ O_t``: the specification enriched with *delta*."""
+        """Return ``S_e ⊕ O_t``: the specification enriched with *delta*.
+
+        Σ, Γ and the schema are unchanged, so they are not validated again.
+        """
         if delta.is_empty():
             return self
-        return Specification(self._temporal.extend(delta), self._sigma, self._gamma, name=self.name)
+        return Specification._from_validated(
+            self._temporal.extend(delta), self._sigma, self._gamma, name=self.name
+        )
 
     # -- value domains ---------------------------------------------------------
 

@@ -20,7 +20,7 @@ from repro.core.constraints import CurrencyConstraint
 from repro.core.errors import DatasetError
 from repro.core.instance import EntityInstance, TemporalInstance
 from repro.core.schema import RelationSchema
-from repro.core.specification import Specification
+from repro.core.specification import Specification, ValidatedConstraints, validated_constraints
 from repro.core.tuples import EntityTuple
 from repro.core.values import Value, is_null, values_equal
 
@@ -129,14 +129,56 @@ def build_specification(
     specifications (the constraint sample uses one seeded shuffle per entity,
     sigma first, then gamma — the draw order is part of the contract).
     """
+    temporal, sigma, gamma, name = _specification_parts(
+        dataset_name, schema, entity, currency_constraints, cfds, sigma_fraction, gamma_fraction, seed
+    )
+    return Specification(temporal, sigma, gamma, name=name)
+
+
+def _specification_parts(
+    dataset_name: str,
+    schema: RelationSchema,
+    entity: GeneratedEntity,
+    currency_constraints: Sequence[CurrencyConstraint],
+    cfds: Sequence[ConstantCFD],
+    sigma_fraction: float,
+    gamma_fraction: float,
+    seed: int,
+) -> Tuple[TemporalInstance, Tuple[CurrencyConstraint, ...], Tuple[ConstantCFD, ...], str]:
+    """The temporal instance, sampled Σ and Γ, and name of :func:`build_specification`."""
     rng = random.Random(seed)
     sigma = sample_constraints(currency_constraints, sigma_fraction, rng)
     gamma = sample_constraints(cfds, gamma_fraction, rng)
     tuples = [EntityTuple(schema, row) for row in entity.rows]
     instance = EntityInstance(schema, tuples)
-    return Specification(
-        TemporalInstance(instance), sigma, gamma, name=f"{dataset_name}:{entity.name}"
-    )
+    return TemporalInstance(instance), tuple(sigma), tuple(gamma), f"{dataset_name}:{entity.name}"
+
+
+class _ConstraintHolder:
+    """Builds the specifications of a dataset, validating its Σ ∪ Γ once.
+
+    Σ ∪ Γ is validated against the schema on the first specification, and
+    again only after the schema or a constraint list has changed (see
+    :func:`~repro.core.specification.validated_constraints`).
+    """
+
+    name: str
+    schema: RelationSchema
+    currency_constraints: List[CurrencyConstraint]
+    cfds: List[ConstantCFD]
+    _validated: Optional[ValidatedConstraints] = None
+
+    def _specification(
+        self, entity: GeneratedEntity, sigma_fraction: float, gamma_fraction: float, seed: int
+    ) -> Specification:
+        self._validated = validated_constraints(
+            self.schema, self.currency_constraints, self.cfds, self._validated
+        )
+        _, sigma, gamma = self._validated
+        temporal, sigma, gamma, name = _specification_parts(
+            self.name, self.schema, entity, sigma, gamma, sigma_fraction, gamma_fraction, seed
+        )
+        return Specification._from_validated(temporal, sigma, gamma, name=name)
 
 
 def stable_key_shard(key: object, num_shards: int) -> int:
@@ -192,7 +234,7 @@ def shard_entities(
 
 
 @dataclass
-class DatasetStream:
+class DatasetStream(_ConstraintHolder):
     """A lazily generated dataset: a bounded-memory view of a generator.
 
     The schema and the global constraint sets Σ and Γ are materialized (they
@@ -222,16 +264,7 @@ class DatasetStream:
         for index, entity in enumerate(self.entities):
             if limit is not None and index >= limit:
                 return
-            yield entity, build_specification(
-                self.name,
-                self.schema,
-                entity,
-                self.currency_constraints,
-                self.cfds,
-                sigma_fraction,
-                gamma_fraction,
-                seed,
-            )
+            yield entity, self._specification(entity, sigma_fraction, gamma_fraction, seed)
 
     def materialize(self) -> "GeneratedDataset":
         """Exhaust the stream into a batch :class:`GeneratedDataset`."""
@@ -245,7 +278,7 @@ class DatasetStream:
 
 
 @dataclass
-class GeneratedDataset:
+class GeneratedDataset(_ConstraintHolder):
     """A generated dataset: entities plus the global constraint sets."""
 
     name: str
@@ -264,16 +297,7 @@ class GeneratedDataset:
         seed: int = 7,
     ) -> Specification:
         """Build the specification of *entity* with a fraction of Σ and Γ."""
-        return build_specification(
-            self.name,
-            self.schema,
-            entity,
-            self.currency_constraints,
-            self.cfds,
-            sigma_fraction,
-            gamma_fraction,
-            seed,
-        )
+        return self._specification(entity, sigma_fraction, gamma_fraction, seed)
 
     def specifications(
         self,

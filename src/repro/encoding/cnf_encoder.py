@@ -3,7 +3,8 @@
 Each ordering atom ``a1 ≺^v_A a2`` is mapped to a signed literal by an
 :class:`~repro.encoding.variables.OrderVariableRegistry`, one variable per
 pair of values; every instance constraint ``x1 ∧ … ∧ xk → x`` becomes the
-clause ``¬x1 ∨ … ∨ ¬xk ∨ x`` (with the obvious variant for an absent head).
+clause ``¬x1 ∨ … ∨ ¬xk ∨ x`` (with the obvious variant for an absent head),
+written as integers straight from Ω's records (:func:`_record_clause`).
 The total-order axioms of every ``≺^v_A`` over its used values are not
 instance constraints: :func:`emit_order_axioms` writes them straight into Φ
 as integer clauses after Ω's, two per value triple.  Every model of Φ(S_e)
@@ -26,11 +27,7 @@ from repro.core.errors import ReproError
 from repro.core.specification import Specification
 from repro.core.values import Value
 from repro.encoding.compiled import CompiledConstraintProgram, compile_program, instantiate_compiled
-from repro.encoding.instance_constraints import (
-    InstanceConstraint,
-    InstanceConstraintSet,
-    InstantiationOptions,
-)
+from repro.encoding.instance_constraints import InstanceConstraintSet, InstantiationOptions, Triple
 from repro.encoding.variables import OrderLiteral, OrderVariableRegistry, canonical_value
 from repro.solvers.cnf import CNF
 
@@ -110,13 +107,18 @@ class SpecificationEncoding:
         }
 
 
-def _constraint_to_clause(
-    constraint: InstanceConstraint, registry: OrderVariableRegistry
+def _record_clause(
+    registry: OrderVariableRegistry, body: Sequence[Triple], head: Optional[Triple]
 ) -> List[int]:
-    clause = [-registry.variable(atom) for atom in constraint.body]
-    if constraint.head is not None:
-        head_variable = registry.variable(constraint.head)
-        clause.append(-head_variable if constraint.negated_head else head_variable)
+    """The clause of one Ω record: its body atoms negated, then its head.
+
+    New pairs are registered in that order, body first, so the variable
+    numbers follow the clause stream.
+    """
+    variable_for = registry.variable_for
+    clause = [-variable_for(*triple) for triple in body]
+    if head is not None:
+        clause.append(variable_for(*head))
     return clause
 
 
@@ -224,8 +226,8 @@ def encode_specification(
     omega = instantiate_compiled(spec, program)
     registry = OrderVariableRegistry()
     cnf = CNF()
-    for constraint in omega:
-        cnf.add_clause(_constraint_to_clause(constraint, registry))
+    for _, _, body, head in omega.records:
+        cnf.add_clause(_record_clause(registry, body, head))
     emit_order_axioms(registry, cnf.add_clause, omega.used_values)
     if omega.inherently_invalid and not cnf.has_empty_clause():
         cnf.add_clause([])

@@ -9,14 +9,19 @@ template-stamping pass over its tuples:
   *positional* rows (tuples aligned with the constraint's sorted attribute
   list): pre-resolved attribute→index maps, pre-bound comparison operators,
   hoisted cross-attribute NULL checks, and order-predicate steps that emit
-  plain value triples — :class:`~repro.encoding.variables.OrderLiteral`
-  objects are only materialised for constraint instances that survive
-  deduplication;
+  plain value triples;
+* each ``t1[A] = c`` and ``t2[A] = c`` check of a currency constraint is also
+  recorded as ``(position, constant)``, and the stamp looks rows up through a
+  per-entity value index (the alpha memory of Rete, Forgy 1982): a
+  constraint visits only the row pairs whose equality checks can hold.  Most
+  of Σ are value transitions ``t1[A] = c1 ∧ t2[A] = c2 → t1 ≺_A t2``, which
+  fire on at most one pair per entity;
 * every constant CFD is compiled into its sorted LHS pattern items and
   pre-computed source label;
-* deduplication uses O(1) keys (a dedicated set for ground facts, the
-  classic frozenset key only for conditional constraints), and active-domain
-  projections are computed once per attribute per entity.
+* Ω comes out as records ``(kind, source name, body triples, head triple)``
+  (:data:`~repro.encoding.instance_constraints.Record`), each with the
+  deduplication key it was admitted under, and active-domain projections
+  are computed once per attribute per entity.
 
 The program is the one thing that builds Ω: :func:`instantiate` (compile,
 then stamp), :func:`instantiate_compiled`, the cold
@@ -33,8 +38,8 @@ per worker and stamp it for every entity of every chunk they receive.
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Dict, FrozenSet, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
+import heapq
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cfd import ConstantCFD
 from repro.core.constraints import (
@@ -43,19 +48,20 @@ from repro.core.constraints import (
     OrderPredicate,
     TupleComparisonPredicate,
 )
-from repro.core.errors import EncodingError
+from repro.core.errors import CyclicOrderError, EncodingError
 from repro.core.instance import EntityInstance
+from repro.core.partial_order import PartialOrder
 from repro.core.schema import RelationSchema
 from repro.core.specification import Specification
 from repro.core.values import Value, compare_values, is_null, values_equal
 from repro.encoding.instance_constraints import (
-    InstanceConstraint,
     InstanceConstraintSet,
     InstantiationOptions,
-    _close_ground_facts,
-    _constraint_key,
+    Record,
+    Triple,
+    _record_key,
 )
-from repro.encoding.variables import OrderLiteral, canonical_value
+from repro.encoding.variables import canonical_value
 
 __all__ = [
     "CompiledConstraintProgram",
@@ -65,8 +71,10 @@ __all__ = [
     "instantiate_compiled",
 ]
 
-#: An order atom as a plain ``(attribute, older, newer)`` triple.
-Triple = Tuple[str, Value, Value]
+#: A tuple projected onto a constraint's sorted attribute list.
+Row = Tuple[Value, ...]
+#: The ``t_i[A] = c`` checks of one side of a constraint, as ``(position, constant)``.
+Equalities = Tuple[Tuple[int, Value], ...]
 
 
 # -- operator compilation ------------------------------------------------------
@@ -113,6 +121,8 @@ class _CompiledCurrencyConstraint:
     __slots__ = (
         "attributes",
         "checks",
+        "first_equalities",
+        "second_equalities",
         "order_steps",
         "null_check_indices",
         "conclusion_attribute",
@@ -130,6 +140,7 @@ class _CompiledCurrencyConstraint:
 
         body_attributes: Set[str] = set()
         checks: List[Callable] = []
+        equalities: Dict[int, List[Tuple[int, Value]]] = {1: [], 2: []}
         order_steps: List[Tuple[str, int]] = []
         for predicate in constraint.body:
             body_attributes |= predicate.referenced_attributes()
@@ -138,17 +149,22 @@ class _CompiledCurrencyConstraint:
             elif isinstance(predicate, TupleComparisonPredicate):
                 checks.append(_compile_tuple_check(index[predicate.attribute], predicate.op))
             elif isinstance(predicate, ConstantComparisonPredicate):
+                position = index[predicate.attribute]
                 checks.append(
-                    _compile_constant_check(
-                        predicate.tuple_index,
-                        index[predicate.attribute],
-                        predicate.op,
-                        predicate.constant,
-                    )
+                    _compile_constant_check(predicate.tuple_index, position, predicate.op, predicate.constant)
                 )
+                # Values are normalised, so for a constant equal to itself a
+                # dict lookup is exactly values_equal (1, 1.0 and True hash
+                # and compare equal; NULL is one key).  A NaN constant equals
+                # nothing and stays out of the index.
+                if predicate.op == "=" and predicate.constant == predicate.constant:
+                    equalities[predicate.tuple_index].append((position, predicate.constant))
             else:  # pragma: no cover - defensive
                 raise EncodingError(f"unsupported predicate {predicate!r}")
         self.checks = tuple(checks)
+        #: The ``t1[A] = c`` and ``t2[A] = c`` checks, for the value index.
+        self.first_equalities: Equalities = tuple(equalities[1])
+        self.second_equalities: Equalities = tuple(equalities[2])
         self.order_steps = tuple(order_steps)
         # A missing value is pinned at the bottom of its own currency order by
         # convention, but it is not temporal evidence about other attributes:
@@ -164,9 +180,7 @@ class _CompiledCurrencyConstraint:
             else ()
         )
 
-    def evaluate(
-        self, row1: Tuple[Value, ...], row2: Tuple[Value, ...]
-    ) -> Optional[Tuple[List[Tuple[str, Value, Value]], Tuple[str, Value, Value]]]:
+    def evaluate(self, row1: Row, row2: Row) -> Optional[Tuple[Tuple[Triple, ...], Triple]]:
         """Instantiate on one ordered pair; ``None`` when vacuous.
 
         The instance is vacuous when a comparison predicate is false, a body
@@ -176,9 +190,8 @@ class _CompiledCurrencyConstraint:
         bottom of every currency order (a user-input tuple that answers only
         some attributes is NULL on the others).
 
-        Returns the body order-literal triples and the head triple as plain
-        tuples; the caller materialises :class:`OrderLiteral` objects only for
-        admitted instances.
+        Returns the body triples and the head triple.  Values are normalised,
+        so plain ``==`` is :func:`~repro.core.values.values_equal`.
         """
         for position in self.null_check_indices:
             if is_null(row1[position]) or is_null(row2[position]):
@@ -186,18 +199,131 @@ class _CompiledCurrencyConstraint:
         for check in self.checks:
             if not check(row1, row2):
                 return None
-        body: List[Tuple[str, Value, Value]] = []
-        for attribute, position in self.order_steps:
-            older = row1[position]
-            newer = row2[position]
-            if values_equal(older, newer):
-                return None
-            body.append((attribute, older, newer))
+        body: Tuple[Triple, ...] = ()
+        if self.order_steps:
+            steps: List[Triple] = []
+            for attribute, position in self.order_steps:
+                older = row1[position]
+                newer = row2[position]
+                if older == newer:
+                    return None
+                steps.append((attribute, older, newer))
+            body = tuple(steps)
         older = row1[self.conclusion_index]
         newer = row2[self.conclusion_index]
-        if values_equal(older, newer) or is_null(newer):
+        if older == newer or is_null(newer):
             return None
         return body, (self.conclusion_attribute, older, newer)
+
+    def delta_pairs(self, old: "_Rows", fresh: Sequence[Row]) -> Iterator[Tuple[Row, Row]]:
+        """The row pairs a delta of *fresh* rows adds to *old*, in the delta's visiting order.
+
+        That order is: for each fresh row and each old row, (fresh, old) then
+        (old, fresh); then the fresh rows' own ordered pairs.  A row enters a
+        pair on the t1 side only if it meets the t1 equalities, and on the t2
+        side only if it meets the t2 equalities; every other pair is one
+        :meth:`evaluate` would find vacuous.
+        """
+        firsts = old.side(self.first_equalities)
+        seconds = old.side(self.second_equalities)
+        as_first = [_meets(row, self.first_equalities) for row in fresh]
+        as_second = [_meets(row, self.second_equalities) for row in fresh]
+        for new_row, first, second in zip(fresh, as_first, as_second):
+            if first and second:
+                if firsts is seconds:  # no equality on either side
+                    for old_row in old.rows:
+                        yield new_row, old_row
+                        yield old_row, new_row
+                    continue
+                merged = heapq.merge(
+                    ((position, 0, row) for position, row in seconds),
+                    ((position, 1, row) for position, row in firsts),
+                )
+                for _, later, old_row in merged:
+                    yield (old_row, new_row) if later else (new_row, old_row)
+            elif first:
+                for _, old_row in seconds:
+                    yield new_row, old_row
+            elif second:
+                for _, old_row in firsts:
+                    yield old_row, new_row
+        for i, row1 in enumerate(fresh):
+            if as_first[i]:
+                for j, row2 in enumerate(fresh):
+                    if j != i and as_second[j]:
+                        yield row1, row2
+
+
+def _meets(row: Row, equalities: Equalities) -> bool:
+    for position, constant in equalities:
+        if not row[position] == constant:
+            return False
+    return True
+
+
+class _Rows:
+    """One projection's positional rows, with a value index per position.
+
+    The index of a position maps each value to the ``(row index, row)``
+    entries holding it, in row order; it is built on first use and kept
+    current by :meth:`extend`.
+    """
+
+    __slots__ = ("rows", "entries", "_index")
+
+    def __init__(self, rows: Iterable[Row] = ()) -> None:
+        self.rows: List[Row] = []
+        self.entries: List[Tuple[int, Row]] = []
+        self._index: Dict[int, Dict[Value, List[Tuple[int, Row]]]] = {}
+        self.extend(rows)
+
+    def extend(self, rows: Iterable[Row]) -> None:
+        """Append *rows*, indexing them under every position indexed so far."""
+        for row in rows:
+            entry = (len(self.rows), row)
+            self.rows.append(row)
+            self.entries.append(entry)
+            for position, postings in self._index.items():
+                postings.setdefault(row[position], []).append(entry)
+
+    def side(self, equalities: Equalities) -> List[Tuple[int, Row]]:
+        """The entries that can meet every check of *equalities*, in row order.
+
+        This is the shortest posting list among the checks (all entries when
+        there is none); the evaluator still runs every check.
+        """
+        best = self.entries
+        for position, constant in equalities:
+            postings = self._index.get(position)
+            if postings is None:
+                postings = self._index[position] = {}
+                for entry in self.entries:
+                    postings.setdefault(entry[1][position], []).append(entry)
+            candidates = postings.get(constant)
+            if candidates is None:
+                return []
+            if len(candidates) < len(best):
+                best = candidates
+        return best
+
+
+def _project(
+    items: Iterable, attributes: Tuple[str, ...], projected: bool, seen: Set[Row]
+) -> List[Row]:
+    """The positional rows of *items* on *attributes*; *projected* drops rows already in *seen*.
+
+    Instance values are normalised, so each positional row *is* its
+    canonical projection key (NULL is already the interned marker).  Every
+    returned row is added to *seen*.
+    """
+    rows: List[Row] = []
+    for item in items:
+        row = tuple(item[attribute] for attribute in attributes)
+        if projected and row in seen:
+            continue
+        seen.add(row)
+        rows.append(row)
+    return rows
 
 
 def _compile_tuple_check(position: int, op: str) -> Callable:
@@ -349,17 +475,24 @@ def instantiate(spec: Specification, options: Optional[InstantiationOptions] = N
     return instantiate_compiled(spec, compile_program(spec, options))
 
 
+def instantiate_compiled(
+    spec: Specification, program: CompiledConstraintProgram
+) -> InstanceConstraintSet:
+    """Build Ω(S_e) by stamping *program* onto *spec* (see :func:`stamp`)."""
+    return stamp(spec, program)[0]
+
+
 def _cfd_instances(
     program: CompiledConstraintProgram, instance: EntityInstance
-) -> Iterator[Tuple[Tuple[OrderLiteral, ...], FrozenSet[Triple], Triple, str]]:
+) -> Iterator[Tuple[Tuple[Triple, ...], frozenset, Triple, str]]:
     """The constant CFDs' instance constraints on *instance*, in Ω order.
 
     ``t_p[X] → t_p[B]`` becomes, for every other value ``b`` of ``B``'s
     active domain, "if every other X value is less current than the pattern
-    values then ``b ≺^v t_p[B]``".  Yields ``(body, body key, head triple,
-    source name)`` per instance, before deduplication; the body key is the
-    frozenset of the body's triples.  Active domains are projected once per
-    attribute.
+    values then ``b ≺^v t_p[B]``".  Yields ``(body triples, body key, head
+    triple, source name)`` per instance, before deduplication; the body key
+    is the frozenset of the body triples.  Active domains are projected once
+    per attribute.
     """
     domains: Dict[str, Tuple[Value, ...]] = {}
     domain_keys: Dict[str, Set[Hashable]] = {}
@@ -382,14 +515,14 @@ def _cfd_instances(
                 break
         if vacuous:
             continue
-        body: List[OrderLiteral] = []
+        body: List[Triple] = []
         for attribute, pattern_value in cfd.lhs_items:
             for other in domain(attribute):
                 if values_equal(other, pattern_value):
                     continue
-                body.append(OrderLiteral._trusted(attribute, other, pattern_value))
+                body.append((attribute, other, pattern_value))
         body_tuple = tuple(body)
-        body_key = frozenset((lit.attribute, lit.older, lit.newer) for lit in body_tuple)
+        body_key = frozenset(body_tuple)
         # The paper defines ≺^v over adom ∪ CFD constants, so the RHS constant
         # may lie outside the active domain: the CFD then acts as a *repair*,
         # and when it fires its constant becomes the true value.
@@ -399,41 +532,46 @@ def _cfd_instances(
             yield body_tuple, body_key, (cfd.rhs_attribute, other, cfd.rhs_value), cfd.source_name
 
 
-def instantiate_compiled(
+def stamp(
     spec: Specification, program: CompiledConstraintProgram
-) -> InstanceConstraintSet:
-    """Build Ω(S_e) by stamping *program* onto *spec*.
+) -> Tuple[InstanceConstraintSet, List[Hashable]]:
+    """Build Ω(S_e) by stamping *program* onto *spec*; return it with each record's key.
 
     Ω lists the currency-order facts, the currency-constraint instances, the
     CFD instances and the closure of the ground facts, in that order,
-    without duplicates under the instance-constraint key (body atoms as a
-    set, head atom, head sign).  ``used_values`` is noted as constraints are
-    admitted.
+    without duplicates under the record key (a ground fact's head triple,
+    otherwise the body atoms as a set and the head; see
+    :func:`~repro.encoding.instance_constraints._record_key`).  The second
+    list holds the key each record was admitted under, in record order.
+    ``used_values`` is noted as records are admitted.
     """
-    options = program.options
     program.instantiations += 1
-    result = InstanceConstraintSet()
-    constraints = result.constraints
-    # Ground facts (empty body, positive head) are keyed by their head triple;
-    # everything else uses the frozenset key of _constraint_key.  The two key
-    # spaces are disjoint (empty vs. non-empty body frozensets never compare
-    # equal), so together they admit what one _constraint_key set would.
-    fact_seen: Set[Triple] = set()
-    general_seen: Set[Tuple] = set()
+    records: List[Record] = []
+    keys: List[Hashable] = []
+    seen: Set[Hashable] = set()
     # used-value bookkeeping, fused into emission (emission order equals list
     # order, so the buckets come out in first-use order).
     used: Dict[str, List[Value]] = {}
     used_keys: Dict[str, Set[Hashable]] = {}
 
     def note(attribute: str, value: Value) -> None:
-        keys = used_keys.get(attribute)
-        if keys is None:
-            keys = used_keys[attribute] = set()
+        bucket = used_keys.get(attribute)
+        if bucket is None:
+            bucket = used_keys[attribute] = set()
             used[attribute] = []
-        key = canonical_value(value)
-        if key not in keys:
-            keys.add(key)
+        if value not in bucket:
+            bucket.add(value)
             used[attribute].append(value)
+
+    def admit(kind: str, source_name: str, body: Tuple[Triple, ...], head: Triple, key: Hashable) -> None:
+        seen.add(key)
+        records.append((kind, source_name, body, head))
+        keys.append(key)
+        for attribute, older, newer in body:
+            note(attribute, older)
+            note(attribute, newer)
+        note(head[0], head[1])
+        note(head[0], head[2])
 
     # -- currency-order facts ----------------------------------------------
     instance = spec.instance
@@ -448,122 +586,69 @@ def instantiate_compiled(
                 # Normalised values make plain ``==`` identical to values_equal.
                 if older_value == newer_value:
                     continue
-                key = (attribute, older_value, newer_value)
-                if key in fact_seen:
-                    continue
-                fact_seen.add(key)
-                constraints.append(
-                    InstanceConstraint(
-                        body=(),
-                        head=OrderLiteral._trusted(attribute, older_value, newer_value),
-                        source_kind="order",
-                        source_name=f"{older_tid}≺{newer_tid}",
-                    )
-                )
-                note(attribute, older_value)
-                note(attribute, newer_value)
+                head = (attribute, older_value, newer_value)
+                key = _record_key((), head)
+                if key not in seen:
+                    admit("order", f"{older_tid}≺{newer_tid}", (), head, key)
 
-    # -- currency constraints (compiled evaluators over positional rows) ---
-    projection_rows: Dict[Tuple[str, ...], List[Tuple[Value, ...]]] = {}
-    projected = options.mode == "projected"
+    # -- currency constraints (value index, then the compiled evaluators) --
+    projections: Dict[Tuple[str, ...], _Rows] = {}
+    projected = program.options.mode == "projected"
     for compiled in program.currency:
-        attributes = compiled.attributes
-        rows = projection_rows.get(attributes)
+        rows = projections.get(compiled.attributes)
         if rows is None:
-            # Instance values are normalised, so each positional row *is* its
-            # canonical projection key (NULL is already the interned marker).
-            if projected:
-                seen_rows: Set[Tuple[Value, ...]] = set()
-                rows = []
-                for item in instance:
-                    row = tuple(item[attribute] for attribute in attributes)
-                    if row in seen_rows:
-                        continue
-                    seen_rows.add(row)
-                    rows.append(row)
-            else:
-                rows = [tuple(item[attribute] for attribute in attributes) for item in instance]
-            projection_rows[attributes] = rows
-        evaluate = compiled.evaluate
-        for row1, row2 in itertools.permutations(rows, 2):
-            instantiated = evaluate(row1, row2)
-            if instantiated is None:
-                continue
-            body_triples, head_triple = instantiated
-            if body_triples:
-                key = (frozenset(body_triples), head_triple, False)
-                if key in general_seen:
-                    continue
-                general_seen.add(key)
-            else:
-                if head_triple in fact_seen:
-                    continue
-                fact_seen.add(head_triple)
-            for attribute, older_value, newer_value in body_triples:
-                note(attribute, older_value)
-                note(attribute, newer_value)
-            attribute, older_value, newer_value = head_triple
-            note(attribute, older_value)
-            note(attribute, newer_value)
-            constraints.append(
-                InstanceConstraint(
-                    body=tuple(OrderLiteral(*triple) for triple in body_triples),
-                    head=OrderLiteral(*head_triple),
-                    source_kind="currency",
-                    source_name=compiled.source_name,
-                )
+            rows = projections[compiled.attributes] = _Rows(
+                _project(instance, compiled.attributes, projected, set())
             )
+        seconds = rows.side(compiled.second_equalities)
+        if not seconds:
+            continue
+        evaluate, source_name = compiled.evaluate, compiled.source_name
+        # Permutation order, restricted to the pairs the index admits.
+        for i, row1 in rows.side(compiled.first_equalities):
+            for j, row2 in seconds:
+                if i == j:
+                    continue
+                instantiated = evaluate(row1, row2)
+                if instantiated is None:
+                    continue
+                body, head = instantiated
+                key = _record_key(body, head)
+                if key not in seen:
+                    admit("currency", source_name, body, head, key)
 
     # -- constant CFDs -------------------------------------------------------
-    for body, body_key, head_triple, source_name in _cfd_instances(program, instance):
-        if body:
-            key = (body_key, head_triple, False)
-            if key in general_seen:
-                continue
-            general_seen.add(key)
-        else:
-            if head_triple in fact_seen:
-                continue
-            fact_seen.add(head_triple)
-        for literal in body:
-            note(literal.attribute, literal.older)
-            note(literal.attribute, literal.newer)
-        attribute, older_value, newer_value = head_triple
-        note(attribute, older_value)
-        note(attribute, newer_value)
-        constraints.append(
-            InstanceConstraint(
-                body=body,
-                head=OrderLiteral._trusted(*head_triple),
-                source_kind="cfd",
-                source_name=source_name,
-            )
-        )
+    for body, body_key, head, source_name in _cfd_instances(program, instance):
+        key = _record_key(body_key, head)
+        if key not in seen:
+            admit("cfd", source_name, body, head, key)
 
     # -- ground-fact closure ----------------------------------------------
-    def emit_closed(constraint: InstanceConstraint) -> None:
-        head = constraint.head
-        if not constraint.body and head is not None and not constraint.negated_head:
-            key = (head.attribute, head.older, head.newer)
-            if key in fact_seen:
-                return
-            fact_seen.add(key)
-            constraints.append(constraint)
-            note(head.attribute, head.older)
-            note(head.attribute, head.newer)
-            return
-        key = _constraint_key(constraint)
-        if key in general_seen:
-            return
-        general_seen.add(key)
-        constraints.append(constraint)
-        for literal in constraint.body:
-            note(literal.attribute, literal.older)
-            note(literal.attribute, literal.newer)
-        if head is not None:
-            note(head.attribute, head.older)
-            note(head.attribute, head.newer)
-
-    _close_ground_facts(result, emit_closed)
-    result.used_values = used
-    return result
+    # Facts (records with an empty body) form a ground order per attribute.
+    # Closing them here detects cycles among facts eagerly: a cycle makes the
+    # whole specification invalid, recorded as an empty implication
+    # ``true → false``.  The closure facts come in
+    # :meth:`PartialOrder.transitive_closure_pairs` order, which follows the
+    # facts' order; a direct fact's head is already a key of Ω.
+    omega = InstanceConstraintSet(records=records, used_values=used)
+    facts: Dict[str, List[Tuple[Value, Value]]] = {}
+    for _, _, body, head in records:
+        if not body:
+            facts.setdefault(head[0], []).append((head[1], head[2]))
+    for attribute, edges in facts.items():
+        order = PartialOrder()
+        try:
+            for older, newer in edges:
+                order.add(older, newer)
+        except CyclicOrderError:
+            omega.inherently_invalid = True
+            omega.invalid_reason = f"the ground currency facts on attribute {attribute!r} form a cycle"
+            records.append(("conflict", attribute, (), None))
+            keys.append(_record_key((), None))
+            break
+        for older, newer in order.transitive_closure_pairs():
+            head = (attribute, older, newer)
+            key = _record_key((), head)
+            if key not in seen:
+                admit("closure", attribute, (), head, key)
+    return omega, keys

@@ -36,16 +36,18 @@ solver.
 
 Ω is built only through the encoder's compiled constraint program
 (:mod:`repro.encoding.compiled`): the full encode stamps it, and the deltas
-run its currency evaluators and its CFD instance generator.  The encoder
-deduplicates Ω by the instance-constraint key
-(:func:`~repro.encoding.instance_constraints._constraint_key`) and emits each
+run its currency evaluators over the value index and its CFD instance
+generator.  Ω is kept as records; each record's clause is written as
+integers, and a full encode or a delta step goes into the session in one
+:meth:`~repro.solvers.session.SolverSession.load_clauses` call.  The encoder
+deduplicates Ω by record key
+(:func:`~repro.encoding.instance_constraints._record_key`) and emits each
 value triple's order axioms once, which makes the incremental Φ logically
 equivalent to a from-scratch encoding of the extended specification.
 """
 
 from __future__ import annotations
 
-import itertools
 from time import perf_counter
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
@@ -59,23 +61,25 @@ from repro.core.values import Value
 from repro.encoding.cnf_encoder import (
     OrderAxioms,
     SpecificationEncoding,
-    _constraint_to_clause,
+    _record_clause,
     emit_order_axioms,
 )
 from repro.encoding.compiled import (
     CompiledConstraintProgram,
-    Triple,
+    Row,
     _cfd_instances,
+    _project,
+    _Rows,
     compile_program,
-    instantiate_compiled,
+    stamp,
 )
 from repro.encoding.instance_constraints import (
-    InstanceConstraint,
     InstanceConstraintSet,
     InstantiationOptions,
-    _constraint_key,
+    Record,
+    _record_key,
 )
-from repro.encoding.variables import OrderLiteral, OrderVariableRegistry, canonical_value
+from repro.encoding.variables import OrderVariableRegistry, canonical_value
 from repro.solvers.budget import SolverBudget
 from repro.solvers.session import SolverSession, create_session
 
@@ -122,13 +126,15 @@ class IncrementalEncoder:
         self._session = session if session is not None else create_session(backend, budget=budget)
         self._registry = OrderVariableRegistry()
         self._spec = spec
-        # Delta-tracking state.
-        self._keys: Set[Tuple] = set()
-        self._guards: Dict[Tuple, int] = {}
-        self._guard_constraints: Dict[Tuple, InstanceConstraint] = {}
+        # Delta-tracking state.  Ω's unguarded records are keyed in _keys, its
+        # CFD records in _guards (key → guard literal) and _guard_records: a
+        # currency record may share its key with a guarded CFD record.
+        self._keys: Set[Hashable] = set()
+        self._guards: Dict[Hashable, int] = {}
+        self._guard_records: Dict[Hashable, Record] = {}
         self._retired_guards = 0
-        self._projection_rows: Dict[Tuple[str, ...], List[Tuple[Value, ...]]] = {}
-        self._projection_seen: Dict[Tuple[str, ...], Set[Tuple[Value, ...]]] = {}
+        self._projections: Dict[Tuple[str, ...], _Rows] = {}
+        self._projection_seen: Dict[Tuple[str, ...], Set[Row]] = {}
         self._fact_orders: Dict[str, PartialOrder] = {}
         self._used_values: Dict[str, List[Value]] = {}
         self._used_keys: Dict[str, Set[Hashable]] = {}
@@ -140,10 +146,9 @@ class IncrementalEncoder:
         self._last_delta_clauses = 0
         self._last_delta_constraints = 0
 
-        self._omega = InstanceConstraintSet()
         self._encoding = SpecificationEncoding(
             specification=spec,
-            omega=self._omega,
+            omega=InstanceConstraintSet(),
             registry=self._registry,
             cnf=None,
             options=self._options,
@@ -200,71 +205,61 @@ class IncrementalEncoder:
 
     # -- clause plumbing -------------------------------------------------------
 
-    def _push_clause(self, literals: Sequence[int], initial: bool) -> None:
-        self._session.add_clause(literals)
+    @property
+    def _omega(self) -> InstanceConstraintSet:
+        return self._encoding.omega
+
+    def _load(self, clauses: Sequence[Sequence[int]], initial: bool) -> None:
+        """Load one encode step's clauses into the session, in one call."""
+        self._session.load_clauses(clauses, self._registry.num_variables)
         if initial:
-            self._initial_clauses += 1
+            self._initial_clauses += len(clauses)
         else:
-            self._incremental_clauses += 1
-            self._last_delta_clauses += 1
+            self._incremental_clauses += len(clauses)
+            self._last_delta_clauses += len(clauses)
 
-    def _push_constraint(self, constraint: InstanceConstraint, initial: bool) -> None:
-        """Append an unguarded constraint to Ω and its clause to Φ/session."""
-        self._omega.constraints.append(constraint)
-        self._push_clause(_constraint_to_clause(constraint, self._registry), initial)
-
-    def _push_guarded(self, constraint: InstanceConstraint, key: Tuple, initial: bool) -> None:
-        """Append a CFD constraint under a fresh guard literal."""
-        guard = self._registry.auxiliary_variable(label=("guard", constraint.source_name))
+    def _guarded_clause(self, record: Record, key: Hashable) -> List[int]:
+        """A CFD record's clause under a fresh guard literal, registered before its atoms."""
+        guard = self._registry.auxiliary_variable(label=("guard", record[1]))
         self._guards[key] = guard
-        self._guard_constraints[key] = constraint
-        self._omega.constraints.append(constraint)
-        clause = [-guard] + _constraint_to_clause(constraint, self._registry)
-        self._push_clause(clause, initial)
+        self._guard_records[key] = record
+        return [-guard] + _record_clause(self._registry, record[2], record[3])
 
-    def _admit(self, constraint: InstanceConstraint, out: List[InstanceConstraint]) -> bool:
-        key = _constraint_key(constraint)
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        out.append(constraint)
-        return True
+    def _admit(self, record: Record, key: Hashable, out: List[Record]) -> None:
+        if key not in self._keys:
+            self._keys.add(key)
+            out.append(record)
 
     # -- initial (full) encoding -----------------------------------------------
 
     def _full_encode(self) -> None:
         spec = self._spec
-        omega = instantiate_compiled(spec, self._program)
-        self._omega.inherently_invalid = omega.inherently_invalid
-        self._omega.invalid_reason = omega.invalid_reason
-        self._omega.used_values = omega.used_values
+        omega, keys = stamp(spec, self._program)
+        self._encoding.omega = omega
         self._used_values = omega.used_values
 
-        # Ω comes deduplicated, so every key is new here.
-        for constraint in omega.constraints:
-            key = _constraint_key(constraint)
-            if constraint.source_kind == "cfd":
-                self._push_guarded(constraint, key, initial=True)
+        # Ω comes deduplicated, with the key each record was admitted under.
+        registry = self._registry
+        clauses: List[Sequence[int]] = []
+        for record, key in zip(omega.records, keys):
+            if record[0] == "cfd":
+                clauses.append(self._guarded_clause(record, key))
             else:
                 self._keys.add(key)
-                self._push_constraint(constraint, initial=True)
-        self._initial_clauses += emit_order_axioms(
-            self._registry, self._session.add_clause, self._used_values
-        )
-        self._session.ensure_variables(self._registry.num_variables)
-        if self._omega.inherently_invalid:
+                clauses.append(_record_clause(registry, record[2], record[3]))
+        emit_order_axioms(registry, clauses.append, self._used_values)
+        self._load(clauses, initial=True)
+        if omega.inherently_invalid:
             return  # the encoding is permanently unsatisfiable; no delta state needed
 
         # Seed the delta-tracking state so apply_delta() can diff against it.
         for attribute, values in self._used_values.items():
             self._used_keys[attribute] = {canonical_value(value) for value in values}
-        for constraint in self._omega.constraints:
-            if constraint.source_kind == "cfd" or not constraint.is_fact():
+        for kind, _, body, head in omega.records:
+            if kind == "cfd" or body:
                 continue
-            order = self._fact_orders.setdefault(constraint.head.attribute, PartialOrder())
-            order.try_add(
-                canonical_value(constraint.head.older), canonical_value(constraint.head.newer)
-            )
+            order = self._fact_orders.setdefault(head[0], PartialOrder())
+            order.try_add(head[1], head[2])
         for attribute in spec.schema.attribute_names:
             self._adom_keys[attribute] = {
                 canonical_value(value) for value in spec.instance.active_domain(attribute)
@@ -297,21 +292,27 @@ class IncrementalEncoder:
         if delta.is_empty() or self._omega.inherently_invalid:
             return self._delta_report()
 
-        fresh: List[InstanceConstraint] = []
+        fresh: List[Record] = []
         self._delta_order_facts(old_spec, new_spec, fresh)
         self._delta_currency_constraints(new_spec, delta, fresh)
-        new_cfd_constraints = self._delta_cfds(new_spec, delta)
-        if not self._delta_fact_closure(fresh):
+        # The clauses of this step, in stream order: the refreshed CFD
+        # clauses, then the new unguarded records', then the triangles.
+        clauses: List[Sequence[int]] = []
+        new_cfd_records = self._delta_cfds(new_spec, delta, clauses)
+        if not self._delta_fact_closure(fresh, clauses):
             # A ground-fact cycle makes the specification inherently invalid.
-            # Only the guarded CFD clauses and the conflict clause were pushed;
-            # the collected fresh constraints never entered Ω or Φ.
-            self._last_delta_constraints = len(new_cfd_constraints) + 1
+            # Only the guarded CFD clauses and the conflict clause go in; the
+            # collected fresh records never enter Ω or Φ.
+            self._last_delta_constraints = len(new_cfd_records) + 1
+            self._load(clauses, initial=False)
             return self._delta_report()
-        for constraint in fresh:
-            self._push_constraint(constraint, initial=False)
-        axioms = self._delta_order_axioms(fresh + new_cfd_constraints)
-        self._last_delta_constraints = len(fresh) + len(new_cfd_constraints) + axioms
-        self._session.ensure_variables(self._registry.num_variables)
+        registry = self._registry
+        for _, _, body, head in fresh:
+            clauses.append(_record_clause(registry, body, head))
+        self._omega.records.extend(fresh)
+        axioms = self._delta_order_axioms(fresh + new_cfd_records, clauses)
+        self._last_delta_constraints = len(fresh) + len(new_cfd_records) + axioms
+        self._load(clauses, initial=False)
         self._omega.used_values = self._used_values
         return self._delta_report()
 
@@ -331,7 +332,7 @@ class IncrementalEncoder:
         self,
         old_spec: Specification,
         new_spec: Specification,
-        out: List[InstanceConstraint],
+        out: List[Record],
     ) -> None:
         instance = new_spec.instance
         for attribute in new_spec.schema.attribute_names:
@@ -346,15 +347,8 @@ class IncrementalEncoder:
                     newer_value = instance[newer_tid][attribute]
                     if older_value == newer_value:
                         continue
-                    self._admit(
-                        InstanceConstraint(
-                            body=(),
-                            head=OrderLiteral._trusted(attribute, older_value, newer_value),
-                            source_kind="order",
-                            source_name=f"{older_tid}≺{newer_tid}",
-                        ),
-                        out,
-                    )
+                    head = (attribute, older_value, newer_value)
+                    self._admit(("order", f"{older_tid}≺{newer_tid}", (), head), _record_key((), head), out)
 
     # -- delta: currency constraints ---------------------------------------------
 
@@ -362,93 +356,51 @@ class IncrementalEncoder:
         self,
         new_spec: Specification,
         delta: TemporalOrderDelta,
-        out: List[InstanceConstraint],
+        out: List[Record],
     ) -> None:
         if not delta.new_tuples:
             return
         projected = self._options.mode == "projected"
         for attributes, group in self._program.currency_groups:
-            # The cache is seeded lazily from the *old* instance: new tuples
+            # The rows are seeded lazily from the *old* instance: new tuples
             # are already part of new_spec, so seed from old rows only.
-            if attributes not in self._projection_rows:
-                self._seed_projection_cache_from_old(new_spec, delta, attributes)
-            rows = self._projection_rows[attributes]
-            seen = self._projection_seen[attributes]
-            # Values are normalised, so a positional row is its own
-            # projection key.
-            fresh_rows: List[Tuple[Value, ...]] = []
-            for item in delta.new_tuples:
-                row = tuple(item[attribute] for attribute in attributes)
-                if projected and row in seen:
-                    continue
-                seen.add(row)
-                fresh_rows.append(row)
+            if attributes not in self._projections:
+                self._seed_projection(new_spec, delta, attributes)
+            old = self._projections[attributes]
+            fresh_rows = _project(delta.new_tuples, attributes, projected, self._projection_seen[attributes])
             if not fresh_rows:
                 continue
-            old_rows = list(rows)
             for compiled in group:
                 evaluate, source_name = compiled.evaluate, compiled.source_name
-                for new_row in fresh_rows:
-                    for old_row in old_rows:
-                        self._admit_currency(evaluate(new_row, old_row), source_name, out)
-                        self._admit_currency(evaluate(old_row, new_row), source_name, out)
-                for row1, row2 in itertools.permutations(fresh_rows, 2):
-                    self._admit_currency(evaluate(row1, row2), source_name, out)
-            rows.extend(fresh_rows)
+                for row1, row2 in compiled.delta_pairs(old, fresh_rows):
+                    instantiated = evaluate(row1, row2)
+                    if instantiated is not None:
+                        body, head = instantiated
+                        self._admit(("currency", source_name, body, head), _record_key(body, head), out)
+            old.extend(fresh_rows)
 
-    def _admit_currency(
-        self,
-        instantiated: Optional[Tuple[List[Triple], Triple]],
-        source_name: str,
-        out: List[InstanceConstraint],
-    ) -> None:
-        """Admit one evaluated currency instance (``None``: vacuous) unless its key is known."""
-        if instantiated is None:
-            return
-        body_triples, head_triple = instantiated
-        key = (frozenset(body_triples), head_triple, False)
-        if key in self._keys:
-            return
-        self._keys.add(key)
-        out.append(
-            InstanceConstraint(
-                body=tuple(OrderLiteral(*triple) for triple in body_triples),
-                head=OrderLiteral(*head_triple),
-                source_kind="currency",
-                source_name=source_name,
-            )
-        )
-
-    def _seed_projection_cache_from_old(
+    def _seed_projection(
         self, new_spec: Specification, delta: TemporalOrderDelta, attributes: Tuple[str, ...]
     ) -> None:
         # The delta's tuples live at the tail of the extended instance (and a
         # tuple appended with ``tid=None`` only gets its identifier inside
         # the instance), so "old" is the positional prefix, not a tid match.
-        tids = new_spec.instance.tids
-        new_tids = set(tids[len(tids) - len(delta.new_tuples):])
+        items = list(new_spec.instance)
+        seen: Set[Row] = set()
+        old_items = items[: len(items) - len(delta.new_tuples)]
         projected = self._options.mode == "projected"
-        rows: List[Tuple[Value, ...]] = []
-        seen: Set[Tuple[Value, ...]] = set()
-        for item in new_spec.instance:
-            if item.tid in new_tids:
-                continue
-            row = tuple(item[attribute] for attribute in attributes)
-            if projected and row in seen:
-                continue
-            seen.add(row)
-            rows.append(row)
-        self._projection_rows[attributes] = rows
+        self._projections[attributes] = _Rows(_project(old_items, attributes, projected, seen))
         self._projection_seen[attributes] = seen
 
     # -- delta: constant CFDs ------------------------------------------------------
 
     def _delta_cfds(
-        self, new_spec: Specification, delta: TemporalOrderDelta
-    ) -> List[InstanceConstraint]:
+        self, new_spec: Specification, delta: TemporalOrderDelta, clauses: List[Sequence[int]]
+    ) -> List[Record]:
         """Refresh the guarded CFD clauses after an active-domain change.
 
-        Returns the *newly added* CFD constraints (for used-value accounting).
+        Appends the new guarded clauses to *clauses* and returns the newly
+        added CFD records (for used-value accounting).
         """
         program = self._program
         if not program.cfds or not delta.new_tuples:
@@ -465,47 +417,43 @@ class IncrementalEncoder:
             return []
 
         # The CFD instances of the current active domains, by key.
-        fresh: Dict[Tuple, Tuple[Tuple[OrderLiteral, ...], Triple, str]] = {}
-        for body, body_key, head_triple, source_name in _cfd_instances(program, new_spec.instance):
-            fresh.setdefault((body_key, head_triple, False), (body, head_triple, source_name))
+        fresh: Dict[Hashable, Record] = {}
+        for body, body_key, head, source_name in _cfd_instances(program, new_spec.instance):
+            fresh.setdefault(_record_key(body_key, head), ("cfd", source_name, body, head))
         # Retire guards of CFD instances no longer produced by the current
-        # active domains (their bodies grew): stop assuming their guards.
-        stale_constraints = []
-        for key in [key for key in self._guards if key not in fresh]:
-            self._guards.pop(key)
-            stale_constraints.append(self._guard_constraints.pop(key))
-            self._retired_guards += 1
-        if stale_constraints:
-            stale_ids = {id(constraint) for constraint in stale_constraints}
-            self._omega.constraints = [
-                constraint for constraint in self._omega.constraints if id(constraint) not in stale_ids
+        # active domains (their bodies grew): stop assuming their guards, and
+        # drop exactly their CFD records from Ω.
+        stale = [key for key in self._guards if key not in fresh]
+        if stale:
+            for key in stale:
+                self._guards.pop(key)
+            self._retired_guards += len(stale)
+            stale_records = {id(self._guard_records.pop(key)) for key in stale}
+            self._omega.records = [
+                record for record in self._omega.records if id(record) not in stale_records
             ]
-        added: List[InstanceConstraint] = []
-        for key, (body, head_triple, source_name) in fresh.items():
+        added: List[Record] = []
+        for key, record in fresh.items():
             if key in self._guards:
                 continue
-            constraint = InstanceConstraint(
-                body=body,
-                head=OrderLiteral._trusted(*head_triple),
-                source_kind="cfd",
-                source_name=source_name,
-            )
-            self._push_guarded(constraint, key, initial=False)
-            added.append(constraint)
+            clauses.append(self._guarded_clause(record, key))
+            self._omega.records.append(record)
+            added.append(record)
         return added
 
     # -- delta: ground-fact closure -------------------------------------------------
 
-    def _delta_fact_closure(self, fresh: List[InstanceConstraint]) -> bool:
-        """Close new ground facts transitively; ``False`` on a fact cycle."""
+    def _delta_fact_closure(self, fresh: List[Record], clauses: List[Sequence[int]]) -> bool:
+        """Close new ground facts transitively; ``False`` on a fact cycle.
+
+        On a cycle the conflict record joins Ω and its empty clause joins
+        *clauses*.
+        """
         new_edges: Dict[str, List[Tuple[Hashable, Hashable]]] = {}
-        for constraint in fresh:
-            if not constraint.is_fact():
-                continue
-            new_edges.setdefault(constraint.head.attribute, []).append(
-                (canonical_value(constraint.head.older), canonical_value(constraint.head.newer))
-            )
-        closure_facts: List[InstanceConstraint] = []
+        for _, _, body, head in fresh:
+            if not body:
+                new_edges.setdefault(head[0], []).append((head[1], head[2]))
+        closure_facts: List[Record] = []
         for attribute, edges in new_edges.items():
             order = self._fact_orders.setdefault(attribute, PartialOrder())
             before = set(order.transitive_closure_pairs())
@@ -517,24 +465,15 @@ class IncrementalEncoder:
                 self._omega.invalid_reason = (
                     f"the ground currency facts on attribute {attribute!r} form a cycle"
                 )
-                conflict = InstanceConstraint(
-                    body=(), head=None, source_kind="conflict", source_name=attribute
-                )
-                self._keys.add(_constraint_key(conflict))
-                self._push_constraint(conflict, initial=False)
+                self._keys.add(_record_key((), None))
+                self._omega.records.append(("conflict", attribute, (), None))
+                clauses.append([])
                 return False
             for older, newer in order.transitive_closure_pairs():
                 if (older, newer) in before or (older, newer) in edges:
                     continue
-                self._admit(
-                    InstanceConstraint(
-                        body=(),
-                        head=OrderLiteral(attribute, older, newer),
-                        source_kind="closure",
-                        source_name=attribute,
-                    ),
-                    closure_facts,
-                )
+                head = (attribute, older, newer)
+                self._admit(("closure", attribute, (), head), _record_key((), head), closure_facts)
         fresh.extend(closure_facts)
         return True
 
@@ -550,8 +489,8 @@ class IncrementalEncoder:
         self._used_values.setdefault(attribute, []).append(value)
         return True
 
-    def _delta_order_axioms(self, new_constraints: List[InstanceConstraint]) -> int:
-        """Note the used values of *new_constraints*, push the axioms they add; return how many.
+    def _delta_order_axioms(self, new_records: List[Record], clauses: List[Sequence[int]]) -> int:
+        """Note the used values of *new_records*, append the axioms they add to *clauses*; return how many.
 
         A newly used value joins the tail of its attribute's used values, so
         the triples it is the newest value of are exactly those
@@ -560,21 +499,19 @@ class IncrementalEncoder:
         :func:`emit_order_axioms`).
         """
         new_counts: Dict[str, int] = {}  # touched attribute → how many values it newly uses
-        for constraint in new_constraints:
-            head = () if constraint.head is None else (constraint.head,)
-            for literal in constraint.body + head:
-                count = new_counts.get(literal.attribute, 0)
-                for value in (literal.older, literal.newer):
-                    count += self._note_used(literal.attribute, value)
-                new_counts[literal.attribute] = count
+        for _, _, body, head in new_records:
+            for attribute, older, newer in body + (head,):
+                new_counts[attribute] = (
+                    new_counts.get(attribute, 0)
+                    + self._note_used(attribute, older)
+                    + self._note_used(attribute, newer)
+                )
 
         pushed = 0
         for attribute in sorted(new_counts):
             if not new_counts[attribute]:
                 continue
             values = self._used_values[attribute]
-            axioms = OrderAxioms(self._registry, attribute, values, self._session.add_clause)
+            axioms = OrderAxioms(self._registry, attribute, values, clauses.append)
             pushed += axioms.triangles(len(values) - new_counts[attribute])
-        self._incremental_clauses += pushed
-        self._last_delta_clauses += pushed
         return pushed

@@ -20,57 +20,55 @@ the used values, so Ω keeps only their input, ``used_values``, and the
 encoder writes them straight into Φ
 (:func:`~repro.encoding.cnf_encoder.emit_order_axioms`).
 
-This module holds Ω's types and the ground-fact closure; the procedure that
-builds Ω is the compiled constraint program of :mod:`repro.encoding.compiled`.
-It has two modes (``InstantiationOptions.mode``).  The *naive* mode follows
-the paper literally and enumerates ordered pairs of tuples — O(|Σ|·|I_t|²).
-The *projected* mode (the default) first projects tuples onto the attributes
-each constraint mentions and enumerates distinct projections, which produces
-exactly the same set of deduplicated instance constraints but is insensitive
-to how many duplicate tuples an entity has; the ablation benchmark compares
-the two.
+This module holds Ω's types; the procedure that builds Ω is the compiled
+constraint program of :mod:`repro.encoding.compiled`.  Ω is kept as compact
+records (:data:`Record`: kind, source name, body triples, head triple), from
+which the encoder writes Φ's clauses as integers; the
+:class:`InstanceConstraint` objects are built only when ``constraints`` is
+read.  The program has two modes (``InstantiationOptions.mode``).  The *naive*
+mode follows the paper literally and enumerates ordered pairs of tuples —
+O(|Σ|·|I_t|²).  The *projected* mode (the default) first projects tuples onto
+the attributes each constraint mentions and enumerates distinct projections,
+which produces exactly the same set of deduplicated instance constraints but
+is insensitive to how many duplicate tuples an entity has; the ablation
+benchmark compares the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-from repro.core.errors import EncodingError
 from repro.core.values import Value
-from repro.encoding.variables import OrderLiteral, canonical_value
+from repro.encoding.variables import OrderLiteral
 
 __all__ = ["InstanceConstraint", "InstantiationOptions", "InstanceConstraintSet"]
+
+#: An order atom ``older ≺^v_attribute newer`` as a plain ``(attribute, older, newer)`` triple.
+Triple = Tuple[str, Value, Value]
+#: One element of Ω: ``(kind, source name, body triples, head triple or None)``.
+Record = Tuple[str, str, Tuple[Triple, ...], Optional[Triple]]
 
 
 @dataclass(frozen=True)
 class InstanceConstraint:
     """One instance constraint: ``body → head`` over ordering atoms.
 
-    ``head is None`` encodes an implication to *false* (the body must not hold);
-    ``negated_head`` encodes a negative conclusion (no kind in Ω has one).
+    ``head is None`` encodes an implication to *false* (the body must not hold).
     """
 
     body: Tuple[OrderLiteral, ...]
     head: Optional[OrderLiteral]
-    negated_head: bool = False
     source_kind: str = "currency"
     source_name: str = ""
 
-    def __post_init__(self) -> None:
-        if self.head is None and self.negated_head:
-            raise EncodingError("a constraint without a head cannot have a negated head")
-
     def is_fact(self) -> bool:
-        """``True`` for ground facts (empty body, positive head)."""
-        return not self.body and self.head is not None and not self.negated_head
+        """``True`` for ground facts (empty body, a head)."""
+        return not self.body and self.head is not None
 
     def __str__(self) -> str:  # pragma: no cover - presentation only
         body = " ∧ ".join(str(lit) for lit in self.body) if self.body else "true"
-        if self.head is None:
-            head = "false"
-        else:
-            head = ("¬" if self.negated_head else "") + str(self.head)
+        head = "false" if self.head is None else str(self.head)
         return f"{body} → {head}"
 
 
@@ -87,21 +85,38 @@ class InstantiationOptions:
     mode: str = "projected"
 
 
+def _constraint_of(record: Record) -> InstanceConstraint:
+    kind, source_name, body, head = record
+    return InstanceConstraint(
+        body=tuple(OrderLiteral._trusted(*triple) for triple in body),
+        head=None if head is None else OrderLiteral._trusted(*head),
+        source_kind=kind,
+        source_name=source_name,
+    )
+
+
 @dataclass
 class InstanceConstraintSet:
-    """The result of instantiation: Ω(S_e) plus bookkeeping used by the encoder.
+    """The result of instantiation: Ω(S_e) as records, plus the order axioms' input.
 
-    The order axioms' input: ``used_values`` per attribute in first-use
-    order.
+    ``records`` lists Ω in order; ``used_values`` holds, per attribute, the
+    values Ω uses, in first-use order.  ``len()`` counts the records, and
+    :attr:`constraints` builds the :class:`InstanceConstraint` objects from
+    them when it is read.
     """
 
-    constraints: List[InstanceConstraint] = field(default_factory=list)
+    records: List[Record] = field(default_factory=list)
     used_values: Dict[str, List[Value]] = field(default_factory=dict)
     inherently_invalid: bool = False
     invalid_reason: str = ""
 
+    @property
+    def constraints(self) -> List[InstanceConstraint]:
+        """Ω as :class:`InstanceConstraint` objects, in record order."""
+        return [_constraint_of(record) for record in self.records]
+
     def __len__(self) -> int:
-        return len(self.constraints)
+        return len(self.records)
 
     def __iter__(self):
         return iter(self.constraints)
@@ -109,66 +124,21 @@ class InstanceConstraintSet:
     def by_kind(self, *kinds: str) -> List[InstanceConstraint]:
         """Return the constraints whose ``source_kind`` is one of *kinds*."""
         wanted = set(kinds)
-        return [constraint for constraint in self.constraints if constraint.source_kind in wanted]
+        return [_constraint_of(record) for record in self.records if record[0] in wanted]
 
     def facts(self) -> List[InstanceConstraint]:
         """Ground facts (empty body)."""
-        return [constraint for constraint in self.constraints if constraint.is_fact()]
+        return [_constraint_of(record) for record in self.records if not record[2] and record[3] is not None]
 
 
-def _constraint_key(constraint: InstanceConstraint) -> Tuple:
-    """Deduplication key: the body atoms as a set, the head atom and its sign."""
-    head = constraint.head
-    return (
-        frozenset((lit.attribute, lit.older, lit.newer) for lit in constraint.body),
-        None if head is None else (head.attribute, head.older, head.newer),
-        constraint.negated_head,
-    )
+def _record_key(body: Iterable[Triple], head: Optional[Triple]) -> Hashable:
+    """Deduplication key of an Ω element (its body may come as a frozenset already).
 
-
-# -- ground-fact closure -----------------------------------------------------------
-
-
-def _close_ground_facts(result: InstanceConstraintSet, emit) -> None:
-    """Transitively close the ground facts of Ω(S_e).
-
-    Facts (unit constraints) form a ground order per attribute.  Closing them
-    here detects cycles among facts eagerly: a cycle makes the whole
-    specification invalid, recorded as an empty implication ``true → false``.
-    The closure facts come in :meth:`PartialOrder.transitive_closure_pairs`
-    order, which follows the facts' order.
+    A ground fact is keyed by its head triple, anything else by its body
+    atoms as a set and its head; the two key spaces never meet (a triple
+    starts with a string, the pair with a frozenset).
     """
-    from repro.core.errors import CyclicOrderError
-    from repro.core.partial_order import PartialOrder
-
-    facts_by_attribute: Dict[str, List[InstanceConstraint]] = {}
-    for constraint in result.constraints:
-        if constraint.is_fact():
-            facts_by_attribute.setdefault(constraint.head.attribute, []).append(constraint)
-    for attribute, facts in facts_by_attribute.items():
-        order = PartialOrder()
-        direct: Set[Tuple[Hashable, Hashable]] = set()
-        for fact in facts:
-            older = canonical_value(fact.head.older)
-            newer = canonical_value(fact.head.newer)
-            direct.add((older, newer))
-            try:
-                order.add(older, newer)
-            except CyclicOrderError:
-                result.inherently_invalid = True
-                result.invalid_reason = (
-                    f"the ground currency facts on attribute {attribute!r} form a cycle"
-                )
-                emit(InstanceConstraint(body=(), head=None, source_kind="conflict", source_name=attribute))
-                return
-        for older, newer in order.transitive_closure_pairs():
-            if (older, newer) in direct:
-                continue
-            emit(
-                InstanceConstraint(
-                    body=(),
-                    head=OrderLiteral(attribute, older, newer),
-                    source_kind="closure",
-                    source_name=attribute,
-                )
-            )
+    atoms = frozenset(body)
+    if not atoms and head is not None:
+        return head
+    return (atoms, head)

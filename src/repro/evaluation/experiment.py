@@ -77,7 +77,7 @@ _REUSE_KEYS = (
 )
 
 #: Phases folded into the aggregate per-phase totals.
-_PHASES = ("validity", "deduce", "suggest", "total")
+_PHASES = ("encode", "validity", "deduce", "suggest", "total")
 
 
 def _reuse_from_resolution(resolution: ResolutionResult) -> Dict[str, int]:
@@ -185,7 +185,7 @@ class ExperimentResult:
         return self._counts.f_measure
 
     def mean_seconds(self, phase: str) -> float:
-        """Mean per-entity wall-clock time of a phase ("validity", "deduce", "suggest", "total")."""
+        """Mean per-entity wall-clock time of a phase ("encode", "validity", "deduce", "suggest", "total")."""
         if self.entities == 0:
             return 0.0
         return self._phase_seconds.get(phase, 0.0) / self.entities
@@ -325,7 +325,7 @@ def _entity_outcome(
         correct_by_round.append(_correct_known(entity, schema, known, resolution.resolved_tuple))
     seconds = resolution.total_seconds()
     if elapsed is None:
-        elapsed = seconds["validity"] + seconds["deduce"] + seconds["suggest"]
+        elapsed = seconds["encode"] + seconds["validity"] + seconds["deduce"] + seconds["suggest"]
     seconds["total"] = elapsed
     return EntityOutcome(
         entity_name=entity.name,

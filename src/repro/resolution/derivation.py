@@ -26,7 +26,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 from repro.core.specification import Specification, TrueValueAssignment
 from repro.core.values import Value, values_equal
 from repro.encoding.cnf_encoder import SpecificationEncoding
-from repro.encoding.instance_constraints import InstanceConstraint
+from repro.encoding.instance_constraints import Triple
 from repro.encoding.variables import canonical_value
 
 __all__ = ["DerivationRule", "derive_rules"]
@@ -121,16 +121,19 @@ def _rules_from_cfds(
     return rules
 
 
+#: An Ω record's body and head triples.
+_Implication = Tuple[Tuple[Triple, ...], Triple]
+
+
 def _index_constraints_by_head(
     encoding: SpecificationEncoding,
-) -> Dict[Tuple[str, Hashable], List[InstanceConstraint]]:
-    """Partition the order/currency instance constraints by (attribute, head newer value)."""
-    index: Dict[Tuple[str, Hashable], List[InstanceConstraint]] = {}
-    for constraint in encoding.omega.by_kind(*_RULE_SOURCE_KINDS):
-        if constraint.head is None or constraint.negated_head:
+) -> Dict[Tuple[str, Hashable], List[_Implication]]:
+    """Partition the order/currency/closure records of Ω by (attribute, head newer value)."""
+    index: Dict[Tuple[str, Hashable], List[_Implication]] = {}
+    for kind, _, body, head in encoding.omega.records:
+        if kind not in _RULE_SOURCE_KINDS or head is None:
             continue
-        key = (constraint.head.attribute, canonical_value(constraint.head.newer))
-        index.setdefault(key, []).append(constraint)
+        index.setdefault((head[0], canonical_value(head[2])), []).append((body, head))
     return index
 
 
@@ -138,22 +141,20 @@ def _try_build_rule(
     attribute: str,
     value: Value,
     required_older: Sequence[Value],
-    constraints: Sequence[InstanceConstraint],
+    constraints: Sequence[_Implication],
     candidates: Mapping[str, Sequence[Value]],
     known: TrueValueAssignment,
 ) -> Optional[DerivationRule]:
     """Assemble one rule concluding (attribute, value); ``None`` when impossible."""
     preconditions: Dict[str, Value] = {}
     for older in required_older:
-        chosen: Optional[InstanceConstraint] = None
-        for constraint in constraints:
-            if not values_equal(constraint.head.older, older):
+        chosen = False
+        for body, head in constraints:
+            if not values_equal(head[1], older):
                 continue
             usable = True
             tentative: Dict[str, Value] = {}
-            for literal in constraint.body:
-                body_attribute = literal.attribute
-                assumed_current = literal.newer
+            for body_attribute, _, assumed_current in body:
                 if body_attribute in known:
                     if not values_equal(known[body_attribute], assumed_current):
                         usable = False
@@ -169,10 +170,10 @@ def _try_build_rule(
                     break
                 tentative[body_attribute] = assumed_current
             if usable:
-                chosen = constraint
+                chosen = True
                 preconditions.update(tentative)
                 break
-        if chosen is None:
+        if not chosen:
             return None
     return DerivationRule(preconditions, attribute, value, source="currency")
 

@@ -86,6 +86,10 @@ class RoundReport:
     deduce_seconds: float = 0.0
     suggest_seconds: float = 0.0
     encoding_statistics: Dict[str, int] = field(default_factory=dict)
+    #: Encoding time of the round: round 0's full encode (none for a warm
+    #: encoder), then the delta applied before round k (or, off the
+    #: incremental path, the round's from-scratch encode).
+    encode_seconds: float = 0.0
 
 
 @dataclass
@@ -134,8 +138,9 @@ class ResolutionResult:
 
     def total_seconds(self) -> Dict[str, float]:
         """Total time spent per phase across all rounds."""
-        totals = {"validity": 0.0, "deduce": 0.0, "suggest": 0.0}
+        totals = {"encode": 0.0, "validity": 0.0, "deduce": 0.0, "suggest": 0.0}
         for round_report in self.rounds:
+            totals["encode"] += round_report.encode_seconds
             totals["validity"] += round_report.validity_seconds
             totals["deduce"] += round_report.deduce_seconds
             totals["suggest"] += round_report.suggest_seconds
@@ -321,6 +326,7 @@ class ConflictResolver:
         valid = True
         user_validated: Dict[str, Value] = {}
         program = self.program_cache.program_for(spec, options.instantiation)
+        encode_seconds = 0.0  # the delta applied before this round
 
         for round_index in range(options.max_rounds + 1):
             # Per-call solver caps bound a single spin; this bounds the whole
@@ -349,6 +355,8 @@ class ConflictResolver:
                 encoding = encode_specification(current, options.instantiation, program=program)
                 session = None
                 guard_assumptions = ()
+            encode_seconds += time.perf_counter() - start
+            start = time.perf_counter()
             validity = check_validity(
                 current,
                 encoding=encoding,
@@ -376,6 +384,7 @@ class ConflictResolver:
                         validity_seconds=validity_seconds,
                         deduce_seconds=deduce_seconds,
                         encoding_statistics=self._round_statistics(encoding, encoder),
+                        encode_seconds=encode_seconds,
                     )
                 )
                 break
@@ -410,6 +419,7 @@ class ConflictResolver:
                     deduce_seconds=deduce_seconds,
                     suggest_seconds=suggest_seconds,
                     encoding_statistics=self._round_statistics(encoding, encoder),
+                    encode_seconds=encode_seconds,
                 )
             )
 
@@ -417,11 +427,13 @@ class ConflictResolver:
                 break
             user_validated.update(answers)
             delta = self._delta_from_answers(current, answers, known, round_index + 1)
+            start = time.perf_counter()
             if options.incremental and encoder is not None:
                 encoder.apply_delta(delta)
                 current = encoder.specification
             else:
                 current = current.extend(delta)
+            encode_seconds = time.perf_counter() - start
 
         resolved, fallback_attributes = self._finalize(spec, known, valid, rng)
         return ResolutionResult(

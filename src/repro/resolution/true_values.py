@@ -8,8 +8,9 @@ the current one in every completion).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Hashable, Iterable, List, Optional, Set
 
+from repro.core.partial_order import PartialOrder
 from repro.core.specification import Specification, TrueValueAssignment
 from repro.core.values import Value
 from repro.encoding.variables import canonical_value
@@ -30,35 +31,59 @@ def true_value_of_attribute(
     candidates the ones dominated by another qualifier are discarded, and the
     true value exists only when exactly one remains.
     """
-    active = spec.instance.active_domain(attribute)
-    active_keys = {canonical_value(value): value for value in active}
-    candidates = {canonical_value(value): value for value in spec.value_domain(attribute)}
-    order = deduced.order_for(attribute)
+    return _true_value(
+        spec.instance.active_domain(attribute), spec.value_domain(attribute), deduced.order_for(attribute)
+    )
 
-    qualifiers: Dict[object, Value] = {}
+
+def _true_value(active: Iterable[Value], domain: Iterable[Value], order: PartialOrder) -> Optional[Value]:
+    """The one undominated qualifier of *domain* over *active* in *order* (see above).
+
+    Each value's successors are walked once: what lies above it is a set,
+    and every "is ``a`` below ``b``" question a set lookup.
+    """
+    active_keys = dict.fromkeys(canonical_value(value) for value in active)
+    candidates: Dict[Hashable, Value] = {}
+    for value in domain:
+        candidates.setdefault(canonical_value(value), value)
+    above: Dict[Hashable, Set[Hashable]] = {}
+
+    def above_of(key: Hashable) -> Set[Hashable]:
+        found = above.get(key)
+        if found is None:
+            found = above[key] = order.above(key)
+        return found
+
+    qualifiers: Dict[Hashable, Value] = {}
     for candidate_key, candidate in candidates.items():
-        if all(
-            other_key == candidate_key or order.precedes(other_key, candidate_key)
-            for other_key in active_keys
-        ):
+        if all(other == candidate_key or candidate_key in above_of(other) for other in active_keys):
             qualifiers[candidate_key] = candidate
-    if not qualifiers:
-        return None
-    undominated = {
-        key: value
+    undominated: List[Value] = [
+        value
         for key, value in qualifiers.items()
-        if not any(other != key and order.precedes(key, other) for other in qualifiers)
-    }
-    if len(undominated) == 1:
-        return next(iter(undominated.values()))
-    return None
+        if not any(other != key and other in above_of(key) for other in qualifiers)
+    ]
+    return undominated[0] if len(undominated) == 1 else None
 
 
 def extract_true_values(spec: Specification, deduced: DeducedOrders) -> TrueValueAssignment:
-    """Return the true values of every attribute determined by *deduced*."""
+    """Return the true values of every attribute determined by *deduced*.
+
+    Γ's constants are collected per attribute in one pass; each attribute's
+    candidates are its active domain, then those constants, in the order of
+    :meth:`~repro.core.specification.Specification.value_domain`.
+    """
+    constants: Dict[str, List[Value]] = {}
+    for cfd in spec.cfds:
+        constants.setdefault(cfd.rhs_attribute, []).append(cfd.rhs_value)
+        for attribute, value in cfd.lhs:
+            constants.setdefault(attribute, []).append(value)
     values: Dict[str, Value] = {}
     for attribute in spec.schema.attribute_names:
-        value = true_value_of_attribute(spec, deduced, attribute)
+        active = spec.instance.active_domain(attribute)
+        value = _true_value(
+            active, [*active, *constants.get(attribute, ())], deduced.order_for(attribute)
+        )
         if value is not None:
             values[attribute] = value
     return TrueValueAssignment(values)

@@ -110,19 +110,6 @@ def _luby(i: int) -> int:
     return 1 << seq
 
 
-def _simplify_clause(clause: Sequence[int]) -> Optional[List[int]]:
-    """Deduplicate a clause; return ``None`` for tautologies."""
-    seen: Dict[int, None] = {}
-    for lit in clause:
-        lit = int(lit)
-        if lit == 0:
-            raise SolverError("0 is not a valid literal")
-        if -lit in seen:
-            return None
-        seen.setdefault(lit, None)
-    return list(seen)
-
-
 class ArenaSolver:
     """Incremental CDCL solver over a flat clause arena.
 
@@ -175,8 +162,7 @@ class ArenaSolver:
         self.db_reductions = 0
         self.clauses_deleted = 0
         if cnf is not None:
-            self.ensure_variables(cnf.num_variables)
-            self.add_clauses(cnf.clauses)
+            self.load(cnf)
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -273,46 +259,69 @@ class ArenaSolver:
         The clause is simplified against the root-level (level-0) assignment:
         root-falsified literals are dropped and root-satisfied clauses are not
         stored at all — both are sound because level-0 assignments are logical
-        consequences of the clause database.
+        consequences of the clause database.  See :meth:`load_clauses`.
         """
-        if self._unsat:
-            return
-        simplified = _simplify_clause(literals)
-        if simplified is None:
-            return  # tautology
-        self._backtrack(0)
-        for lit in simplified:
-            self.ensure_variables(abs(lit))
-        assignment = self._assignment
-        kept: List[int] = []
-        for lit in simplified:
-            value = assignment[lit] if lit > 0 else -assignment[-lit]
-            if value == _TRUE:
-                return  # satisfied at the root level forever
-            if value == _FALSE:
-                continue  # falsified at the root level forever
-            kept.append(lit)
-        if not kept:
-            self._unsat = True
-            return
-        if len(kept) == 1:
-            if not self._enqueue(kept[0], -1, None):
-                self._unsat = True
-            return
-        index = self._append_clause(kept, learned=False)
-        self._watch(kept[0], index)
-        self._watch(kept[1], index)
-        self.num_problem_clauses += 1
+        self.load_clauses((literals,), 0)
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
-        """Append several clauses."""
-        for clause in clauses:
-            self.add_clause(clause)
+        """Append several clauses (see :meth:`load_clauses`)."""
+        self.load_clauses(clauses, 0)
+
+    def load_clauses(self, clauses: Iterable[Sequence[int]], num_variables: int) -> None:
+        """Append *clauses* and track variables up to *num_variables*, in one call.
+
+        Each clause is deduplicated, dropped when it is a tautology and
+        simplified against the root-level assignment (see :meth:`add_clause`);
+        an empty clause or a contradicted unit makes the formula unsatisfiable
+        and the remaining clauses are skipped.  The buffers, watches, trail
+        and heap come out exactly as after loading the clauses one at a time
+        and then ``ensure_variables(num_variables)``, but the solver
+        backtracks and grows its variables once, at the first clause that is
+        not a tautology.  Literals must be ints.
+        """
+        if not self._unsat:
+            ready = False
+            assignment = self._assignment
+            for literals in clauses:
+                seen: Dict[int, None] = {}
+                highest = 0
+                for lit in literals:
+                    if lit == 0:
+                        raise SolverError("0 is not a valid literal")
+                    if -lit in seen:
+                        break  # tautology
+                    seen[lit] = None
+                    variable = lit if lit > 0 else -lit
+                    if variable > highest:
+                        highest = variable
+                else:
+                    if not ready:
+                        ready = True
+                        self._backtrack(0)
+                        self.ensure_variables(num_variables)
+                    if highest > self._num_vars:
+                        self.ensure_variables(highest)
+                    kept: List[int] = []
+                    for lit in seen:
+                        value = assignment[lit] if lit > 0 else -assignment[-lit]
+                        if value == _TRUE:
+                            break  # satisfied at the root level forever
+                        if value != _FALSE:
+                            kept.append(lit)
+                    else:
+                        if len(kept) > 1:
+                            index = self._append_clause(kept, learned=False)
+                            self._watch(kept[0], index)
+                            self._watch(kept[1], index)
+                            self.num_problem_clauses += 1
+                        elif not kept or not self._enqueue(kept[0], -1, None):
+                            self._unsat = True
+                            break
+        self.ensure_variables(num_variables)
 
     def load(self, cnf: CNF) -> None:
-        """Bulk-load a formula (variables first, then all clauses)."""
-        self.ensure_variables(cnf.num_variables)
-        self.add_clauses(cnf.clauses)
+        """Bulk-load a formula (see :meth:`load_clauses`)."""
+        self.load_clauses(cnf.clauses, cnf.num_variables)
 
     # -- low-level machinery ---------------------------------------------------
 

@@ -6,8 +6,8 @@ one refutation per candidate order in ``NaiveDeduce``, and a batch of probes
 during ``Suggest``'s group-MaxSAT repair.  A :class:`SolverSession` keeps one
 solver alive for that whole lifecycle:
 
-* ``add_clauses`` appends delta clauses (from the incremental encoder) without
-  rebuilding anything;
+* ``load_clauses`` appends a batch of clauses (a full encode, or one delta
+  of the incremental encoder) in one call, without rebuilding anything;
 * ``solve(assumptions)`` answers a query under per-call assumptions; the
   arena backend keeps variable activities and saved phases between calls,
   and forgets the clauses a solve learned when it returns;
@@ -49,8 +49,9 @@ __all__ = [
 class SolverSession:
     """Base class for stateful solver sessions.
 
-    Subclasses implement ``_add_clause``, ``_solve`` and ``propagate``; the
-    base class keeps the reuse statistics uniform across backends.
+    Subclasses implement ``_add_clause``, ``_solve`` and ``propagate`` (and
+    may override ``_load_clauses`` to take a batch in one call); the base
+    class keeps the reuse statistics uniform across backends.
     """
 
     #: Registry name of the backend (set by subclasses).
@@ -82,6 +83,15 @@ class SolverSession:
         for clause in clauses:
             self.add_clause(clause)
 
+    def load_clauses(self, clauses: Sequence[Sequence[int]], num_variables: int) -> None:
+        """Append *clauses*, then make the session aware of variables up to *num_variables*.
+
+        The same as :meth:`add_clause` per clause followed by
+        :meth:`ensure_variables`, counted the same, in one backend call.
+        """
+        self._load_clauses(clauses, num_variables)
+        self._clauses_added += len(clauses)
+
     def ensure_variables(self, count: int) -> None:
         """Make the session aware of variables up to index *count*."""
 
@@ -111,6 +121,11 @@ class SolverSession:
 
     def _add_clause(self, literals: Sequence[int]) -> None:
         raise NotImplementedError
+
+    def _load_clauses(self, clauses: Sequence[Sequence[int]], num_variables: int) -> None:
+        for clause in clauses:
+            self._add_clause(clause)
+        self.ensure_variables(num_variables)
 
     def _solve(self, assumptions: Sequence[int], conflict_limit: Optional[int]) -> SATResult:
         raise NotImplementedError
@@ -185,6 +200,9 @@ class ArenaSession(SolverSession):
 
     def _add_clause(self, literals: Sequence[int]) -> None:
         self._solver.add_clause(literals)
+
+    def _load_clauses(self, clauses: Sequence[Sequence[int]], num_variables: int) -> None:
+        self._solver.load_clauses(clauses, num_variables)
 
     def _solve(self, assumptions: Sequence[int], conflict_limit: Optional[int]) -> SATResult:
         solver = self._solver

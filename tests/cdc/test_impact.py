@@ -5,6 +5,7 @@ import pytest
 from repro.cdc import ConstraintChanged, FeedError, TupleAdded, TupleRetracted
 from repro.cdc.impact import RegistryState, touched_attributes
 from repro.core import Attribute, AttributeType, RelationSchema
+from repro.core.errors import SchemaError
 from repro.io.constraints_io import dump_constraints, parse_constraint_text
 
 SCHEMA = RelationSchema(
@@ -65,6 +66,44 @@ class TestTupleEvents:
         assert spec.name == "e1"
         assert len(spec.instance) == 1
         assert len(spec.currency_constraints) == 1 and len(spec.cfds) == 1
+
+
+#: Constraints on an attribute the schema does not have.
+BAD_CONSTRAINTS = "currency: t1.salary < t2.salary -> t1 < t2 on salary"
+
+
+class TestConstraintValidation:
+    """Σ ∪ Γ is validated once per constraint version, where it always was: at specification()."""
+
+    def test_a_bad_constraint_raises_at_the_first_specification(self):
+        state = _state(BAD_CONSTRAINTS)
+        state.apply(TupleAdded(entity="e1", row={"name": "a"}))
+        for _ in range(2):
+            with pytest.raises(SchemaError, match="salary"):
+                state.specification("e1")
+
+    def test_a_constraint_change_brings_its_constraints_to_validation(self):
+        state = _state(CONSTRAINTS)
+        state.apply(TupleAdded(entity="e1", row={"name": "a", "status": "single"}))
+        first = state.specification("e1")
+        again = state.specification("e1")
+        assert again.currency_constraints == first.currency_constraints
+        assert again.cfds == first.cfds
+        state.apply(ConstraintChanged(constraints=BAD_CONSTRAINTS))
+        with pytest.raises(SchemaError, match="salary"):
+            state.specification("e1")
+        state.apply(ConstraintChanged(constraints=CONSTRAINTS))
+        assert len(state.specification("e1").currency_constraints) == 1
+
+    def test_a_direct_edit_of_sigma_is_validated_too(self):
+        state = _state(CONSTRAINTS)
+        state.apply(TupleAdded(entity="e1", row={"name": "a", "status": "single"}))
+        state.specification("e1")
+        state.sigma.extend(parse_constraint_text(BAD_CONSTRAINTS)[0])
+        with pytest.raises(SchemaError, match="salary"):
+            state.specification("e1")
+        del state.sigma[-1]
+        assert len(state.specification("e1").currency_constraints) == 1
 
 
 class TestConstraintEvents:

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import DatasetError, RelationSchema
+from repro.core import DatasetError, EntityTuple, RelationSchema, SchemaError, TemporalOrderDelta
 from repro.datasets import GeneratedDataset, GeneratedEntity, sample_constraints
+from repro.datasets.base import build_specification
 from repro.core import CurrencyConstraint
 
 
@@ -92,3 +93,37 @@ class TestGeneratedDataset:
     def test_summary_mentions_name_and_sizes(self, dataset):
         summary = dataset.summary()
         assert "toy" in summary and "1 entities" in summary
+
+
+class TestConstraintValidation:
+    """A dataset validates its Σ ∪ Γ once, and again after a constraint list changes."""
+
+    BAD = CurrencyConstraint.value_transition("salary", 1, 2, name="bad")
+
+    def test_a_bad_constraint_raises_at_the_first_specification(self, schema, entity):
+        dataset = GeneratedDataset("toy", schema, [entity], [self.BAD], [])
+        for build in (dataset.specification_for, lambda e: next(dataset.stream().specifications())[1]):
+            with pytest.raises(SchemaError, match="salary"):
+                build(entity)
+
+    def test_a_changed_constraint_list_is_validated_again(self, dataset, entity):
+        assert len(dataset.specification_for(entity).currency_constraints) == 1
+        dataset.currency_constraints.append(self.BAD)
+        with pytest.raises(SchemaError, match="salary"):
+            dataset.specification_for(entity)
+
+    def test_validation_runs_once_per_holder(self, dataset, entity, monkeypatch):
+        calls = []
+        validate = CurrencyConstraint.validate
+        monkeypatch.setattr(
+            CurrencyConstraint, "validate", lambda self, schema: calls.append(self) or validate(self, schema)
+        )
+        for _ in range(3):
+            dataset.specification_for(entity)
+        spec = dataset.specification_for(entity)
+        spec.extend(TemporalOrderDelta(new_tuples=[EntityTuple(spec.schema, {"status": "c"})]))
+        assert len(calls) == 1
+
+    def test_build_specification_validates(self, schema, entity):
+        with pytest.raises(SchemaError, match="salary"):
+            build_specification("toy", schema, entity, [self.BAD], [])

@@ -10,7 +10,9 @@ runs the incremental encoder's deltas on the same object path.
 The tests check that :func:`repro.encoding.instantiate_compiled` (every full
 and cold encode) and the :class:`IncrementalEncoder` deltas give exactly the
 same Ω — constraint for constraint, in the same order, with the same source
-kinds and names, and the same used values.
+kinds and names, and the same used values.  The reference builds its Ω from
+objects and hands the encoder the same records and keys the compiled
+program does, so both feed one clause plumbing.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from repro.core.constraints import (
     OrderPredicate,
     TupleComparisonPredicate,
 )
-from repro.core.errors import EncodingError
+from repro.core.errors import CyclicOrderError, EncodingError
 from repro.core.instance import TemporalOrderDelta
+from repro.core.partial_order import PartialOrder
 from repro.core.specification import Specification
 from repro.core.values import Value, apply_operator, values_equal
 from repro.encoding.incremental import IncrementalEncoder
@@ -33,10 +36,27 @@ from repro.encoding.instance_constraints import (
     InstanceConstraint,
     InstanceConstraintSet,
     InstantiationOptions,
-    _close_ground_facts,
-    _constraint_key,
+    Record,
+    _record_key,
 )
 from repro.encoding.variables import OrderLiteral, canonical_value
+
+
+def _constraint_key(constraint: InstanceConstraint) -> Tuple:
+    """Deduplication key: the body atoms as a set and the head atom."""
+    head = constraint.head
+    return (
+        frozenset((lit.attribute, lit.older, lit.newer) for lit in constraint.body),
+        None if head is None else (head.attribute, head.older, head.newer),
+    )
+
+
+def record_of(constraint: InstanceConstraint) -> Tuple[Record, Hashable]:
+    """*constraint* as an Ω record, with the record key the encoder keys it by."""
+    body = tuple((lit.attribute, lit.older, lit.newer) for lit in constraint.body)
+    head = constraint.head
+    head = None if head is None else (head.attribute, head.older, head.newer)
+    return (constraint.source_kind, constraint.source_name, body, head), _record_key(body, head)
 
 
 class _Deduplicator:
@@ -61,16 +81,18 @@ def reference_instantiate(
     if options.mode not in ("projected", "naive"):
         raise EncodingError(f"unknown instantiation mode {options.mode!r}")
     result = InstanceConstraintSet()
+    constraints: List[InstanceConstraint] = []
     dedup = _Deduplicator()
 
     def emit(constraint: InstanceConstraint) -> None:
         if dedup.admit(constraint):
-            result.constraints.append(constraint)
+            constraints.append(constraint)
 
     _instantiate_currency_orders(spec, emit)
     _instantiate_currency_constraints(spec, options, emit)
     _instantiate_cfds(spec, emit)
-    _close_ground_facts(result, emit)
+    _close_ground_facts(result, constraints, emit)
+    result.records = [record_of(constraint)[0] for constraint in constraints]
 
     # Values per attribute that occur in at least one emitted literal.
     used: Dict[str, List[Value]] = {}
@@ -81,7 +103,7 @@ def reference_instantiate(
         if not any(canonical_value(existing) == key for existing in bucket):
             bucket.append(value)
 
-    for constraint in result.constraints:
+    for constraint in constraints:
         for literal in constraint.body:
             note(literal.attribute, literal.older)
             note(literal.attribute, literal.newer)
@@ -90,6 +112,48 @@ def reference_instantiate(
             note(constraint.head.attribute, constraint.head.newer)
     result.used_values = used
     return result
+
+
+# -- ground-fact closure -----------------------------------------------------
+
+
+def _close_ground_facts(result: InstanceConstraintSet, constraints: List[InstanceConstraint], emit) -> None:
+    """Transitively close the ground facts of *constraints*, emitting the closure facts.
+
+    A cycle among the facts makes the whole specification invalid, recorded
+    as an empty implication ``true → false``.
+    """
+    facts_by_attribute: Dict[str, List[InstanceConstraint]] = {}
+    for constraint in constraints:
+        if constraint.is_fact():
+            facts_by_attribute.setdefault(constraint.head.attribute, []).append(constraint)
+    for attribute, facts in facts_by_attribute.items():
+        order = PartialOrder()
+        direct: Set[Tuple[Hashable, Hashable]] = set()
+        for fact in facts:
+            older = canonical_value(fact.head.older)
+            newer = canonical_value(fact.head.newer)
+            direct.add((older, newer))
+            try:
+                order.add(older, newer)
+            except CyclicOrderError:
+                result.inherently_invalid = True
+                result.invalid_reason = (
+                    f"the ground currency facts on attribute {attribute!r} form a cycle"
+                )
+                emit(InstanceConstraint(body=(), head=None, source_kind="conflict", source_name=attribute))
+                return
+        for older, newer in order.transitive_closure_pairs():
+            if (older, newer) in direct:
+                continue
+            emit(
+                InstanceConstraint(
+                    body=(),
+                    head=OrderLiteral(attribute, older, newer),
+                    source_kind="closure",
+                    source_name=attribute,
+                )
+            )
 
 
 # -- currency orders ---------------------------------------------------------
@@ -258,15 +322,22 @@ class ReferenceDeltaEncoder(IncrementalEncoder):
     """The incremental encoder with its delta instances built on the object path.
 
     The currency instances of a delta come from :func:`_instantiate_one_pair`
-    on dict rows, and the CFD guards are refreshed from
-    :func:`_instantiate_cfds`; everything else is the encoder's own.
+    on dict rows, for every pair of a new row with an old one and every pair
+    of new rows, and the CFD guards are refreshed from
+    :func:`_instantiate_cfds`; each admitted object enters as its record and
+    key, and everything else is the encoder's own.
     """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._reference_rows: Dict[Tuple[str, ...], List[Dict[str, Value]]] = {}
+        self._reference_seen: Dict[Tuple[str, ...], Set[Tuple[Hashable, ...]]] = {}
 
     def _delta_currency_constraints(
         self,
         new_spec: Specification,
         delta: TemporalOrderDelta,
-        out: List[InstanceConstraint],
+        out: List[Record],
     ) -> None:
         if not delta.new_tuples:
             return
@@ -275,10 +346,12 @@ class ReferenceDeltaEncoder(IncrementalEncoder):
             attributes = tuple(sorted(constraint.referenced_attributes()))
             by_attributes.setdefault(attributes, []).append(constraint)
         for attributes, constraints in by_attributes.items():
-            if attributes not in self._projection_rows:
-                self._seed_projection_cache_from_old(new_spec, delta, attributes)
-            rows = self._projection_rows[attributes]
-            seen = self._projection_seen[attributes]
+            if attributes not in self._reference_rows:
+                rows, seen = self._old_rows(new_spec, delta, attributes)
+                self._reference_rows[attributes] = rows
+                self._reference_seen[attributes] = seen
+            rows = self._reference_rows[attributes]
+            seen = self._reference_seen[attributes]
             fresh_rows: List[Dict[str, Value]] = []
             for item in delta.new_tuples:
                 row = {attribute: item[attribute] for attribute in attributes}
@@ -291,21 +364,22 @@ class ReferenceDeltaEncoder(IncrementalEncoder):
                 continue
             old_rows = list(rows)
             for constraint in constraints:
-                for new_row in fresh_rows:
-                    for old_row in old_rows:
-                        for row1, row2 in ((new_row, old_row), (old_row, new_row)):
-                            instantiated = _instantiate_one_pair(constraint, row1, row2)
-                            if instantiated is not None:
-                                self._admit(instantiated, out)
-                for row1, row2 in itertools.permutations(fresh_rows, 2):
+                pairs = [
+                    pair
+                    for new_row in fresh_rows
+                    for old_row in old_rows
+                    for pair in ((new_row, old_row), (old_row, new_row))
+                ]
+                pairs.extend(itertools.permutations(fresh_rows, 2))
+                for row1, row2 in pairs:
                     instantiated = _instantiate_one_pair(constraint, row1, row2)
                     if instantiated is not None:
-                        self._admit(instantiated, out)
+                        self._admit(*record_of(instantiated), out)
             rows.extend(fresh_rows)
 
-    def _seed_projection_cache_from_old(
+    def _old_rows(
         self, new_spec: Specification, delta: TemporalOrderDelta, attributes: Tuple[str, ...]
-    ) -> None:
+    ) -> Tuple[List[Dict[str, Value]], Set[Tuple[Hashable, ...]]]:
         tids = new_spec.instance.tids
         new_tids = set(tids[len(tids) - len(delta.new_tuples):])
         rows: List[Dict[str, Value]] = []
@@ -319,12 +393,9 @@ class ReferenceDeltaEncoder(IncrementalEncoder):
                 continue
             seen.add(key)
             rows.append(row)
-        self._projection_rows[attributes] = rows
-        self._projection_seen[attributes] = seen
+        return rows, seen
 
-    def _delta_cfds(
-        self, new_spec: Specification, delta: TemporalOrderDelta
-    ) -> List[InstanceConstraint]:
+    def _delta_cfds(self, new_spec: Specification, delta: TemporalOrderDelta, clauses: List) -> List[Record]:
         if not new_spec.cfds or not delta.new_tuples:
             return []
         changed: Set[str] = set()
@@ -340,23 +411,23 @@ class ReferenceDeltaEncoder(IncrementalEncoder):
 
         collected: List[InstanceConstraint] = []
         _instantiate_cfds(new_spec, collected.append)
-        fresh: Dict[Tuple, InstanceConstraint] = {}
+        fresh: Dict[Hashable, Record] = {}
         for constraint in collected:
-            fresh.setdefault(_constraint_key(constraint), constraint)
-        stale_constraints = []
+            record, key = record_of(constraint)
+            fresh.setdefault(key, record)
+        stale_records = []
         for key in [key for key in self._guards if key not in fresh]:
             self._guards.pop(key)
-            stale_constraints.append(self._guard_constraints.pop(key))
+            stale_records.append(self._guard_records.pop(key))
             self._retired_guards += 1
-        if stale_constraints:
-            stale_ids = {id(constraint) for constraint in stale_constraints}
-            self._omega.constraints = [
-                constraint for constraint in self._omega.constraints if id(constraint) not in stale_ids
-            ]
-        added: List[InstanceConstraint] = []
-        for key, constraint in fresh.items():
+        if stale_records:
+            stale_ids = {id(record) for record in stale_records}
+            self._omega.records = [record for record in self._omega.records if id(record) not in stale_ids]
+        added: List[Record] = []
+        for key, record in fresh.items():
             if key in self._guards:
                 continue
-            self._push_guarded(constraint, key, initial=False)
-            added.append(constraint)
+            clauses.append(self._guarded_clause(record, key))
+            self._omega.records.append(record)
+            added.append(record)
         return added

@@ -19,13 +19,13 @@ from typing import Iterator, List, Sequence, Tuple
 
 from repro.core.partial_order import PartialOrder
 from repro.core.values import Value
-from repro.encoding.cnf_encoder import _constraint_to_clause
-from repro.encoding.compiled import instantiate_compiled
+from repro.encoding.compiled import stamp
 from repro.encoding.incremental import IncrementalEncoder
 from repro.encoding.instance_constraints import (
     InstanceConstraint,
+    InstanceConstraintSet,
     InstantiationOptions,
-    _constraint_key,
+    Record,
 )
 from repro.encoding.variables import OrderLiteral, OrderVariableRegistry, canonical_value
 from repro.solvers.cnf import CNF
@@ -55,13 +55,21 @@ def to_clause(clause: SignedClause, registry: OrderVariableRegistry) -> Tuple[in
     )
 
 
+def constraint_clause(constraint: InstanceConstraint, registry: OrderVariableRegistry) -> List[int]:
+    """*constraint* as a clause, through its atom objects: body negated, then head."""
+    clause = [-registry.variable(atom) for atom in constraint.body]
+    if constraint.head is not None:
+        clause.append(registry.variable(constraint.head))
+    return clause
+
+
 def reference_encoding(spec, options: InstantiationOptions) -> Tuple[CNF, OrderVariableRegistry]:
     """Φ(S_e) through the object path: Ω, then every attribute's triangles, one fresh registry."""
     omega = reference_instantiate(spec, options)
     registry = OrderVariableRegistry()
     cnf = CNF()
     for constraint in omega:
-        cnf.add_clause(_constraint_to_clause(constraint, registry))
+        cnf.add_clause(constraint_clause(constraint, registry))
     for attribute, values in omega.used_values.items():
         for clause in triangle_clauses(attribute, values):
             cnf.add_clause(to_clause(clause, registry))
@@ -72,37 +80,39 @@ def reference_encoding(spec, options: InstantiationOptions) -> Tuple[CNF, OrderV
 
 
 class ReferenceIncrementalEncoder(IncrementalEncoder):
-    """The incremental encoder with its order axioms built from atom objects.
+    """The incremental encoder with its clauses built from atom objects.
 
-    The full encode pushes Ω and then each attribute's triangles; a delta
-    pushes the triangles whose newest value it first uses.
+    The full encode writes each Ω record's clause through its
+    :class:`InstanceConstraint` and then each attribute's triangles; a delta
+    appends the triangles whose newest value it first uses.
     """
 
-    def _push_triangles(self, attribute: str, start: int, initial: bool) -> int:
+    def _triangles(self, attribute: str, start: int, clauses: List) -> int:
         values = self._used_values[attribute]
         count = 0
         for clause in triangle_clauses(attribute, values, start):
-            self._push_clause(to_clause(clause, self._registry), initial)
+            clauses.append(to_clause(clause, self._registry))
             count += 1
         return count
 
     def _full_encode(self) -> None:
         spec = self._spec
-        omega = instantiate_compiled(spec, self._program)
-        self._omega.inherently_invalid = omega.inherently_invalid
-        self._omega.invalid_reason = omega.invalid_reason
-        self._omega.used_values = omega.used_values
+        omega, keys = stamp(spec, self._program)
+        self._encoding.omega = omega
         self._used_values = omega.used_values
-        for constraint in omega.constraints:
-            key = _constraint_key(constraint)
-            if constraint.source_kind == "cfd":
-                self._push_guarded(constraint, key, initial=True)
+        clauses = []
+        for record, key, constraint in zip(omega.records, keys, omega.constraints):
+            if record[0] == "cfd":
+                guard = self._registry.auxiliary_variable(label=("guard", record[1]))
+                self._guards[key] = guard
+                self._guard_records[key] = record
+                clauses.append([-guard] + constraint_clause(constraint, self._registry))
             else:
                 self._keys.add(key)
-                self._push_constraint(constraint, initial=True)
+                clauses.append(constraint_clause(constraint, self._registry))
         for attribute in self._used_values:
-            self._push_triangles(attribute, 0, initial=True)
-        self._session.ensure_variables(self._registry.num_variables)
+            self._triangles(attribute, 0, clauses)
+        self._load(clauses, initial=True)
         if self._omega.inherently_invalid:
             return
 
@@ -120,9 +130,9 @@ class ReferenceIncrementalEncoder(IncrementalEncoder):
                 canonical_value(value) for value in spec.instance.active_domain(attribute)
             }
 
-    def _delta_order_axioms(self, new_constraints: List[InstanceConstraint]) -> int:
+    def _delta_order_axioms(self, new_records: List[Record], clauses: List) -> int:
         new_counts = {}
-        for constraint in new_constraints:
+        for constraint in InstanceConstraintSet(records=new_records).constraints:
             head = () if constraint.head is None else (constraint.head,)
             for literal in constraint.body + head:
                 count = new_counts.get(literal.attribute, 0)
@@ -132,5 +142,5 @@ class ReferenceIncrementalEncoder(IncrementalEncoder):
         pushed = 0
         for attribute in sorted(new_counts):
             start = len(self._used_values.get(attribute, [])) - new_counts[attribute]
-            pushed += self._push_triangles(attribute, start, initial=False)
+            pushed += self._triangles(attribute, start, clauses)
         return pushed

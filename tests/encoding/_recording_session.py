@@ -24,3 +24,9 @@ class RecordingSession(ArenaSession):
     def _add_clause(self, literals) -> None:
         self.cnf.add_clause(literals)
         super()._add_clause(literals)
+
+    def _load_clauses(self, clauses, num_variables) -> None:
+        self.cnf.add_clauses(clauses)
+        if num_variables > self.cnf.num_variables:
+            self.cnf.num_variables = num_variables
+        super()._load_clauses(clauses, num_variables)

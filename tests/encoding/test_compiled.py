@@ -9,8 +9,19 @@ import pickle
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import ConstantCFD, EntityTuple, TemporalOrderDelta, is_null
+from repro.core import (
+    ConstantCFD,
+    CurrencyConstraint,
+    EntityTuple,
+    RelationSchema,
+    Specification,
+    TemporalOrderDelta,
+    is_null,
+)
+from repro.core.constraints import ConstantComparisonPredicate, OrderPredicate, TupleComparisonPredicate
+from repro.core.values import COMPARISON_OPERATORS
 from repro.core.errors import EncodingError
 from repro.encoding import (
     CompiledConstraintProgram,
@@ -23,12 +34,12 @@ from repro.encoding import (
     instantiate_compiled,
 )
 from repro.encoding.compiled import _cfd_instances
-from repro.encoding.instance_constraints import _constraint_key
 from repro.encoding.variables import OrderLiteral
 
 from tests.conftest import GEORGE_ROWS
 from tests.encoding._instantiate_reference import (
     ReferenceDeltaEncoder,
+    _constraint_key,
     _instantiate_cfds,
     reference_instantiate,
 )
@@ -121,13 +132,12 @@ class TestCfdInstances:
         expected = []
         _instantiate_cfds(spec, expected.append)
         stamped = list(_cfd_instances(compile_program(spec), spec.instance))
-        assert [(body, OrderLiteral(*head), name) for body, _, head, name in stamped] == [
-            (constraint.body, constraint.head, constraint.source_name) for constraint in expected
-        ]
+        assert [
+            (tuple(OrderLiteral(*triple) for triple in body), OrderLiteral(*head), name)
+            for body, _, head, name in stamped
+        ] == [(constraint.body, constraint.head, constraint.source_name) for constraint in expected]
         for body, body_key, _, _ in stamped:
-            assert body_key == frozenset(
-                (literal.attribute, literal.older, literal.newer) for literal in body
-            )
+            assert body_key == frozenset(body)
 
 
 class TestProgramOptions:
@@ -361,3 +371,72 @@ class TestCacheKey:
         )
         assert key1 == key2
         assert hash(key1) == hash(key2)
+
+
+# -- the value index is exact -----------------------------------------------------
+
+#: Cell values and constants: 1, 1.0 and True are one value; None is NULL.
+INDEX_VALUES = (None, 1, 1.0, True, 0, 2, "a", "b")
+INDEX_ATTRIBUTES = ("p", "q", "r")
+
+
+@st.composite
+def _comparison_constraint(draw):
+    """A body of constant comparisons beyond value transitions, plus tuple and order predicates."""
+    conclusion = draw(st.sampled_from(INDEX_ATTRIBUTES))
+    constant = st.sampled_from(INDEX_VALUES)
+    body = []
+    for side in (1, 2):
+        # Up to two `=` checks per side, the conclusion attribute included.
+        for attribute in draw(st.lists(st.sampled_from(INDEX_ATTRIBUTES), max_size=2)):
+            body.append(ConstantComparisonPredicate(side, attribute, "=", draw(constant)))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("constant", "tuple", "order")))
+        attribute = draw(st.sampled_from(INDEX_ATTRIBUTES))
+        if kind == "constant":
+            op = draw(st.sampled_from(("!=", "<", "<=", ">", ">=")))
+            body.append(ConstantComparisonPredicate(draw(st.sampled_from((1, 2))), attribute, op, draw(constant)))
+        elif kind == "tuple":
+            body.append(TupleComparisonPredicate(attribute, draw(st.sampled_from(COMPARISON_OPERATORS))))
+        else:
+            body.append(OrderPredicate(attribute))
+    body = draw(st.permutations(body))
+    return CurrencyConstraint(body, conclusion)
+
+
+@st.composite
+def comparison_specs_with_deltas(draw):
+    """≤7 tuples with NULL cells and mixed 1/1.0/True values, Σ of constant comparisons, ≤2 deltas."""
+    schema = RelationSchema("r", list(INDEX_ATTRIBUTES))
+    value = st.sampled_from(INDEX_VALUES)
+    rows = [{a: draw(value) for a in INDEX_ATTRIBUTES} for _ in range(draw(st.integers(1, 7)))]
+    sigma = draw(st.lists(_comparison_constraint(), min_size=1, max_size=4))
+    spec = Specification.from_rows(schema, rows, sigma)
+    deltas = [
+        TemporalOrderDelta(
+            new_tuples=[
+                EntityTuple(schema, {a: draw(value) for a in INDEX_ATTRIBUTES})
+                for _ in range(draw(st.integers(1, 2)))
+            ]
+        )
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    return spec, deltas
+
+
+@given(comparison_specs_with_deltas())
+@settings(max_examples=200, deadline=None)
+def test_the_value_index_visits_every_pair_that_can_fire(case):
+    """Ω through the value index equals the all-pairs object path, full and after deltas."""
+    spec, deltas = case
+    for options in OPTION_VARIANTS:
+        assert_omega_identical(spec, options)
+        program = compile_program(spec, options)
+        encoder = IncrementalEncoder(spec, session=RecordingSession(), program=program)
+        reference = ReferenceDeltaEncoder(spec, session=RecordingSession(), program=program)
+        current = spec
+        for delta in deltas:
+            assert encoder.apply_delta(delta) == reference.apply_delta(delta)
+            _assert_same_delta_state(encoder, reference)
+            current = current.extend(delta)
+            assert_omega_identical(current, options)

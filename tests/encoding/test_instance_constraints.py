@@ -169,7 +169,7 @@ class TestCurrencyConstraintInstantiation:
 
         def key_set(omega):
             return {
-                (c.body, c.head, c.negated_head)
+                (c.body, c.head)
                 for c in omega.by_kind("currency", "order", "closure")
             }
 

@@ -33,12 +33,12 @@ from repro.encoding import (
     encode_specification,
     instantiate,
 )
-from repro.encoding.cnf_encoder import _constraint_to_clause
 from repro.encoding.variables import OrderLiteral, OrderVariableRegistry
 from repro.resolution.framework import ResolverOptions
 
 from tests.encoding._order_axioms_reference import (
     ReferenceIncrementalEncoder,
+    constraint_clause,
     reference_encoding,
     to_clause,
     triangle_clauses,
@@ -154,7 +154,7 @@ def test_no_omega_key_is_an_axiom_key(case):
         for current in [spec] + [spec.extend(delta) for delta in deltas]:
             omega = instantiate(current, options)
             registry = OrderVariableRegistry()
-            omega_clauses = {frozenset(_constraint_to_clause(c, registry)) for c in omega}
+            omega_clauses = {frozenset(constraint_clause(c, registry)) for c in omega}
             axioms = [
                 frozenset(to_clause(clause, registry))
                 for attribute, values in omega.used_values.items()

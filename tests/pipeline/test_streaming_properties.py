@@ -34,7 +34,7 @@ from repro.pipeline import Checkpoint
 
 # -- ExperimentResult state round trip ----------------------------------------
 
-_PHASES = ("validity", "deduce", "suggest", "total")
+_PHASES = ("encode", "validity", "deduce", "suggest", "total")
 
 counts_strategy = st.builds(
     AccuracyCounts,

@@ -1,6 +1,7 @@
 """Tests for the interactive conflict-resolution framework (Fig. 4)."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -164,7 +165,7 @@ class TestInteractiveResolution:
         assert len(second.deduced_attributes) == 8
         assert first.encoding_statistics["clauses"] > 0
         totals = result.total_seconds()
-        assert set(totals) == {"validity", "deduce", "suggest"}
+        assert set(totals) == {"encode", "validity", "deduce", "suggest"}
 
     def test_max_rounds_zero_disables_interaction(self, george_spec):
         oracle = OneShotOracle({"status": "retired"})
@@ -245,3 +246,47 @@ class TestProgramCache:
         for result in (edith, george):
             for round_report in result.rounds:
                 assert "compiled" not in round_report.encoding_statistics
+
+
+class TestPhaseTiming:
+    """Each round times its encode apart from IsValid (a patched clock makes it exact)."""
+
+    @pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "from_scratch"])
+    def test_encoding_is_timed_apart_from_validity(self, george_spec, monkeypatch, incremental):
+        clock = [0.0]
+        monkeypatch.setattr(framework, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+
+        def advancing(function, seconds):
+            def timed(*args, **kwargs):
+                clock[0] += seconds
+                return function(*args, **kwargs)
+
+            return timed
+
+        class TimedEncoder(framework.IncrementalEncoder):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                clock[0] += 8.0
+
+            def apply_delta(self, delta):
+                clock[0] += 4.0
+                return super().apply_delta(delta)
+
+        monkeypatch.setattr(framework, "IncrementalEncoder", TimedEncoder)
+        monkeypatch.setattr(framework, "encode_specification", advancing(framework.encode_specification, 8.0))
+        monkeypatch.setattr(framework, "check_validity", advancing(framework.check_validity, 2.0))
+        monkeypatch.setattr(framework, "deduce_order", advancing(framework.deduce_order, 1.0))
+        monkeypatch.setattr(framework, "suggest", advancing(framework.suggest, 0.5))
+        options = ResolverOptions(incremental=incremental)
+        result = ConflictResolver(options).resolve(george_spec, OneShotOracle({"status": "retired"}))
+        first, second = result.rounds
+        phases = ("encode_seconds", "validity_seconds", "deduce_seconds", "suggest_seconds")
+        # Round 1 pays the delta on the incremental path, a full cold encode off it.
+        assert [getattr(first, phase) for phase in phases] == [8.0, 2.0, 1.0, 0.5]
+        assert [getattr(second, phase) for phase in phases] == [4.0 if incremental else 8.0, 2.0, 1.0, 0.0]
+        assert result.total_seconds() == {
+            "encode": 12.0 if incremental else 16.0,
+            "validity": 4.0,
+            "deduce": 2.0,
+            "suggest": 0.5,
+        }

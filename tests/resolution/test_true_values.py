@@ -1,10 +1,16 @@
 """Tests for true-value extraction from deduced orders."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ConstantCFD, CurrencyConstraint, RelationSchema, Specification
 from repro.encoding import encode_specification
+from repro.encoding.variables import canonical_value
 from repro.resolution import deduce_order, extract_true_values, true_value_of_attribute
+from repro.resolution.deduce import DeducedOrders
+
+from tests.resolution._true_values_reference import reference_true_value, reference_true_values
 
 
 @pytest.fixture
@@ -80,3 +86,52 @@ class TestTrueValueExtraction:
         from repro.core import is_null
 
         assert is_null(value)
+
+
+# -- against the per-pair reachability reference ---------------------------------
+
+_ATTRIBUTES = ("status", "city", "AC")
+_VALUES = ("a", "b", "c", "d", 1, 1.0, True, 2)
+#: Values no drawn row holds: Γ constants outside the active domain.
+_OUTSIDE = ("x", "y", 9)
+
+
+@st.composite
+def _specs_with_orders(draw):
+    """A spec with Γ constants inside and outside adom, and a deduced order that is not closed."""
+    schema = RelationSchema("r", list(_ATTRIBUTES))
+    value = st.one_of(st.none(), st.sampled_from(_VALUES))
+    rows = [
+        {attribute: draw(value) for attribute in _ATTRIBUTES}
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    constant = st.sampled_from(_VALUES + _OUTSIDE)
+    gamma = []
+    for _ in range(draw(st.integers(0, 3))):
+        rhs = draw(st.sampled_from(_ATTRIBUTES))
+        lhs = draw(st.sampled_from([a for a in _ATTRIBUTES if a != rhs]))
+        gamma.append(ConstantCFD({lhs: draw(constant)}, rhs, draw(constant)))
+    spec = Specification.from_rows(schema, rows, cfds=gamma)
+    deduced = DeducedOrders()
+    for attribute in _ATTRIBUTES:
+        # Direct edges between positions of a drawn permutation point upward
+        # only, so the order is acyclic; chains are left unclosed.
+        keys = list(dict.fromkeys(canonical_value(v) for v in spec.value_domain(attribute)))
+        keys = draw(st.permutations(keys))
+        for _ in range(draw(st.integers(0, 2 * len(keys)))):
+            if len(keys) < 2:
+                break
+            low = draw(st.integers(0, len(keys) - 2))
+            high = draw(st.integers(low + 1, len(keys) - 1))
+            deduced.add(attribute, keys[low], keys[high])
+    return spec, deduced
+
+
+@given(_specs_with_orders())
+@settings(max_examples=300, deadline=None)
+def test_extraction_matches_the_reachability_reference(case):
+    spec, deduced = case
+    expected = reference_true_values(spec, deduced)
+    assert extract_true_values(spec, deduced).values == expected.values
+    for attribute in spec.schema.attribute_names:
+        assert true_value_of_attribute(spec, deduced, attribute) == reference_true_value(spec, deduced, attribute)

@@ -229,3 +229,125 @@ def test_hard_instances_agree_with_dpll_and_a_recycled_solver(seed):
     assert result.satisfiable == dpll_solve(cnf).satisfiable
     assert_model_satisfies(cnf, (), result)
     assert_same_search(recycled, fresh)
+
+
+# -- bulk load ------------------------------------------------------------------
+
+
+def reference_add_clause(solver: ArenaSolver, literals) -> None:
+    """One clause added the one-at-a-time way: backtrack, grow per literal, simplify at the root."""
+    if solver._unsat:
+        return
+    seen = {}
+    for lit in literals:
+        if lit == 0:
+            raise SolverError("0 is not a valid literal")
+        if -lit in seen:
+            return  # tautology
+        seen[lit] = None
+    solver._backtrack(0)
+    for lit in seen:
+        solver.ensure_variables(abs(lit))
+    kept = []
+    for lit in seen:
+        value = solver._assignment[abs(lit)] * (1 if lit > 0 else -1)
+        if value == 1:
+            return  # satisfied at the root level
+        if value == 0:
+            kept.append(lit)
+    if not kept:
+        solver._unsat = True
+    elif len(kept) == 1:
+        if not solver._enqueue(kept[0], -1, None):
+            solver._unsat = True
+    else:
+        index = solver._append_clause(kept, learned=False)
+        solver._watch(kept[0], index)
+        solver._watch(kept[1], index)
+        solver.num_problem_clauses += 1
+
+
+def _arena_state(solver: ArenaSolver):
+    """Everything a clause load may touch, over the live variables (pooled buffers run longer)."""
+    live = solver.num_variables + 1
+    return (
+        list(solver._arena),
+        list(solver._clause_offset),
+        list(solver._clause_length),
+        bytes(solver._clause_learned),
+        [list(watching) for watching in solver._watches[: 2 * live]],
+        list(solver._trail),
+        list(solver._trail_level_start),
+        solver._queue_head,
+        list(solver._assignment[:live]),
+        list(solver._level[:live]),
+        list(solver._reason[:live]),
+        bytes(solver._phase[:live]),
+        list(solver._activity[:live]),
+        list(solver._heap),
+        list(solver._heap_pos[:live]),
+        solver.num_problem_clauses,
+        solver._unsat,
+        solver.num_variables,
+    )
+
+
+@st.composite
+def load_scenarios(draw):
+    """A solved and propagated formula, then a batch with duplicates, tautologies, contradictory units and ``[]``."""
+    base_variables = draw(st.integers(1, 6))
+    literal = lambda top: st.integers(1, top).flatmap(lambda v: st.sampled_from((v, -v)))  # noqa: E731
+    base = draw(st.lists(st.lists(literal(base_variables), min_size=1, max_size=3), max_size=12))
+    assumptions = draw(st.lists(literal(base_variables), max_size=2))
+    top = base_variables + draw(st.integers(0, 4))
+    clause = st.one_of(
+        st.lists(literal(top), min_size=1, max_size=4),  # duplicates and tautologies arise
+        literal(top).map(lambda lit: [lit, lit]),
+        literal(top).map(lambda lit: [lit, -lit]),
+        st.just([]),
+    )
+    batch = draw(st.lists(clause, max_size=10))
+    units = draw(st.lists(literal(top), max_size=2))
+    for lit in units:  # a contradictory pair of unit clauses
+        batch.insert(draw(st.integers(0, len(batch))), [lit])
+        batch.insert(draw(st.integers(0, len(batch))), [-lit])
+    num_variables = draw(st.integers(0, top + 2))
+    return base_variables, base, assumptions, batch, num_variables
+
+
+@given(load_scenarios())
+@settings(max_examples=300, deadline=None)
+def test_load_clauses_equals_add_clause_then_ensure_variables(scenario):
+    base_variables, base, assumptions, batch, num_variables = scenario
+    from repro.solvers.session import ArenaSession
+
+    sessions = (ArenaSession(), ArenaSession(), ArenaSession())
+    for session in sessions:
+        session.ensure_variables(base_variables)
+        for clause in base:
+            session.add_clause(clause)
+        session.propagate(assumptions[:1])
+        session.solve(assumptions)  # a model leaves the trail above level 0
+    reference, per_clause, bulk = sessions
+    assert _arena_state(per_clause.solver) == _arena_state(bulk.solver)
+    for clause in batch:
+        reference_add_clause(reference.solver, clause)
+        per_clause.add_clause(clause)
+    reference.ensure_variables(num_variables)
+    per_clause.ensure_variables(num_variables)
+    bulk.load_clauses(batch, num_variables)
+    assert _arena_state(reference.solver) == _arena_state(bulk.solver)
+    assert _arena_state(per_clause.solver) == _arena_state(bulk.solver)
+    assert per_clause.statistics()["clauses_added"] == bulk.statistics()["clauses_added"]
+    # They go on to search the same way.
+    satisfiable = bulk.solve(assumptions).satisfiable
+    assert per_clause.solve(assumptions).satisfiable == satisfiable
+    assert reference.solve(assumptions).satisfiable == satisfiable
+    assert_same_search(per_clause.solver, bulk.solver)
+    assert_same_search(reference.solver, bulk.solver)
+
+
+def test_load_clauses_rejects_a_zero_literal():
+    solver = ArenaSolver()
+    with pytest.raises(SolverError):
+        solver.load_clauses([[1, 2], [3, 0]], 3)
