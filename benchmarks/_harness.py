@@ -34,7 +34,7 @@ from repro.datasets import (
     generate_nba_dataset,
     generate_person_dataset,
 )
-from repro.encoding import encode_specification
+from repro.encoding import IncrementalEncoder
 from repro.api import ResolutionClient, RunConfig
 from repro.engine import ResolutionEngine
 from repro.evaluation import (
@@ -358,21 +358,21 @@ def person_size_specs(limit_per_size: int = 2):
 
 
 def time_validity(spec) -> Tuple[float, Dict[str, int]]:
-    """Wall-clock seconds of one IsValid run plus encoding statistics."""
+    """Wall-clock seconds of one IsValid run, its full encode included, plus encoding statistics."""
     start = time.perf_counter()
-    encoding = encode_specification(spec)
-    check_validity(spec, encoding=encoding)
-    return time.perf_counter() - start, encoding.statistics()
+    encoder = IncrementalEncoder(spec)
+    check_validity(encoder)
+    return time.perf_counter() - start, encoder.encoding.statistics()
 
 
 def time_deduction(spec, naive: bool, naive_pair_cap: Optional[int] = 400) -> float:
-    """Wall-clock seconds of DeduceOrder (or NaiveDeduce) on *spec*."""
-    encoding = encode_specification(spec)
+    """Wall-clock seconds of DeduceOrder (or NaiveDeduce) on *spec*, its encode excluded."""
+    encoder = IncrementalEncoder(spec)
     start = time.perf_counter()
     if naive:
-        naive_deduce(encoding, max_pairs=naive_pair_cap)
+        naive_deduce(encoder, max_pairs=naive_pair_cap)
     else:
-        deduce_order(encoding)
+        deduce_order(encoder)
     return time.perf_counter() - start
 
 

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import time
 
-from _harness import PERSON_SIZES, person_scalability_dataset, report
-from repro.encoding import InstantiationOptions, encode_specification
+from _harness import PERSON_SIZES, person_scalability_dataset, report, report_json
+from repro.encoding import IncrementalEncoder, InstantiationOptions
 from repro.evaluation import format_table
 
 
 def _encode_seconds(spec, mode: str) -> tuple[float, int]:
+    """Seconds of one full encode (the encoder's delta state included) and its clause count."""
     start = time.perf_counter()
-    encoding = encode_specification(spec, InstantiationOptions(mode=mode))
-    return time.perf_counter() - start, len(encoding.cnf)
+    encoder = IncrementalEncoder(spec, InstantiationOptions(mode=mode))
+    return time.perf_counter() - start, encoder.statistics()["initial_clauses"]
 
 
 def bench_ablation_instantiation_mode(benchmark) -> None:
@@ -48,5 +49,20 @@ def bench_ablation_instantiation_mode(benchmark) -> None:
         title="Ablation — instantiation mode (projected vs naive tuple-pair enumeration)",
     )
     report("ablation_encoding", table)
+    report_json(
+        "ablation_encoding",
+        {
+            "sizes": [
+                {
+                    "entity_size": size,
+                    "projected_ms": projected_ms,
+                    "naive_ms": naive_ms,
+                    "projected_clauses": projected_clauses,
+                    "naive_clauses": naive_clauses,
+                }
+                for size, projected_ms, naive_ms, projected_clauses, naive_clauses in rows
+            ]
+        },
+    )
 
-    benchmark(lambda: encode_specification(largest_spec, InstantiationOptions(mode="projected")))
+    benchmark(lambda: IncrementalEncoder(largest_spec, InstantiationOptions(mode="projected")))

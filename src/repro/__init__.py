@@ -63,7 +63,7 @@ from repro.cdc import (
 )
 from repro.core.errors import EntityFailure
 from repro.core.retry import RetryPolicy
-from repro.encoding import InstantiationOptions, encode_specification
+from repro.encoding import IncrementalEncoder, InstantiationOptions
 from repro.engine import QuarantineRecord, ResolutionEngine
 from repro.faults import FaultPlan
 from repro.pipeline import Pipeline
@@ -98,6 +98,7 @@ __all__ = [
     "EntityInstance",
     "EntityTuple",
     "FaultPlan",
+    "IncrementalEncoder",
     "InstantiationOptions",
     "MemoryResultStore",
     "NULL",
@@ -129,7 +130,6 @@ __all__ = [
     "specification_hash",
     "check_validity",
     "deduce_order",
-    "encode_specification",
     "extract_true_values",
     "is_valid",
     "naive_deduce",

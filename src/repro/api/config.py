@@ -38,7 +38,6 @@ from repro.io import dump_constraints
 from repro.resolution.framework import ResolverOptions
 from repro.serving.host import engine_key
 from repro.serving.wire import _canonical
-from repro.solvers.session import available_backends
 
 import hashlib
 
@@ -101,7 +100,7 @@ class RunConfig:
     ----------
     options:
         The resolver configuration applied to every entity (round budget,
-        fallback, incremental path, solver backend).
+        fallback, Suggest strategies, incremental path, solver budget).
     workers / chunk_size / max_inflight_chunks:
         Engine pool shape (see :class:`~repro.engine.ResolutionEngine`);
         ``None`` keeps the engine defaults.
@@ -156,12 +155,7 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and int(value) < 1:
                 raise ReproError(f"{name} must be >= 1, got {value}")
-        self.options.check_fallback()
-        if self.options.solver_backend not in available_backends():
-            raise ReproError(
-                f"unknown solver backend {self.options.solver_backend!r}; "
-                f"available backends: {', '.join(available_backends())}"
-            )
+        self.options.check()
         if self.options.max_rounds < 0:
             raise ReproError(f"options.max_rounds must be >= 0, got {self.options.max_rounds}")
         if self.retry_policy is not None and not isinstance(self.retry_policy, RetryPolicy):

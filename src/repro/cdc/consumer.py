@@ -380,7 +380,6 @@ class ChangeConsumer:
         options = self.client.config.options
         encoder = IncrementalEncoder(
             spec,
-            backend=options.solver_backend,
             program=self._programs.program_for(spec, options.instantiation),
             budget=options.budget,
         )

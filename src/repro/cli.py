@@ -77,9 +77,9 @@ from repro.pipeline import (
     SkipStage,
 )
 from repro import profiling
+from repro.encoding import IncrementalEncoder
 from repro.resolution import ResolverOptions, check_validity
 from repro.solvers import SolverBudget
-from repro.solvers.session import available_backends
 
 __all__ = ["build_parser", "main"]
 
@@ -110,13 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             help="resolve entities in parallel over this many worker processes",
-        )
-        sub.add_argument(
-            "--solver-backend",
-            default="arena",
-            metavar="NAME",
-            help="solver-session backend from the registry "
-            f"(available: {', '.join(available_backends())})",
         )
         sub.add_argument(
             "--store",
@@ -328,24 +321,13 @@ def _command_validate(args) -> int:
     specifications = _load_specifications(args)
     invalid: List[str] = []
     for key, spec in sorted(specifications.items()):
-        report = check_validity(spec)
+        report = check_validity(IncrementalEncoder(spec))
         status = "valid" if report.valid else "INVALID"
         print(f"{key}: {status} ({report.encoding.statistics()['clauses']} clauses)")
         if not report.valid:
             invalid.append(key)
     print(f"\n{len(specifications) - len(invalid)}/{len(specifications)} specifications are valid")
     return 1 if invalid else 0
-
-
-def _validated_backend(parser_error, name: str) -> str:
-    """Check a solver-backend name against the registry; fail with the choices."""
-    if name not in available_backends():
-        parser_error(
-            f"unknown solver backend {name!r}; available backends: "
-            f"{', '.join(available_backends())} (register more via "
-            "repro.solvers.session.register_backend)"
-        )
-    return name
 
 
 def _run_config(args) -> RunConfig:
@@ -356,7 +338,6 @@ def _run_config(args) -> RunConfig:
         options=ResolverOptions(
             max_rounds=args.max_rounds,
             fallback=args.fallback,
-            solver_backend=args.solver_backend,
             budget=budget,
             max_attempts=getattr(args, "max_attempts", 3),
         ),
@@ -793,8 +774,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # Validate cheap-to-check invariants up front so misuse fails with a
     # usage error (exit code 2) instead of a traceback from deep inside the
     # engine or the file layer.
-    if hasattr(args, "solver_backend"):
-        _validated_backend(parser.error, args.solver_backend)
     if getattr(args, "workers", 1) < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
     if getattr(args, "checkpoint_every", 1) < 1:

@@ -2,11 +2,12 @@
 
 ``instantiate`` builds the instance constraints Ω(S_e) by compiling Σ ∪ Γ
 into a constraint program and stamping it onto the entity;
-``encode_specification`` converts them into the CNF Φ(S_e) together with the
-ordering-variable registry.
+``IncrementalEncoder`` converts them into Φ(S_e), held in its solver session,
+together with the ordering-variable registry, and extends Φ by each round's
+delta.
 """
 
-from repro.encoding.cnf_encoder import SpecificationEncoding, encode_specification
+from repro.encoding.cnf_encoder import SpecificationEncoding
 from repro.encoding.compiled import (
     CompiledConstraintProgram,
     ConstraintProgramCache,
@@ -34,7 +35,6 @@ __all__ = [
     "SpecificationEncoding",
     "canonical_value",
     "compile_program",
-    "encode_specification",
     "instantiate",
     "instantiate_compiled",
 ]

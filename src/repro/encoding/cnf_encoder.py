@@ -1,4 +1,4 @@
-"""Conversion of instance constraints into CNF (paper procedure ``ConvertToCNF``).
+"""Conversion of instance constraints into clauses (paper procedure ``ConvertToCNF``).
 
 Each ordering atom ``a1 ≺^v_A a2`` is mapped to a signed literal by an
 :class:`~repro.encoding.variables.OrderVariableRegistry`, one variable per
@@ -11,10 +11,10 @@ as integer clauses after Ω's, two per value triple.  Every model of Φ(S_e)
 then totally orders each attribute's used values, and Φ(S_e) is satisfiable
 iff the specification is valid (paper Lemma 5).
 
-:class:`SpecificationEncoding` bundles the specification, Ω(S_e), the variable
-registry and Φ(S_e); it is the object every resolution algorithm works on.
-The incremental encoder's encodings hold no CNF: their Φ lives only in the
-encoder's solver session.
+The :class:`~repro.encoding.incremental.IncrementalEncoder` writes these
+clauses into its solver session, the one place Φ(S_e) is kept.
+:class:`SpecificationEncoding` bundles what the resolution algorithms read
+next to that session: the specification, Ω(S_e) and the variable registry.
 """
 
 from __future__ import annotations
@@ -23,20 +23,17 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.errors import ReproError
 from repro.core.specification import Specification
 from repro.core.values import Value
-from repro.encoding.compiled import CompiledConstraintProgram, compile_program, instantiate_compiled
 from repro.encoding.instance_constraints import InstanceConstraintSet, InstantiationOptions, Triple
 from repro.encoding.variables import OrderLiteral, OrderVariableRegistry, canonical_value
-from repro.solvers.cnf import CNF
 
-__all__ = ["OrderAxioms", "SpecificationEncoding", "emit_order_axioms", "encode_specification"]
+__all__ = ["OrderAxioms", "SpecificationEncoding", "emit_order_axioms"]
 
 
 @dataclass
 class SpecificationEncoding:
-    """A specification together with its instance constraints and CNF encoding.
+    """A specification together with its instance constraints and variable registry.
 
     Attributes
     ----------
@@ -46,34 +43,17 @@ class SpecificationEncoding:
         The instance constraints Ω(S_e).
     registry:
         Mapping between ordering atoms and propositional variables.
-    cnf:
-        The CNF Φ(S_e), or ``None`` when Φ lives only in a solver session
-        (the :class:`~repro.encoding.incremental.IncrementalEncoder`'s).
     options:
         The instantiation options used.
     session_clauses:
-        Clauses pushed into the session so far, when ``cnf`` is ``None``.
+        Clauses of Φ(S_e) pushed into the encoder's session so far.
     """
 
     specification: Specification
     omega: InstanceConstraintSet
     registry: OrderVariableRegistry
-    cnf: Optional[CNF]
     options: InstantiationOptions = field(default_factory=InstantiationOptions)
     session_clauses: int = 0
-
-    def require_cnf(self, consumer: str) -> CNF:
-        """Φ as a CNF, for *consumer* running without a solver session.
-
-        Raises :class:`~repro.core.errors.ReproError` for a session-backed
-        encoding: its clauses are only in the session, so pass that.
-        """
-        if self.cnf is None:
-            raise ReproError(
-                f"{consumer} needs the solver session: this encoding keeps Φ only in "
-                "its IncrementalEncoder's session (pass session=encoder.session)"
-            )
-        return self.cnf
 
     # -- literal helpers ------------------------------------------------------
 
@@ -103,7 +83,7 @@ class SpecificationEncoding:
             "cfds": len(self.specification.cfds),
             "instance_constraints": len(self.omega),
             "variables": self.registry.num_variables,
-            "clauses": self.session_clauses if self.cnf is None else len(self.cnf),
+            "clauses": self.session_clauses,
         }
 
 
@@ -206,36 +186,3 @@ def emit_order_axioms(
     for attribute, values in used_values.items():
         count += OrderAxioms(registry, attribute, values, push).triangles()
     return count
-
-
-def encode_specification(
-    spec: Specification,
-    options: InstantiationOptions | None = None,
-    program: CompiledConstraintProgram | None = None,
-) -> SpecificationEncoding:
-    """Build Ω(S_e) and Φ(S_e) for *spec*.
-
-    Ω is stamped from *program*, a
-    :class:`~repro.encoding.compiled.CompiledConstraintProgram` for *spec*'s
-    schema and Σ ∪ Γ; without one, a program is compiled from *options*.
-    The program's own options take precedence over *options*.
-    """
-    if program is None:
-        program = compile_program(spec, options)
-    options = program.options
-    omega = instantiate_compiled(spec, program)
-    registry = OrderVariableRegistry()
-    cnf = CNF()
-    for _, _, body, head in omega.records:
-        cnf.add_clause(_record_clause(registry, body, head))
-    emit_order_axioms(registry, cnf.add_clause, omega.used_values)
-    if omega.inherently_invalid and not cnf.has_empty_clause():
-        cnf.add_clause([])
-    cnf.num_variables = max(cnf.num_variables, registry.num_variables)
-    return SpecificationEncoding(
-        specification=spec,
-        omega=omega,
-        registry=registry,
-        cnf=cnf,
-        options=options,
-    )

@@ -24,10 +24,9 @@ template-stamping pass over its tuples:
   are computed once per attribute per entity.
 
 The program is the one thing that builds Ω: :func:`instantiate` (compile,
-then stamp), :func:`instantiate_compiled`, the cold
-:func:`~repro.encoding.cnf_encoder.encode_specification` and both the full
-encode and the deltas of the
-:class:`~repro.encoding.incremental.IncrementalEncoder` all run on it.
+then stamp), :func:`instantiate_compiled`, and both the full encode and the
+deltas of the :class:`~repro.encoding.incremental.IncrementalEncoder` all
+run on it.
 
 :class:`ConstraintProgramCache` keys programs *structurally* (constraints are
 frozen dataclasses, hence hashable by value), so a cache hit survives

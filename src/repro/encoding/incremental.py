@@ -4,11 +4,12 @@ The interactive framework (paper Fig. 4) extends the specification once per
 user round and re-runs ``IsValid`` → ``DeduceOrder`` → ``Suggest`` on the
 result.  Re-instantiating Ω(S_e ⊕ O_t) and rebuilding Φ from scratch each
 round throws away everything the previous round computed.
-:class:`IncrementalEncoder` keeps one
+:class:`IncrementalEncoder` is the one encoder of the package: it keeps one
 registry and one :class:`~repro.solvers.session.SolverSession` alive for the
-whole resolve loop — the session is the only store of Φ's clauses — and,
-given a :class:`TemporalOrderDelta`, emits *only the new* instance
-constraints and clauses:
+whole resolve loop — the session is the only store of Φ's clauses, and the
+only thing ``IsValid``, ``DeduceOrder`` and ``Suggest`` query — and, given a
+:class:`TemporalOrderDelta`, emits *only the new* instance constraints and
+clauses:
 
 * **currency-order facts** — the diff of the per-attribute tuple orders
   (including the NULL-lowest edges the extended temporal instance adds);
@@ -17,7 +18,7 @@ constraints and clauses:
   compiled program's positional evaluators;
 * **ground-fact closure** — maintained per attribute, emitting only the
   closure pairs the new facts introduce (a cycle marks the specification
-  inherently invalid, exactly as in the from-scratch path);
+  inherently invalid, exactly as in the full encode);
 * **order axioms** — the two total-order clauses of every value triple whose
   newest value the delta first uses, written straight into Φ as integer
   clauses (they are not part of Ω; see
@@ -43,7 +44,9 @@ integers, and a full encode or a delta step goes into the session in one
 deduplicates Ω by record key
 (:func:`~repro.encoding.instance_constraints._record_key`) and emits each
 value triple's order axioms once, which makes the incremental Φ logically
-equivalent to a from-scratch encoding of the extended specification.
+equivalent to a full encode of the extended specification.  Resolving from
+scratch (``ResolverOptions(incremental=False)``) builds a fresh encoder
+every round instead of applying the delta.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ from repro.encoding.instance_constraints import (
 )
 from repro.encoding.variables import OrderVariableRegistry, canonical_value
 from repro.solvers.budget import SolverBudget
-from repro.solvers.session import SolverSession, create_session
+from repro.solvers.session import ArenaSession, SolverSession
 
 __all__ = ["IncrementalEncoder"]
 
@@ -97,33 +100,31 @@ class IncrementalEncoder:
     options:
         Instantiation options, used to compile a program when *program* is
         not given.
-    backend:
-        Solver-session backend name (see
-        :func:`repro.solvers.session.create_session`); ignored when *session*
-        is given.
     session:
-        An existing :class:`SolverSession` to load the clauses into.  It is
-        the only place Φ is kept: the encoding's ``cnf`` is ``None``.
+        The :class:`SolverSession` to load the clauses into, the only place
+        Φ is kept; by default a fresh ``ArenaSession(budget)``.
     program:
         The compiled constraint program
         (:class:`~repro.encoding.compiled.CompiledConstraintProgram`) for the
         specification's schema and Σ ∪ Γ, typically from a cache shared
         across entities; one is compiled from *options* when none is given.
         The program's options take precedence over *options*.
+    budget:
+        The :class:`~repro.solvers.budget.SolverBudget` of the default
+        session; ignored when *session* is given.
     """
 
     def __init__(
         self,
         spec: Specification,
         options: Optional[InstantiationOptions] = None,
-        backend: str = "arena",
         session: Optional[SolverSession] = None,
         program: CompiledConstraintProgram | None = None,
-        budget: "SolverBudget | None" = None,
+        budget: Optional[SolverBudget] = None,
     ) -> None:
         self._program = program if program is not None else compile_program(spec, options)
         self._options = self._program.options
-        self._session = session if session is not None else create_session(backend, budget=budget)
+        self._session = session if session is not None else ArenaSession(budget)
         self._registry = OrderVariableRegistry()
         self._spec = spec
         # Delta-tracking state.  Ω's unguarded records are keyed in _keys, its
@@ -150,7 +151,6 @@ class IncrementalEncoder:
             specification=spec,
             omega=InstanceConstraintSet(),
             registry=self._registry,
-            cnf=None,
             options=self._options,
         )
         if profiling.enabled():

@@ -16,9 +16,8 @@ from typing import Dict, Hashable, Iterator, Optional, Tuple
 
 from repro.core.errors import EncodingError
 from repro.core.values import NULL, Null, Value
-from repro.solvers.cnf import VariablePool
 
-__all__ = ["OrderLiteral", "OrderVariableRegistry", "canonical_value"]
+__all__ = ["OrderLiteral", "OrderVariableRegistry", "VariablePool", "canonical_value"]
 
 
 def canonical_value(value: Value) -> Hashable:
@@ -64,6 +63,34 @@ class OrderLiteral:
 
     def __str__(self) -> str:  # pragma: no cover - presentation only
         return f"{self.older!r} ≺_{self.attribute} {self.newer!r}"
+
+
+class VariablePool:
+    """Allocates fresh propositional variables ``1, 2, …`` and keeps optional labels."""
+
+    def __init__(self) -> None:
+        self._count = 0
+        self._labels: Dict[int, object] = {}
+
+    @property
+    def count(self) -> int:
+        """Number of variables allocated so far."""
+        return self._count
+
+    def new_variable(self, label: object | None = None) -> int:
+        """Allocate and return a fresh variable, optionally attaching *label*."""
+        self._count += 1
+        if label is not None:
+            self._labels[self._count] = label
+        return self._count
+
+    def label(self, variable: int) -> object | None:
+        """Return the label attached to *variable* (or ``None``)."""
+        return self._labels.get(variable)
+
+    def labels(self) -> Dict[int, object]:
+        """Return a copy of the variable → label mapping."""
+        return dict(self._labels)
 
 
 class OrderVariableRegistry:

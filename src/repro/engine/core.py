@@ -238,7 +238,7 @@ class ResolutionEngine:
     ) -> None:
         self.options = options or ResolverOptions()
         # Before any worker spawns: each would fail building its resolver.
-        self.options.check_fallback()
+        self.options.check()
         # Validate up front: a bad worker count used to be clamped silently (or
         # surface as an opaque failure deep inside the pool machinery).
         if int(workers) < 1:

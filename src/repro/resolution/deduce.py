@@ -8,13 +8,15 @@ contributes the reversed order (one variable stands for both orientations of
 a pair, since distinct values are totally ordered in every completion), and
 the formula is reduced by the literal.  The loop is exactly
 unit propagation, so the implementation runs it as a propagate-only call on
-the solver session that already holds Φ(S_e) (see
+the session of the :class:`~repro.encoding.incremental.IncrementalEncoder`
+that holds Φ(S_e) (see
 :meth:`~repro.solvers.session.SolverSession.propagate`) and then transitively
 closes the per-attribute orders.
 
 ``NaiveDeduce`` is the baseline the paper compares against: for every ordered
 pair of values it asks the SAT solver whether Φ(S_e) ∧ ¬x is unsatisfiable
-(Lemma 6), i.e. one SAT call per candidate order.
+(Lemma 6), i.e. one SAT call per candidate order, on the same session.
+Both assume the encoder's guard literals in every call.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set
 from repro.core.errors import CyclicOrderError
 from repro.core.partial_order import PartialOrder
 from repro.core.values import Value
-from repro.encoding.cnf_encoder import SpecificationEncoding
+from repro.encoding.incremental import IncrementalEncoder
 from repro.encoding.variables import OrderLiteral, canonical_value
-from repro.solvers.arena import loaded_solver, solve
-from repro.solvers.session import SolverSession
 
 __all__ = ["DeducedOrders", "deduce_order", "naive_deduce"]
 
@@ -120,31 +120,25 @@ def _close_orders(result: DeducedOrders) -> None:
         result.orders[attribute] = PartialOrder.from_acyclic(_closure(order.successor_map()))
 
 
-def deduce_order(
-    encoding: SpecificationEncoding,
-    extra_literals: Iterable[int] = (),
-    session: Optional[SolverSession] = None,
-) -> DeducedOrders:
-    """Run ``DeduceOrder`` on an encoded specification.
+def deduce_order(encoder: IncrementalEncoder) -> DeducedOrders:
+    """Run ``DeduceOrder`` on *encoder*'s specification.
 
-    *extra_literals* may inject additional facts: the framework passes the
-    guard literals of the incremental encoding, and a caller may assert
-    user-validated orders without rebuilding the encoding.  Propagation runs
-    on *session*, which must hold Φ(S_e) (the framework passes its
-    incremental encoder's); without one, on a pooled arena solver loaded
-    with ``encoding.cnf``.  Either way only Φ(S_e) propagates: a session
-    forgets what its solves learned, so O_d does not depend on which queries
-    ran on it before.
+    Propagation runs on ``encoder.session``, which holds Φ(S_e), under
+    ``encoder.assumptions`` (the guard literals of the live CFD clauses).
+    Only Φ(S_e) propagates: a session forgets what its solves learned, so
+    O_d does not depend on which queries ran on it before.
 
     Beyond the literal loop of Fig. 5, the implementation iterates to a
     fixpoint: every order of the transitive closure that propagation did not
     force is fed back into it as a unit, so that constraint bodies mentioning
     it can fire.  A forced negative literal already is the reversed order,
     and Φ's order axioms close orders over used values transitively, so the
-    feedback finds nothing on an encoding of this package; it is kept for
-    *extra_literals* and as a check.  Each injected literal holds in every
-    valid completion, so the extension is sound; it only makes the deduced
-    order O_d larger.
+    feedback finds nothing on an encoding of this package; it is kept as a
+    check.  Each injected literal holds in every valid completion, so the
+    extension is sound; it only makes the deduced order O_d larger.  The
+    forced set only grows from round to round, so each round records only
+    the literals no earlier round forced, and closes only the attributes
+    they touch.
 
     A propagation conflict, or forced orders that form a cycle, mean that no
     valid completion exists: the result then has ``conflict`` set and no
@@ -155,26 +149,13 @@ def deduce_order(
     without a conflict.  So there are at most ``registry.num_variables + 1``
     rounds.
     """
-    if session is not None:
-        return _deduce_fixpoint(encoding, session, extra_literals)
-    with loaded_solver(encoding.require_cnf("deduce_order")) as solver:
-        return _deduce_fixpoint(encoding, solver, extra_literals)
-
-
-def _deduce_fixpoint(encoding: SpecificationEncoding, propagator, extra_literals) -> DeducedOrders:
-    """The fixpoint of :func:`deduce_order` over *propagator*'s ``propagate``.
-
-    The forced set only grows from round to round, so each round records
-    only the literals no earlier round forced, and closes only the
-    attributes they touch.
-    """
-    registry = encoding.registry
-    injected = {int(literal) for literal in extra_literals}
+    session, registry = encoder.session, encoder.encoding.registry
+    injected = set(encoder.assumptions)
     recorded: Set[int] = set()
     successors: Dict[str, _Successors] = {}
     closures: Dict[str, _Successors] = {}
     while True:
-        forced, conflict = propagator.propagate(sorted(injected))
+        forced, conflict = session.propagate(sorted(injected))
         if conflict:
             return DeducedOrders(conflict=True, forced_literals=forced)
         touched: Set[str] = set()
@@ -213,45 +194,25 @@ def _deduce_fixpoint(encoding: SpecificationEncoding, propagator, extra_literals
     )
 
 
-def naive_deduce(
-    encoding: SpecificationEncoding,
-    max_pairs: Optional[int] = None,
-    session: Optional[SolverSession] = None,
-    assumptions: Iterable[int] = (),
-) -> DeducedOrders:
+def naive_deduce(encoder: IncrementalEncoder, max_pairs: Optional[int] = None) -> DeducedOrders:
     """Run ``NaiveDeduce``: one SAT call per ordered pair of used values.
 
     The refutation of ``older ≺ newer`` assumes its negated signed literal,
-    which is ``newer ≺ older``.
+    which is ``newer ≺ older``, next to the encoder's guard literals; every
+    call reuses the clauses ``encoder.session`` already holds.
 
     Parameters
     ----------
-    encoding:
-        The encoded specification.
+    encoder:
+        The encoder holding Φ(S_e).
     max_pairs:
         Optional cap on the number of pairs examined (benchmarks use it to
         keep the deliberately-slow baseline bounded); ``None`` checks all.
-    session:
-        Optional solver session already holding Φ(S_e): every
-        ``solve(assumptions=[¬x])`` call reuses the loaded clauses instead of
-        re-encoding.
-    assumptions:
-        Base assumptions for every call (the incremental encoding's guard
-        literals).
     """
-    base_assumptions = [int(literal) for literal in assumptions]
-
-    cnf = encoding.require_cnf("naive_deduce") if session is None else None
-
-    def query(extra: List[int]):
-        if session is not None:
-            return session.solve(base_assumptions + extra)
-        return solve(cnf, assumptions=base_assumptions + extra)
-
-    result = DeducedOrders()
-    base = query([])
-    result.sat_calls += 1
-    if not base.satisfiable:
+    encoding, session = encoder.encoding, encoder.session
+    base_assumptions = list(encoder.assumptions)
+    result = DeducedOrders(sat_calls=1)
+    if not session.solve(base_assumptions).satisfiable:
         result.conflict = True
         return result
     examined = 0
@@ -268,7 +229,7 @@ def naive_deduce(
                 if variable is None:
                     # The atom never occurs in Φ(S_e); it cannot be implied.
                     continue
-                refutation = query([-variable])
+                refutation = session.solve(base_assumptions + [-variable])
                 result.sat_calls += 1
                 if not refutation.satisfiable:
                     result.add(attribute, older, newer)

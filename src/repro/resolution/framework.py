@@ -31,12 +31,11 @@ from repro.core.partial_order import PartialOrder
 from repro.core.specification import Specification, TrueValueAssignment
 from repro.core.tuples import EntityTuple
 from repro.core.values import NULL, Value, is_null
-from repro.encoding.cnf_encoder import SpecificationEncoding, encode_specification
 from repro.encoding.compiled import ConstraintProgramCache
 from repro.encoding.incremental import IncrementalEncoder
 from repro.encoding.instance_constraints import InstantiationOptions
 from repro.resolution.baselines import pick_resolution
-from repro.resolution.deduce import DeducedOrders, deduce_order
+from repro.resolution.deduce import deduce_order
 from repro.resolution.suggest import SuggestOptions, Suggestion, suggest
 from repro.resolution.true_values import extract_true_values
 from repro.resolution.validity import check_validity
@@ -88,7 +87,7 @@ class RoundReport:
     encoding_statistics: Dict[str, int] = field(default_factory=dict)
     #: Encoding time of the round: round 0's full encode (none for a warm
     #: encoder), then the delta applied before round k (or, off the
-    #: incremental path, the round's from-scratch encode).
+    #: incremental path, the round's fresh full encode).
     encode_seconds: float = 0.0
 
 
@@ -156,14 +155,11 @@ class ResolverOptions:
     incremental:
         When ``True`` (the default) the resolver performs one full encoding
         per entity and keeps a persistent solver session: each interaction
-        round extends Φ through the :class:`IncrementalEncoder` delta path,
-        and validity/deduction/suggestion all run on the session's clauses.
-        ``False`` restores the from-scratch behaviour (re-encode and
-        cold-solve every round) — the cross-check tests compare the two.
-    solver_backend:
-        Registry name of the solver-session backend (``"arena"`` — the flat
-        clause-arena CDCL solver, the default — or ``"dpll"``); only used on
-        the incremental path.
+        round extends Φ through the :class:`IncrementalEncoder` delta path.
+        ``False`` resolves from scratch: every round encodes ``S_e ⊕ O_t``
+        into a fresh encoder (and session) — the cross-check tests and the
+        Fig. 8(e) baseline compare the two.  Either way validity, deduction
+        and suggestion all run on an encoder's session.
     budget:
         Optional :class:`~repro.solvers.budget.SolverBudget` bounding every
         SAT call of the loop (and, via ``wall_seconds``, the entity as a
@@ -178,7 +174,7 @@ class ResolverOptions:
     fallback:
         What fills the attributes left open: ``"pick"`` draws a ``Pick``
         value, ``"none"`` leaves them NULL.  Any other name is refused by
-        :meth:`check_fallback`.
+        :meth:`check`, as is a Suggest option no strategy answers to.
     """
 
     instantiation: InstantiationOptions = field(default_factory=InstantiationOptions)
@@ -187,19 +183,28 @@ class ResolverOptions:
     fallback: str = "pick"  # "pick" or "none"
     random_seed: int = 0
     incremental: bool = True
-    solver_backend: str = "arena"
     budget: Optional[SolverBudget] = None
     max_attempts: int = 3
 
-    def check_fallback(self) -> None:
-        """Raise :class:`ReproError` unless :attr:`fallback` is ``"pick"`` or ``"none"``.
+    def check(self) -> None:
+        """Raise :class:`ReproError` for a fallback or Suggest option nothing answers to.
 
-        The one fallback check, run by :class:`ConflictResolver`, the engine
-        and :class:`~repro.api.RunConfig` alike: any other name used to
-        leave the open attributes NULL without a word.
+        The one option check, run by :class:`ConflictResolver`, the engine
+        and :class:`~repro.api.RunConfig` alike, before any entity resolves.
+        :attr:`fallback` must be ``"pick"`` or ``"none"``: any other name
+        used to leave the open attributes NULL without a word.  The
+        :class:`SuggestOptions` ``clique_method`` and ``maxsat_strategy``
+        must be ``"exact"`` or ``"greedy"``: a typo used to fail only the
+        entities whose suggestion reached it, partway through a run.
         """
         if self.fallback not in ("pick", "none"):
             raise ReproError(f"options.fallback must be 'pick' or 'none', got {self.fallback!r}")
+        for name in ("clique_method", "maxsat_strategy"):
+            value = getattr(self.suggest, name)
+            if value not in ("exact", "greedy"):
+                raise ReproError(
+                    f"options.suggest.{name} must be 'exact' or 'greedy', got {value!r}"
+                )
 
 
 class ConflictResolver:
@@ -213,7 +218,7 @@ class ConflictResolver:
 
     def __init__(self, options: Optional[ResolverOptions] = None) -> None:
         self.options = options or ResolverOptions()
-        self.options.check_fallback()
+        self.options.check()
         #: Compiled constraint programs shared across resolve() calls.
         self.program_cache = ConstraintProgramCache()
 
@@ -337,38 +342,21 @@ class ConflictResolver:
                     f"after {round_index} round(s)"
                 )
             start = time.perf_counter()
-            if options.incremental:
-                # One full encoding per entity; later rounds only append the
-                # delta clauses of S_e ⊕ O_t to the one solver session.
-                if encoder is None:
-                    encoder = IncrementalEncoder(
-                        current,
-                        options.instantiation,
-                        backend=options.solver_backend,
-                        program=program,
-                        budget=options.budget,
-                    )
-                encoding = encoder.encoding
-                session = encoder.session
-                guard_assumptions: Tuple[int, ...] = encoder.assumptions
-            else:
-                encoding = encode_specification(current, options.instantiation, program=program)
-                session = None
-                guard_assumptions = ()
+            if encoder is None or not options.incremental:
+                # One full encoding per entity on the incremental path: later
+                # rounds only append the delta clauses of S_e ⊕ O_t to its
+                # session.  From scratch, every round gets a fresh encoder.
+                encoder = IncrementalEncoder(
+                    current, options.instantiation, program=program, budget=options.budget
+                )
             encode_seconds += time.perf_counter() - start
             start = time.perf_counter()
-            validity = check_validity(
-                current,
-                encoding=encoding,
-                session=session,
-                assumptions=guard_assumptions,
-                budget=options.budget,
-            )
+            validity = check_validity(encoder)
             validity_seconds = time.perf_counter() - start
             deduce_seconds = 0.0
             if validity.valid:
                 start = time.perf_counter()
-                deduced = deduce_order(encoding, extra_literals=guard_assumptions, session=session)
+                deduced = deduce_order(encoder)
                 deduce_seconds = time.perf_counter() - start
             if not validity.valid or deduced.conflict:
                 # Φ orders every pair of used values, so a satisfiable Φ
@@ -383,7 +371,7 @@ class ConflictResolver:
                         suggestion=None,
                         validity_seconds=validity_seconds,
                         deduce_seconds=deduce_seconds,
-                        encoding_statistics=self._round_statistics(encoding, encoder),
+                        encoding_statistics=self._round_statistics(encoder),
                         encode_seconds=encode_seconds,
                     )
                 )
@@ -397,14 +385,7 @@ class ConflictResolver:
             answers: Dict[str, Value] = {}
             if not complete and round_index < options.max_rounds:
                 start = time.perf_counter()
-                suggestion = suggest(
-                    encoding,
-                    deduced,
-                    known,
-                    options.suggest,
-                    session=session,
-                    assumptions=guard_assumptions,
-                )
+                suggestion = suggest(encoder, deduced, known, options.suggest)
                 suggest_seconds = time.perf_counter() - start
                 answers = dict(oracle.answer(suggestion, current))
 
@@ -418,7 +399,7 @@ class ConflictResolver:
                     validity_seconds=validity_seconds,
                     deduce_seconds=deduce_seconds,
                     suggest_seconds=suggest_seconds,
-                    encoding_statistics=self._round_statistics(encoding, encoder),
+                    encoding_statistics=self._round_statistics(encoder),
                     encode_seconds=encode_seconds,
                 )
             )
@@ -428,7 +409,7 @@ class ConflictResolver:
             user_validated.update(answers)
             delta = self._delta_from_answers(current, answers, known, round_index + 1)
             start = time.perf_counter()
-            if options.incremental and encoder is not None:
+            if options.incremental:
                 encoder.apply_delta(delta)
                 current = encoder.specification
             else:
@@ -447,12 +428,10 @@ class ConflictResolver:
             user_validated_attributes=tuple(sorted(user_validated)),
         )
 
-    def _round_statistics(
-        self, encoding: SpecificationEncoding, encoder: Optional[IncrementalEncoder]
-    ) -> Dict[str, int]:
+    def _round_statistics(self, encoder: IncrementalEncoder) -> Dict[str, int]:
         """Encoding sizes plus, on the incremental path, the reuse counters."""
-        statistics = encoding.statistics()
-        if encoder is not None:
+        statistics = encoder.encoding.statistics()
+        if self.options.incremental:
             statistics.update(encoder.statistics())
         else:
             statistics["incremental"] = 0

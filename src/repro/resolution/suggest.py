@@ -11,8 +11,10 @@ whole entity can be deduced automatically.  The pipeline is:
 2. ``TrueDer`` — derivation rules (see :mod:`repro.resolution.derivation`);
 3. ``CompGraph`` + maximum clique — the largest set of rules that can fire
    together;
-4. ``GetSug`` — repair the clique against Φ(S_e) with group MaxSAT (rules whose
-   assumed values contradict the specification are dropped), then pick
+4. ``GetSug`` — repair the clique against Φ(S_e) with group MaxSAT, probing
+   the session of the :class:`~repro.encoding.incremental.IncrementalEncoder`
+   that holds Φ(S_e) (rules whose assumed values contradict the
+   specification are dropped), then pick
    ``A = R \\ (A' ∪ B)`` where ``A'`` are the attributes the surviving rules
    derive and ``B`` the attributes already resolved.  A closure step ensures
    the returned suggestion really is sufficient (the clique's rules may depend
@@ -27,13 +29,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.core.specification import Specification, TrueValueAssignment
 from repro.core.values import Value, values_equal
 from repro.encoding.cnf_encoder import SpecificationEncoding
-from repro.encoding.variables import OrderLiteral, canonical_value
+from repro.encoding.incremental import IncrementalEncoder
+from repro.encoding.variables import OrderLiteral
 from repro.resolution.compatibility import compatibility_graph
 from repro.resolution.deduce import DeducedOrders
 from repro.resolution.derivation import DerivationRule, derive_rules
 from repro.solvers.clique import max_clique
 from repro.solvers.maxsat import solve_group_maxsat
-from repro.solvers.session import SolverSession
 
 __all__ = ["Suggestion", "SuggestOptions", "derive_candidate_values", "suggest"]
 
@@ -142,21 +144,18 @@ def _closure_of_rules(
 
 
 def suggest(
-    encoding: SpecificationEncoding,
+    encoder: IncrementalEncoder,
     deduced: DeducedOrders,
     known: TrueValueAssignment,
     options: SuggestOptions | None = None,
-    session: Optional[SolverSession] = None,
-    assumptions: Sequence[int] = (),
 ) -> Suggestion:
     """Run the full ``Suggest`` pipeline and return a sufficient suggestion.
 
-    When the framework supplies a *session* (and the guard *assumptions* of
-    the incremental encoding), the MaxSAT repair of ``GetSug`` probes the
-    shared solver instead of loading Φ(S_e) into cold SAT runs.
+    The MaxSAT repair of ``GetSug`` probes ``encoder.session`` under
+    ``encoder.assumptions``.
     """
     options = options or SuggestOptions()
-    hard = encoding.cnf if session is not None else encoding.require_cnf("suggest")
+    encoding = encoder.encoding
     spec = encoding.specification
     schema_attributes = list(spec.schema.attribute_names)
     unresolved = [attribute for attribute in schema_attributes if attribute not in known]
@@ -174,11 +173,7 @@ def suggest(
             _rule_assumption_literals(rule, encoding, candidates) for rule in clique_rules
         ]
         maxsat = solve_group_maxsat(
-            hard,
-            groups,
-            strategy=options.maxsat_strategy,
-            session=session,
-            assumptions=assumptions,
+            encoder.session, groups, strategy=options.maxsat_strategy, assumptions=encoder.assumptions
         )
         sat_calls = maxsat.sat_calls
         if maxsat.hard_satisfiable:

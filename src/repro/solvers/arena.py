@@ -25,11 +25,11 @@ alone and can be retained across calls.  That is what makes the repeated
 queries of the interactive framework (validity check, per-candidate
 refutations, MaxSAT probing on the same Φ(S_e)) cheap.
 
-:func:`solve` draws a solver from a small per-process pool and
+:func:`acquire_solver` draws a solver from a small per-process pool and
 :meth:`ArenaSolver.reset` recycles the per-variable buffers, so the thousands
 of small Φ(S_e) instances of a resolution run amortise allocation instead of
-rebuilding a solver each.  :class:`~repro.solvers.session.ArenaSession`
-(registry name ``"arena"``) exposes the solver to the resolution stack.
+rebuilding a solver each.  :class:`~repro.solvers.session.ArenaSession`, which
+takes its solver from that pool, exposes the solver to the resolution stack.
 
 The solver is deterministic: given the same clause/solve sequence it makes the
 same decisions, and a pooled solver after :meth:`~ArenaSolver.reset` behaves
@@ -40,17 +40,15 @@ the goldens record models, so ``tests/solvers/test_arena.py`` checks both.
 from __future__ import annotations
 
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import profiling
 from repro.core.errors import SolverError
 from repro.solvers.budget import SolverBudget
-from repro.solvers.cnf import CNF
 
-__all__ = ["ArenaSolver", "SATResult", "acquire_solver", "loaded_solver", "release_solver", "solve"]
+__all__ = ["ArenaSolver", "SATResult", "acquire_solver", "release_solver"]
 
 
 @dataclass
@@ -113,15 +111,14 @@ def _luby(i: int) -> int:
 class ArenaSolver:
     """Incremental CDCL solver over a flat clause arena.
 
-    The solver may take an initial formula at construction time; further
-    clauses can be appended with :meth:`add_clause` between :meth:`solve`
-    calls.  Assumptions are decided at dedicated decision levels (never mixed
+    Clauses are appended with :meth:`load_clauses`, also between
+    :meth:`solve` calls.  Assumptions are decided at dedicated decision levels (never mixed
     into level 0), so clauses learned under assumptions are consequences of
     the clause database alone and stay valid for every later call.  See the
     module docstring for the data layout.
     """
 
-    def __init__(self, cnf: Optional[CNF] = None) -> None:
+    def __init__(self) -> None:
         self._num_vars = 0
         # Clause storage: literals in one contiguous buffer, clause i at
         # arena[offset[i] : offset[i] + length[i]].
@@ -161,8 +158,6 @@ class ArenaSolver:
         self.total_restarts = 0
         self.db_reductions = 0
         self.clauses_deleted = 0
-        if cnf is not None:
-            self.load(cnf)
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -203,7 +198,7 @@ class ArenaSolver:
         The per-variable arrays and watch lists are zeroed in place rather
         than reallocated; a subsequent ``ensure_variables`` grows into the
         warm capacity.  This is what makes one pooled solver cheap to reuse
-        across many small formulas (see :func:`solve`).
+        across many small formulas (see :func:`acquire_solver`).
         """
         for variable in range(1, self._num_vars + 1):
             self._assignment[variable] = _UNASSIGNED
@@ -253,31 +248,19 @@ class ArenaSolver:
         variable = literal if literal > 0 else -literal
         self._watches[(variable << 1) | (literal < 0)].append(clause_index)
 
-    def add_clause(self, literals: Sequence[int]) -> None:
-        """Append one clause to the database (callable between solve calls).
-
-        The clause is simplified against the root-level (level-0) assignment:
-        root-falsified literals are dropped and root-satisfied clauses are not
-        stored at all — both are sound because level-0 assignments are logical
-        consequences of the clause database.  See :meth:`load_clauses`.
-        """
-        self.load_clauses((literals,), 0)
-
-    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
-        """Append several clauses (see :meth:`load_clauses`)."""
-        self.load_clauses(clauses, 0)
-
     def load_clauses(self, clauses: Iterable[Sequence[int]], num_variables: int) -> None:
         """Append *clauses* and track variables up to *num_variables*, in one call.
 
         Each clause is deduplicated, dropped when it is a tautology and
-        simplified against the root-level assignment (see :meth:`add_clause`);
-        an empty clause or a contradicted unit makes the formula unsatisfiable
-        and the remaining clauses are skipped.  The buffers, watches, trail
-        and heap come out exactly as after loading the clauses one at a time
-        and then ``ensure_variables(num_variables)``, but the solver
-        backtracks and grows its variables once, at the first clause that is
-        not a tautology.  Literals must be ints.
+        simplified against the root-level (level-0) assignment: root-falsified
+        literals are dropped and root-satisfied clauses are not stored at all,
+        both sound because level-0 assignments are logical consequences of
+        the clause database.  An empty clause or a contradicted unit makes the
+        formula unsatisfiable and the remaining clauses are skipped.  The
+        buffers, watches, trail and heap come out exactly as after loading the
+        clauses one call at a time and then ``ensure_variables(num_variables)``,
+        but the solver backtracks and grows its variables once, at the first
+        clause that is not a tautology.  Literals must be ints.
         """
         if not self._unsat:
             ready = False
@@ -318,10 +301,6 @@ class ArenaSolver:
                             self._unsat = True
                             break
         self.ensure_variables(num_variables)
-
-    def load(self, cnf: CNF) -> None:
-        """Bulk-load a formula (see :meth:`load_clauses`)."""
-        self.load_clauses(cnf.clauses, cnf.num_variables)
 
     # -- low-level machinery ---------------------------------------------------
 
@@ -924,7 +903,7 @@ class ArenaSolver:
             self._enqueue(literal, -1, stats)
 
 
-# -- one-shot solving over a per-process solver pool ---------------------------
+# -- the per-process solver pool ------------------------------------------------
 
 #: Recycled solvers; reset-on-acquire keeps the warm buffers, drops the state.
 _SOLVER_POOL: List[ArenaSolver] = []
@@ -944,25 +923,3 @@ def release_solver(solver: ArenaSolver) -> None:
     """Return *solver* to the pool (dropped when the pool is full)."""
     if len(_SOLVER_POOL) < _SOLVER_POOL_LIMIT:
         _SOLVER_POOL.append(solver)
-
-
-@contextmanager
-def loaded_solver(cnf: CNF) -> Iterator[ArenaSolver]:
-    """A pooled solver loaded with *cnf*, handed back to the pool on exit."""
-    solver = acquire_solver()
-    try:
-        solver.load(cnf)
-        yield solver
-    finally:
-        release_solver(solver)
-
-
-def solve(
-    cnf: CNF,
-    assumptions: Sequence[int] = (),
-    conflict_limit: Optional[int] = None,
-    budget: Optional[SolverBudget] = None,
-) -> SATResult:
-    """Solve *cnf* under *assumptions* with a pooled :class:`ArenaSolver`."""
-    with loaded_solver(cnf) as solver:
-        return solver.solve(assumptions, conflict_limit=conflict_limit, budget=budget)

@@ -7,9 +7,10 @@ during ``Suggest``'s group-MaxSAT repair.  A :class:`SolverSession` keeps one
 solver alive for that whole lifecycle:
 
 * ``load_clauses`` appends a batch of clauses (a full encode, or one delta
-  of the incremental encoder) in one call, without rebuilding anything;
+  of the incremental encoder) in one call, without rebuilding anything; it
+  is the one way clauses enter a session;
 * ``solve(assumptions)`` answers a query under per-call assumptions; the
-  arena backend keeps variable activities and saved phases between calls,
+  arena session keeps variable activities and saved phases between calls,
   and forgets the clauses a solve learned when it returns;
 * ``propagate(assumptions)`` runs unit propagation alone (``DeduceOrder``'s
   loop) on the same clauses, counting no solve.  It sees the session formula
@@ -18,48 +19,35 @@ solver alive for that whole lifecycle:
 * ``statistics()`` reports the reuse counters (cold vs. incremental solves,
   clauses carried over) that the benchmark harness surfaces.
 
-Backends are pluggable through a small registry: ``"arena"`` (the default —
-the flat clause-arena CDCL solver, fully incremental, pooled buffers) and
-``"dpll"`` (stateless reference backend that re-solves from scratch — useful
-for cross-checking the incremental machinery) ship built-in;
-:func:`register_backend` accepts further implementations.
+:class:`ArenaSession`, over the flat clause-arena CDCL solver, is the
+session the package runs on; the base class is what a test substitutes its
+own session through.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.errors import BudgetExceededError, SolverError
-from repro.solvers.arena import ArenaSolver, SATResult, acquire_solver, loaded_solver, release_solver
+from repro.core.errors import BudgetExceededError
+from repro.solvers.arena import ArenaSolver, SATResult, acquire_solver, release_solver
 from repro.solvers.budget import SolverBudget
-from repro.solvers.cnf import CNF
-from repro.solvers.dpll import dpll_solve
 
-__all__ = [
-    "SolverSession",
-    "ArenaSession",
-    "DPLLSession",
-    "register_backend",
-    "create_session",
-    "available_backends",
-]
+__all__ = ["SolverSession", "ArenaSession"]
 
 
 class SolverSession:
     """Base class for stateful solver sessions.
 
-    Subclasses implement ``_add_clause``, ``_solve`` and ``propagate`` (and
-    may override ``_load_clauses`` to take a batch in one call); the base
-    class keeps the reuse statistics uniform across backends.
+    Subclasses implement ``_load_clauses``, ``_solve`` and ``propagate``;
+    the base class keeps the reuse statistics uniform across sessions.
+    *budget*, unless unbounded, applies to every solve (see :attr:`budget`).
     """
 
-    #: Registry name of the backend (set by subclasses).
-    backend = "abstract"
     #: Whether a solve reuses the clauses loaded for earlier ones.
     reuses_clauses = False
 
-    def __init__(self) -> None:
+    def __init__(self, budget: Optional[SolverBudget] = None) -> None:
         self._clauses_added = 0
         self._solve_calls = 0
         self._cold_solves = 0
@@ -68,39 +56,27 @@ class SolverSession:
         #: Budget applied to every solve on this session (``None`` = unbounded).
         #: Mutable on purpose: after a :class:`BudgetExceededError` the caller
         #: may clear or raise it and keep using the same session.
-        self.budget: Optional[SolverBudget] = None
+        self.budget: Optional[SolverBudget] = (
+            budget if budget is not None and not budget.unbounded else None
+        )
         self._budget_exceeded_calls = 0
 
     # -- interface ------------------------------------------------------------
 
-    def add_clause(self, literals: Sequence[int]) -> None:
-        """Append one clause to the session's formula."""
-        self._add_clause(literals)
-        self._clauses_added += 1
-
-    def add_clauses(self, clauses) -> None:
-        """Append several clauses."""
-        for clause in clauses:
-            self.add_clause(clause)
-
     def load_clauses(self, clauses: Sequence[Sequence[int]], num_variables: int) -> None:
         """Append *clauses*, then make the session aware of variables up to *num_variables*.
 
-        The same as :meth:`add_clause` per clause followed by
-        :meth:`ensure_variables`, counted the same, in one backend call.
+        One call into the solver per batch; every clause counts as added.
         """
         self._load_clauses(clauses, num_variables)
         self._clauses_added += len(clauses)
 
-    def ensure_variables(self, count: int) -> None:
-        """Make the session aware of variables up to index *count*."""
-
     def solve(self, assumptions: Sequence[int] = (), conflict_limit: Optional[int] = None) -> SATResult:
         """Decide satisfiability of the session formula under *assumptions*.
 
-        When :attr:`budget` is set and the backend exhausts it, raises
+        When :attr:`budget` is set and the solve exhausts it, raises
         :class:`~repro.core.errors.BudgetExceededError`; the session stays
-        reusable (the backend backtracked to level zero before returning).
+        reusable (the solver backtracked to level zero before returning).
         """
         self._solve_calls += 1
         if self._solve_calls == 1 or not self.reuses_clauses:
@@ -117,15 +93,10 @@ class SolverSession:
             )
         return result
 
-    # -- backend hooks ---------------------------------------------------------
-
-    def _add_clause(self, literals: Sequence[int]) -> None:
-        raise NotImplementedError
+    # -- subclass hooks --------------------------------------------------------
 
     def _load_clauses(self, clauses: Sequence[Sequence[int]], num_variables: int) -> None:
-        for clause in clauses:
-            self._add_clause(clause)
-        self.ensure_variables(num_variables)
+        raise NotImplementedError
 
     def _solve(self, assumptions: Sequence[int], conflict_limit: Optional[int]) -> SATResult:
         raise NotImplementedError
@@ -137,7 +108,7 @@ class SolverSession:
         whether propagation reached a conflict.  No solve is counted and no
         counter moves (see :meth:`~repro.solvers.arena.ArenaSolver.propagate`).
         Only the session formula takes part, never a clause a solve learned,
-        so every backend forces the same literals whatever ran before.
+        so every session forces the same literals whatever ran before.
         """
         raise NotImplementedError
 
@@ -179,11 +150,10 @@ class ArenaSession(SolverSession):
     warm buffers across their sessions.
     """
 
-    backend = "arena"
     reuses_clauses = True
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, budget: Optional[SolverBudget] = None) -> None:
+        super().__init__(budget)
         self._solver = acquire_solver()
         # Hand the buffers back for the next session once this one is
         # unreachable (sessions have no explicit close in the resolution
@@ -194,12 +164,6 @@ class ArenaSession(SolverSession):
     def solver(self) -> ArenaSolver:
         """The underlying pooled arena solver (exposed for diagnostics)."""
         return self._solver
-
-    def ensure_variables(self, count: int) -> None:
-        self._solver.ensure_variables(count)
-
-    def _add_clause(self, literals: Sequence[int]) -> None:
-        self._solver.add_clause(literals)
 
     def _load_clauses(self, clauses: Sequence[Sequence[int]], num_variables: int) -> None:
         self._solver.load_clauses(clauses, num_variables)
@@ -224,75 +188,3 @@ class ArenaSession(SolverSession):
         stats["db_reductions"] = self._solver.db_reductions
         stats["clauses_deleted"] = self._solver.clauses_deleted
         return stats
-
-
-class DPLLSession(SolverSession):
-    """Stateless reference session: every call re-solves the stored CNF.
-
-    Nothing carries over between calls (DPLL has no learning), but the session
-    interface lets the same resolution code run against the simple,
-    obviously-correct solver — the cross-check tests rely on that.
-    """
-
-    backend = "dpll"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._cnf = CNF()
-
-    def ensure_variables(self, count: int) -> None:
-        if count > self._cnf.num_variables:
-            self._cnf.num_variables = count
-
-    def _add_clause(self, literals: Sequence[int]) -> None:
-        self._cnf.add_clause(literals)
-
-    def _solve(self, assumptions: Sequence[int], conflict_limit: Optional[int]) -> SATResult:
-        if conflict_limit is not None:
-            raise SolverError("the dpll backend does not support conflict_limit")
-        if self.budget is not None:
-            raise SolverError("the dpll backend does not support solver budgets")
-        highest = max((abs(int(lit)) for lit in assumptions), default=0)
-        if highest > self._cnf.num_variables:
-            self._cnf.num_variables = highest
-        return dpll_solve(self._cnf, assumptions)
-
-    def propagate(self, assumptions: Sequence[int] = ()) -> Tuple[List[int], bool]:
-        """Propagate the stored CNF on a pooled arena solver (DPLL has no trail to reuse)."""
-        with loaded_solver(self._cnf) as solver:
-            return solver.propagate(assumptions)
-
-
-_BACKENDS: Dict[str, Callable[[], SolverSession]] = {}
-
-
-def register_backend(name: str, factory: Callable[[], SolverSession]) -> None:
-    """Register a session *factory* under *name* (overwrites earlier entries)."""
-    _BACKENDS[name] = factory
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of all registered backends, sorted."""
-    return tuple(sorted(_BACKENDS))
-
-
-def create_session(backend: str = "arena", budget: Optional[SolverBudget] = None) -> SolverSession:
-    """Instantiate a solver session for *backend* (by registry name).
-
-    *budget*, when given, applies to every solve on the returned session
-    (see :attr:`SolverSession.budget`).
-    """
-    try:
-        factory = _BACKENDS[backend]
-    except KeyError:
-        raise SolverError(
-            f"unknown solver backend {backend!r}; available: {', '.join(available_backends())}"
-        ) from None
-    session = factory()
-    if budget is not None and not budget.unbounded:
-        session.budget = budget
-    return session
-
-
-register_backend("arena", ArenaSession)
-register_backend("dpll", DPLLSession)

@@ -12,7 +12,8 @@ from repro.api import (
 from repro.core import ReproError, Specification, is_null
 from repro.datasets import PersonConfig, generate_person_dataset
 from repro.pipeline import CollectSink, MapStage
-from repro.resolution import ConflictResolver, ResolverOptions
+from repro.engine import ResolutionEngine
+from repro.resolution import ConflictResolver, ResolverOptions, SuggestOptions
 from repro.serving import EngineHost, SpecificationBuilder, decode_response
 
 from tests.conftest import EDITH_ROWS, GEORGE_ROWS
@@ -324,12 +325,20 @@ class TestRunConfigValidation:
             RunConfig(chunk_size=0)
         with pytest.raises(ReproError, match="max_inflight"):
             RunConfig(max_inflight=0)
-        with pytest.raises(ReproError, match="solver backend"):
-            RunConfig(options=ResolverOptions(solver_backend="chaff"))
         with pytest.raises(ReproError, match="fallback"):
             RunConfig(options=ResolverOptions(fallback="maybe"))
         with pytest.raises(ReproError, match="options"):
             RunConfig(options="fast")
+
+    @pytest.mark.parametrize("field", ["clique_method", "maxsat_strategy"])
+    def test_suggest_option_typos_are_refused_before_any_entity(self, field):
+        """A Suggest strategy typo used to fail only the entities whose suggestion reached it."""
+        options = ResolverOptions(
+            max_rounds=2, fallback="none", suggest=SuggestOptions(**{field: "bogus"})
+        )
+        for build in (RunConfig, ConflictResolver, ResolutionEngine):
+            with pytest.raises(ReproError, match=f"suggest.{field} must be 'exact' or 'greedy'"):
+                build(options)
 
     def test_cache_key_is_structural(self):
         a = RunConfig(options=ResolverOptions(max_rounds=2), workers=2)

@@ -28,9 +28,9 @@ from repro.encoding.instance_constraints import (
     Record,
 )
 from repro.encoding.variables import OrderLiteral, OrderVariableRegistry, canonical_value
-from repro.solvers.cnf import CNF
 
 from tests.encoding._instantiate_reference import reference_instantiate
+from tests.solvers._cnf_reference import CNF
 
 #: One clause as (atom, positive?) pairs.
 SignedClause = Tuple[Tuple[OrderLiteral, bool], ...]

@@ -5,8 +5,9 @@ solver session.  Tests that read Φ pass this session and read the clauses
 back from :attr:`RecordingSession.cnf`.
 """
 
-from repro.solvers.cnf import CNF
 from repro.solvers.session import ArenaSession
+
+from tests.solvers._cnf_reference import CNF
 
 
 class RecordingSession(ArenaSession):
@@ -15,15 +16,6 @@ class RecordingSession(ArenaSession):
     def __init__(self) -> None:
         super().__init__()
         self.cnf = CNF()
-
-    def ensure_variables(self, count: int) -> None:
-        if count > self.cnf.num_variables:
-            self.cnf.num_variables = count
-        super().ensure_variables(count)
-
-    def _add_clause(self, literals) -> None:
-        self.cnf.add_clause(literals)
-        super()._add_clause(literals)
 
     def _load_clauses(self, clauses, num_variables) -> None:
         self.cnf.add_clauses(clauses)

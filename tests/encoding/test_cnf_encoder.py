@@ -5,8 +5,18 @@ import math
 import pytest
 
 from repro.core import ConstantCFD, CurrencyConstraint, RelationSchema, Specification
-from repro.encoding import InstantiationOptions, OrderLiteral, encode_specification
-from repro.solvers import solve
+from repro.encoding import IncrementalEncoder, InstantiationOptions, OrderLiteral
+
+from tests.encoding._recording_session import RecordingSession
+
+
+def encode(spec, options=None):
+    """An encoder whose Φ can be read back from ``encoder.session.cnf``."""
+    return IncrementalEncoder(spec, options, session=RecordingSession())
+
+
+def satisfiable(encoder):
+    return encoder.session.solve(encoder.assumptions).satisfiable
 
 
 @pytest.fixture
@@ -38,27 +48,30 @@ def gamma():
 class TestEncoding:
     def test_encoding_statistics(self, schema, rows, sigma, gamma):
         spec = Specification.from_rows(schema, rows, sigma, gamma)
-        encoding = encode_specification(spec)
-        stats = encoding.statistics()
+        encoder = encode(spec)
+        stats = encoder.encoding.statistics()
         assert stats["tuples"] == 2
         assert stats["currency_constraints"] == 2
         assert stats["cfds"] == 1
-        assert stats["clauses"] == len(encoding.cnf)
-        assert stats["variables"] == encoding.registry.num_variables
+        assert stats["clauses"] == len(encoder.session.cnf)
+        assert stats["variables"] == encoder.encoding.registry.num_variables
 
     def test_clause_count_matches_omega(self, schema, rows, sigma, gamma):
         spec = Specification.from_rows(schema, rows, sigma, gamma)
-        encoding = encode_specification(spec)
+        encoder = encode(spec)
+        encoding = encoder.encoding
         # One clause per instance constraint of Ω, then two per triple of
-        # each attribute's used values; one variable per pair of them.
+        # each attribute's used values; one variable per pair of them, plus
+        # one guard per CFD instance.
         sizes = [len(values) for values in encoding.omega.used_values.values()]
-        assert len(encoding.cnf) == len(encoding.omega) + sum(2 * math.comb(n, 3) for n in sizes)
-        assert encoding.registry.num_variables == sum(math.comb(n, 2) for n in sizes)
+        assert len(encoder.session.cnf) == len(encoding.omega) + sum(2 * math.comb(n, 3) for n in sizes)
+        assert encoding.registry.num_variables == sum(math.comb(n, 2) for n in sizes) + len(
+            encoder.assumptions
+        )
 
     def test_lemma5_satisfiable_for_valid_specification(self, schema, rows, sigma, gamma):
         spec = Specification.from_rows(schema, rows, sigma, gamma)
-        encoding = encode_specification(spec)
-        assert solve(encoding.cnf).satisfiable
+        assert satisfiable(encode(spec))
         assert spec.is_valid_brute_force()
 
     def test_lemma5_unsatisfiable_for_invalid_specification(self, schema, rows):
@@ -67,8 +80,7 @@ class TestEncoding:
             CurrencyConstraint.value_transition("status", "retired", "working"),
         ]
         spec = Specification.from_rows(schema, rows, sigma, [])
-        encoding = encode_specification(spec)
-        assert not solve(encoding.cnf).satisfiable
+        assert not satisfiable(encode(spec))
         assert not spec.is_valid_brute_force()
 
     def test_inherently_invalid_specification_gets_empty_clause(self, schema, rows):
@@ -77,13 +89,13 @@ class TestEncoding:
             CurrencyConstraint.value_transition("status", "retired", "working"),
         ]
         spec = Specification.from_rows(schema, rows, sigma, [])
-        encoding = encode_specification(spec)
-        assert encoding.omega.inherently_invalid
-        assert encoding.cnf.has_empty_clause()
+        encoder = encode(spec)
+        assert encoder.encoding.omega.inherently_invalid
+        assert encoder.session.cnf.has_empty_clause()
 
     def test_literal_lookup_helpers(self, schema, rows, sigma, gamma):
         spec = Specification.from_rows(schema, rows, sigma, gamma)
-        encoding = encode_specification(spec)
+        encoding = encode(spec).encoding
         atom = OrderLiteral("status", "working", "retired")
         variable = encoding.find_literal(atom)
         assert variable is not None
@@ -95,11 +107,10 @@ class TestEncoding:
     def test_options_are_recorded(self, schema, rows, sigma, gamma):
         spec = Specification.from_rows(schema, rows, sigma, gamma)
         options = InstantiationOptions(mode="naive")
-        encoding = encode_specification(spec, options)
-        assert encoding.options.mode == "naive"
+        assert encode(spec, options).encoding.options.mode == "naive"
 
     def test_projected_and_naive_encodings_equisatisfiable(self, schema, rows, sigma, gamma):
         spec = Specification.from_rows(schema, rows, sigma, gamma)
-        projected = encode_specification(spec, InstantiationOptions(mode="projected"))
-        naive = encode_specification(spec, InstantiationOptions(mode="naive"))
-        assert solve(projected.cnf).satisfiable == solve(naive.cnf).satisfiable
+        projected = encode(spec, InstantiationOptions(mode="projected"))
+        naive = encode(spec, InstantiationOptions(mode="naive"))
+        assert satisfiable(projected) == satisfiable(naive)

@@ -29,7 +29,6 @@ from repro.encoding import (
     IncrementalEncoder,
     InstantiationOptions,
     compile_program,
-    encode_specification,
     instantiate,
     instantiate_compiled,
 )
@@ -37,6 +36,7 @@ from repro.encoding.compiled import _cfd_instances
 from repro.encoding.variables import OrderLiteral
 
 from tests.conftest import GEORGE_ROWS
+from tests.encoding._cold_encoder_reference import encode_specification
 from tests.encoding._instantiate_reference import (
     ReferenceDeltaEncoder,
     _constraint_key,
@@ -149,7 +149,7 @@ class TestProgramOptions:
         program = compile_program(edith_spec, self.NAIVE)
         encoding = encode_specification(edith_spec, InstantiationOptions(), program=program)
         expected_cnf, _ = reference_encoding(edith_spec, self.NAIVE)
-        assert encoding.options is self.NAIVE
+        assert encoding.encoding.options is self.NAIVE
         assert program.instantiations == 1
         assert encoding.cnf.clauses == expected_cnf.clauses
 

@@ -23,9 +23,10 @@ from repro.datasets import (
     CareerConfig, NBAConfig, PersonConfig,
     generate_career_dataset, generate_nba_dataset, generate_person_dataset,
 )
-from repro.encoding import encode_specification
+from repro.encoding import IncrementalEncoder
 from repro.evaluation import GroundTruthOracle
 from repro.resolution import ConflictResolver, ResolverOptions
+from tests.encoding._recording_session import RecordingSession
 
 datasets = [
     generate_nba_dataset(NBAConfig(num_players=10, seed=41)),
@@ -36,7 +37,9 @@ resolver = ConflictResolver(ResolverOptions())
 outcomes = []
 for dataset in datasets:
     for entity, spec in dataset.specifications(1.0, 1.0):
-        clauses = hashlib.sha1(repr(encode_specification(spec).cnf.clauses).encode())
+        session = RecordingSession()
+        IncrementalEncoder(spec, session=session)
+        clauses = hashlib.sha1(repr(session.cnf.clauses).encode())
         result = resolver.resolve(spec, GroundTruthOracle(entity, max_attributes_per_round=1))
         outcomes.append({
             "clauses": clauses.hexdigest(),
@@ -57,8 +60,10 @@ print(json.dumps(outcomes, sort_keys=True))
 
 
 def _resolve_under(seed):
-    source = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=source)
+    source = Path(repro.__file__).resolve().parents[1]
+    # The package, and the repository root for the test helpers.
+    path = os.pathsep.join((str(source), str(source.parent)))
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
     done = subprocess.run(
         [sys.executable, "-c", _RESOLVE], env=env, capture_output=True, text=True, timeout=300
     )

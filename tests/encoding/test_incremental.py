@@ -1,22 +1,18 @@
-"""Tests for the incremental (delta) encoder against the from-scratch path."""
+"""Tests for the incremental (delta) encoder against the from-scratch reference."""
 
 import pytest
 
-from repro.core import ReproError, TemporalOrderDelta
+from repro.core import TemporalOrderDelta
 from repro.core.specification import TrueValueAssignment
-from repro.encoding import IncrementalEncoder, encode_specification
-from repro.resolution import (
-    ConflictResolver,
-    DeducedOrders,
-    check_validity,
-    deduce_order,
-    naive_deduce,
-    suggest,
-)
+from repro.encoding import IncrementalEncoder
+from repro.resolution import ConflictResolver, check_validity, deduce_order, naive_deduce
+from repro.resolution.suggest import suggest
 from repro.resolution.true_values import extract_true_values
-from repro.solvers import solve
+from repro.solvers import ArenaSession
 
+from tests.encoding._cold_encoder_reference import encode_specification
 from tests.encoding._recording_session import RecordingSession
+from tests.solvers._cnf_reference import solve
 
 
 def _recording_encoder(spec):
@@ -65,6 +61,13 @@ def _delta_for(spec, answers, known=None, round_index=1):
     )
 
 
+def _answered(spec, answers, session=None):
+    """An encoder of *spec* that has applied the delta of one round's *answers*."""
+    encoder = IncrementalEncoder(spec, session=session)
+    encoder.apply_delta(_delta_for(spec, answers))
+    return encoder
+
+
 class TestInitialEncoding:
     def test_matches_from_scratch(self, george_spec):
         encoder = _recording_encoder(george_spec)
@@ -76,20 +79,6 @@ class TestInitialEncoding:
             encoder.session.solve(encoder.assumptions).satisfiable
             == solve(reference.cnf).satisfiable
         )
-
-    def test_cold_consumers_name_the_missing_session(self, george_spec):
-        """Φ lives only in the session, so a session-less consumer must say so."""
-        encoding = IncrementalEncoder(george_spec).encoding
-        assert encoding.cnf is None
-        consumers = (
-            lambda: check_validity(george_spec, encoding=encoding),
-            lambda: deduce_order(encoding),
-            lambda: naive_deduce(encoding),
-            lambda: suggest(encoding, DeducedOrders(), TrueValueAssignment({})),
-        )
-        for consume in consumers:
-            with pytest.raises(ReproError, match="session"):
-                consume()
 
     def test_empty_delta_is_noop(self, george_spec):
         encoder = _recording_encoder(george_spec)
@@ -137,14 +126,10 @@ class TestDeltaEncoding:
 
     @pytest.mark.parametrize("answers", [{"status": "retired"}, {"status": "deceased"}])
     def test_deduction_matches_from_scratch(self, george_spec, answers):
-        delta = _delta_for(george_spec, answers)
-        encoder = IncrementalEncoder(george_spec)
-        encoder.apply_delta(delta)
+        encoder = _answered(george_spec, answers)
         extended = encoder.specification
 
-        incremental = deduce_order(
-            encoder.encoding, extra_literals=encoder.assumptions, session=encoder.session
-        )
+        incremental = deduce_order(encoder)
         reference = deduce_order(encode_specification(extended))
         assert incremental.conflict == reference.conflict
         attributes = set(incremental.orders) | set(reference.orders)
@@ -153,6 +138,28 @@ class TestDeltaEncoding:
         incremental_values = extract_true_values(extended, incremental)
         reference_values = extract_true_values(extended, reference)
         assert incremental_values.values == reference_values.values
+
+    @pytest.mark.parametrize("answers", [{"status": "retired"}, {"status": "deceased"}])
+    def test_naive_deduction_matches_from_scratch(self, george_spec, answers):
+        # NaiveDeduce asks one SAT question per value pair, each under the
+        # encoder's guards: a retired CFD clause must not answer any of them.
+        encoder = _answered(george_spec, answers)
+        incremental = naive_deduce(encoder)
+        reference = naive_deduce(encode_specification(encoder.specification))
+        assert incremental.conflict == reference.conflict
+        assert incremental.orders == reference.orders
+
+    @pytest.mark.parametrize("answers", [{"status": "retired"}, {"status": "deceased"}])
+    def test_suggestion_matches_from_scratch(self, george_spec, answers):
+        # After a delta, Suggest reads the same Φ as a from-scratch encoding.
+        encoder = _answered(george_spec, answers)
+        extended = encoder.specification
+        suggestions = []
+        for source in (encoder, encode_specification(extended)):
+            deduced = deduce_order(source)
+            s = suggest(source, deduced, extract_true_values(extended, deduced))
+            suggestions.append((s.attributes, s.candidates, s.derivable_attributes, s.kept_rules))
+        assert suggestions[0] == suggestions[1]
 
     def test_clause_count_follows_the_session(self, george_spec):
         """``statistics()["clauses"]`` counts every clause the session received."""
@@ -177,6 +184,58 @@ class TestDeltaEncoding:
         stats = encoder.statistics()
         assert stats["delta_encodings"] == 2
         assert stats["incremental"] == 1
+
+
+class _QueryLog(ArenaSession):
+    """An arena session that keeps the assumptions of every query it answers."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.queries = []
+
+    def solve(self, assumptions=(), conflict_limit=None):
+        self.queries.append(frozenset(assumptions))
+        return super().solve(assumptions, conflict_limit)
+
+    def propagate(self, assumptions=()):
+        self.queries.append(frozenset(assumptions))
+        return super().propagate(assumptions)
+
+
+def _suggest_only(encoder):
+    """Suggest's own probes: DeduceOrder and DeriveVR run first, off the log."""
+    deduced = deduce_order(encoder)
+    known = extract_true_values(encoder.specification, deduced)
+    encoder.session.queries.clear()
+    return suggest(encoder, deduced, known)
+
+
+#: The paper's algorithms, each as one call on an encoder.
+CONSUMERS = {
+    "check_validity": check_validity,
+    "deduce_order": deduce_order,
+    "naive_deduce": naive_deduce,
+    "suggest": _suggest_only,
+}
+
+
+class TestConsumersQueryUnderTheGuards:
+    @pytest.mark.parametrize("consumer", list(CONSUMERS))
+    def test_every_query_assumes_exactly_the_live_guards(self, george_spec, consumer):
+        # "deceased" grows adom(status): CFD clauses over it retire, and their
+        # replacements come in under fresh guards.  A query that drops a live
+        # guard loses a CFD; one that keeps a retired guard keeps a stale one.
+        before = set(IncrementalEncoder(george_spec).assumptions)
+        encoder = _answered(george_spec, {"status": "deceased"}, session=_QueryLog())
+        live = set(encoder.assumptions)
+        retired = before - live
+        assert retired and live - before
+
+        encoder.session.queries.clear()
+        CONSUMERS[consumer](encoder)
+        queries = encoder.session.queries
+        assert queries
+        assert all(live <= query and not retired & query for query in queries)
 
 
 class TestObservedTupleDelta:
@@ -220,9 +279,7 @@ class TestObservedTupleDelta:
 
         reference_encoding = encode_specification(extended)
         assert _matches_from_scratch(encoder, extended)
-        incremental = deduce_order(
-            encoder.encoding, extra_literals=encoder.assumptions, session=encoder.session
-        )
+        incremental = deduce_order(encoder)
         reference = deduce_order(reference_encoding)
         assert incremental.conflict == reference.conflict
         for attribute in set(incremental.orders) | set(reference.orders):

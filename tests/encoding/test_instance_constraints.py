@@ -12,8 +12,10 @@ from repro.core import (
     Specification,
     TemporalInstance,
 )
-from repro.encoding import InstantiationOptions, encode_specification, instantiate
+from repro.encoding import IncrementalEncoder, InstantiationOptions, instantiate
 from repro.encoding.variables import OrderLiteral
+
+from tests.encoding._recording_session import RecordingSession
 
 
 @pytest.fixture
@@ -27,7 +29,7 @@ def spec_from_rows(schema, rows, sigma=(), gamma=(), orders=None):
     return Specification(TemporalInstance(instance, orders or {}), sigma, gamma)
 
 
-def order_axiom_clauses(encoding):
+def order_axiom_clauses(encoding, clauses):
     """Φ's order-axiom clauses, each as the set of orders its literals assert.
 
     An order axiom forbids a 3-cycle: it has three literals on one attribute
@@ -36,7 +38,7 @@ def order_axiom_clauses(encoding):
     constraint of Ω has that shape.
     """
     axioms = set()
-    for clause in encoding.cnf:
+    for clause in clauses:
         asserted = []
         for literal in clause:
             atom, positive = encoding.decode(literal)
@@ -228,14 +230,15 @@ class TestStructuralAxioms:
             CurrencyConstraint.value_transition("status", "a", "b"),
             CurrencyConstraint.value_transition("status", "b", "c"),
         ]
-        encoding = encode_specification(spec_from_rows(schema, rows, sigma))
+        session = RecordingSession()
+        encoding = IncrementalEncoder(spec_from_rows(schema, rows, sigma), session=session).encoding
         order = {pair: OrderLiteral("status", *pair) for pair in ("ab", "bc", "ca", "ba", "cb", "ac")}
-        assert order_axiom_clauses(encoding) == {
+        assert order_axiom_clauses(encoding, session.cnf) == {
             frozenset({order["ba"], order["cb"], order["ac"]}),
             frozenset({order["ab"], order["bc"], order["ca"]}),
         }
-        assert len(encoding.cnf) == len(encoding.omega) + 2
-        assert all(len(clause) != 2 for clause in encoding.cnf)
+        assert len(session.cnf) == len(encoding.omega) + 2
+        assert all(len(clause) != 2 for clause in session.cnf)
 
     def test_ground_fact_closure(self, schema):
         rows = [

@@ -1,8 +1,8 @@
 """The integer order-axiom emitter against the object-based reference.
 
-``emit_order_axioms`` (full and cold encodes) and the incremental encoder's
-delta path write the total-order clauses of each ``≺^v_A`` — two per value
-triple — straight into Φ.  The reference in ``_order_axioms_reference.py``
+``emit_order_axioms`` (the encoder's full encode, and the cold reference
+encoder's) and the incremental encoder's delta path write the total-order
+clauses of each ``≺^v_A`` — two per value triple — straight into Φ.  The reference in ``_order_axioms_reference.py``
 builds the same clauses from ``OrderLiteral`` objects, one triple at a time,
 through a fresh registry: both must give the same clauses, in the same order,
 over the same variables.
@@ -30,12 +30,12 @@ from repro.encoding import (
     ConstraintProgramCache,
     IncrementalEncoder,
     InstantiationOptions,
-    encode_specification,
     instantiate,
 )
 from repro.encoding.variables import OrderLiteral, OrderVariableRegistry
 from repro.resolution.framework import ResolverOptions
 
+from tests.encoding._cold_encoder_reference import encode_specification
 from tests.encoding._order_axioms_reference import (
     ReferenceIncrementalEncoder,
     constraint_clause,

@@ -2,8 +2,9 @@
 
 The encoder may change how it builds Ω and Φ, but not what it builds: the
 same instance constraints in the same order, and the same clause stream over
-the same variable numbers, for the cold encode, the incremental encoder's
-full encode and each of its deltas.  The digests below were recorded before
+the same variable numbers, for the incremental encoder's full encode and
+each of its deltas, and for the cold reference encode
+(``_cold_encoder_reference.py``) that the encoder tests compare against.  The digests below were recorded before
 Ω was kept as records and Φ was bulk-loaded; any change to the stream shows
 up here first.
 """
@@ -12,8 +13,9 @@ import hashlib
 
 from repro.core import EntityTuple, PartialOrder, TemporalOrderDelta, is_null
 from repro.datasets import PersonConfig, generate_person_dataset
-from repro.encoding import ConstraintProgramCache, IncrementalEncoder, encode_specification, instantiate_compiled
+from repro.encoding import ConstraintProgramCache, IncrementalEncoder, instantiate_compiled
 
+from tests.encoding._cold_encoder_reference import encode_specification
 from tests.encoding._recording_session import RecordingSession
 
 #: (tuples per entity, entities): the four size classes of the batch mix.

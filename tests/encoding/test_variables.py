@@ -1,9 +1,10 @@
-"""Tests for ordering atoms and the variable registry."""
+"""Tests for ordering atoms, the variable pool and the variable registry."""
 
 import pytest
 
 from repro.core import EncodingError, NULL
 from repro.encoding import OrderLiteral, OrderVariableRegistry, canonical_value
+from repro.encoding.variables import VariablePool
 
 
 class TestOrderLiteral:
@@ -24,6 +25,21 @@ class TestOrderLiteral:
     def test_equality_and_hash(self):
         assert OrderLiteral("a", 1, 2) == OrderLiteral("a", 1, 2)
         assert len({OrderLiteral("a", 1, 2), OrderLiteral("a", 1, 2)}) == 1
+
+
+class TestVariablePool:
+    def test_allocation_is_sequential(self):
+        pool = VariablePool()
+        assert pool.new_variable() == 1
+        assert pool.new_variable() == 2
+        assert pool.count == 2
+
+    def test_labels_round_trip(self):
+        pool = VariablePool()
+        variable = pool.new_variable(label="x")
+        assert pool.label(variable) == "x"
+        assert pool.label(999) is None
+        assert pool.labels() == {variable: "x"}
 
 
 class TestCanonicalValue:

@@ -9,7 +9,7 @@ status=retired yields the tuple of Example 6.
 import pytest
 
 from repro.core import values_equal
-from repro.encoding import encode_specification
+from repro.encoding import IncrementalEncoder
 from repro.resolution import (
     ConflictResolver,
     SilentOracle,
@@ -29,35 +29,35 @@ class TestExample2Edith:
     """Steps (a)–(e) of Example 2."""
 
     def test_specification_is_valid(self, edith_spec):
-        assert check_validity(edith_spec).valid
+        assert check_validity(IncrementalEncoder(edith_spec)).valid
 
     def test_full_true_tuple_is_deduced_automatically(self, edith_spec):
-        encoding = encode_specification(edith_spec)
-        truth = extract_true_values(edith_spec, deduce_order(encoding))
+        encoder = IncrementalEncoder(edith_spec)
+        truth = extract_true_values(edith_spec, deduce_order(encoder))
         for attribute, value in EDITH_TRUTH.items():
             assert values_equal(truth[attribute], value), attribute
 
     def test_step_a_status(self, edith_spec):
-        encoding = encode_specification(edith_spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(edith_spec)
+        deduced = deduce_order(encoder)
         assert deduced.holds("status", "working", "deceased")
         assert deduced.holds("status", "retired", "deceased")
 
     def test_step_b_kids(self, edith_spec):
-        encoding = encode_specification(edith_spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(edith_spec)
+        deduced = deduce_order(encoder)
         assert deduced.holds("kids", 0, 3)
         assert deduced.holds("kids", None, 3)
 
     def test_step_d_city_through_cfd(self, edith_spec):
-        encoding = encode_specification(edith_spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(edith_spec)
+        deduced = deduce_order(encoder)
         assert deduced.holds("city", "NY", "LA")
         assert deduced.holds("city", "SFC", "LA")
 
     def test_step_e_county_through_phi8(self, edith_spec):
-        encoding = encode_specification(edith_spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(edith_spec)
+        deduced = deduce_order(encoder)
         assert deduced.holds("county", "Manhattan", "Vermont")
         assert deduced.holds("county", "Dogtown", "Vermont")
 
@@ -70,23 +70,23 @@ class TestExample2Edith:
 
 class TestExample3And12George:
     def test_only_name_and_kids_are_automatic(self, george_spec):
-        encoding = encode_specification(george_spec)
-        truth = extract_true_values(george_spec, deduce_order(encoding))
+        encoder = IncrementalEncoder(george_spec)
+        truth = extract_true_values(george_spec, deduce_order(encoder))
         assert set(truth.known_attributes()) == {"name", "kids"}
         assert truth["kids"] == 2
 
     def test_suggestion_is_status_with_two_candidates(self, george_spec):
-        encoding = encode_specification(george_spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(george_spec)
+        deduced = deduce_order(encoder)
         known = extract_true_values(george_spec, deduced)
-        suggestion = suggest(encoding, deduced, known)
+        suggestion = suggest(encoder, deduced, known)
         assert suggestion.attributes == ("status",)
         assert set(suggestion.candidates["status"]) == {"retired", "unemployed"}
 
     def test_naive_deduce_agrees_with_deduce_order(self, george_spec):
-        encoding = encode_specification(george_spec)
-        fast = extract_true_values(george_spec, deduce_order(encoding))
-        slow = extract_true_values(george_spec, naive_deduce(encoding))
+        encoder = IncrementalEncoder(george_spec)
+        fast = extract_true_values(george_spec, deduce_order(encoder))
+        slow = extract_true_values(george_spec, naive_deduce(encoder))
         assert set(fast.known_attributes()) == set(slow.known_attributes())
 
 

@@ -15,9 +15,8 @@ from hypothesis import given, settings
 
 from repro.core import values_equal
 from repro.datasets import GeneratedEntity
-from repro.encoding import encode_specification
 from repro.evaluation import GroundTruthOracle
-from repro.resolution import ConflictResolver, ResolverOptions, SilentOracle, deduce_order, extract_true_values
+from repro.resolution import ConflictResolver, ResolverOptions, SilentOracle, is_valid
 
 from tests.resolution.test_validity import random_specification
 
@@ -60,10 +59,7 @@ def test_automatic_resolution_is_sound(spec):
 def test_suggestions_are_sufficient(spec):
     """Answering every suggested attribute with the current tuple of some valid
     completion always drives the framework to a complete resolution."""
-    encoding = encode_specification(spec)
-    from repro.resolution import check_validity
-
-    if not check_validity(spec, encoding=encoding).valid:
+    if not is_valid(spec):
         return
     # Use the current tuple of an arbitrary valid completion as "ground truth":
     # it is consistent with the specification by construction.
@@ -91,10 +87,7 @@ def test_suggestions_are_sufficient(spec):
 @settings(max_examples=30, deadline=None)
 def test_user_input_never_invalidates_a_valid_specification(spec):
     """Feeding back answers drawn from a valid completion keeps S_e ⊕ O_t valid."""
-    encoding = encode_specification(spec)
-    from repro.resolution import check_validity
-
-    if not check_validity(spec, encoding=encoding).valid:
+    if not is_valid(spec):
         return
     completion = next(spec.valid_completions(), None)
     if completion is None:

@@ -18,21 +18,21 @@ from repro.encoding import (
     OrderLiteral,
     OrderVariableRegistry,
     SpecificationEncoding,
-    encode_specification,
 )
 from repro.resolution import deduce_order, extract_true_values, naive_deduce
-from repro.solvers import CNF
 
+from tests.encoding._cold_encoder_reference import ColdEncoding, encode_specification
 from tests.encoding._recording_session import RecordingSession
 from tests.encoding.test_order_axioms import specs_with_deltas
 from tests.resolution.test_validity import random_specification
+from tests.solvers._cnf_reference import CNF
 from tests.solvers._unit_propagation_reference import propagate_units
 
 
 class TestDeduceOrderOnPaperExample:
     def test_edith_orders(self, edith_spec):
-        encoding = encode_specification(edith_spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(edith_spec)
+        deduced = deduce_order(encoder)
         assert not deduced.conflict
         # Example 2: status working ≺ retired ≺ deceased, kids null ≺ 0 ≺ 3, AC ordering follows status.
         assert deduced.holds("status", "working", "retired")
@@ -45,8 +45,8 @@ class TestDeduceOrderOnPaperExample:
         assert deduced.holds("county", "Manhattan", "Vermont")  # via ϕ8 after the CFD
 
     def test_george_orders(self, george_spec):
-        encoding = encode_specification(george_spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(george_spec)
+        deduced = deduce_order(encoder)
         # Example 9 (before user input): kids and the working→retired part of status.
         assert deduced.holds("kids", 0, 2)
         assert deduced.holds("status", "working", "retired")
@@ -54,8 +54,8 @@ class TestDeduceOrderOnPaperExample:
         assert not deduced.holds("status", "retired", "unemployed")
 
     def test_deduced_size_and_helpers(self, edith_spec):
-        encoding = encode_specification(edith_spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(edith_spec)
+        deduced = deduce_order(encoder)
         assert deduced.size() > 0
         domain = edith_spec.instance.active_domain("status")
         assert set(deduced.undominated_values("status", domain)) == {"deceased"}
@@ -64,9 +64,9 @@ class TestDeduceOrderOnPaperExample:
 
 class TestNaiveDeduce:
     def test_agrees_with_deduce_order_on_edith(self, edith_spec):
-        encoding = encode_specification(edith_spec)
-        fast = deduce_order(encoding)
-        slow = naive_deduce(encoding)
+        encoder = IncrementalEncoder(edith_spec)
+        fast = deduce_order(encoder)
+        slow = naive_deduce(encoder)
         # NaiveDeduce is at least as complete as DeduceOrder (Lemma 6 is exact).
         for attribute, order in fast.orders.items():
             for older, newer in order.pairs():
@@ -80,30 +80,14 @@ class TestNaiveDeduce:
             CurrencyConstraint.value_transition("status", "b", "a"),
         ]
         spec = Specification.from_rows(vj_schema, rows, sigma)
-        encoding = encode_specification(spec)
-        assert naive_deduce(encoding).conflict
-        assert deduce_order(encoding).conflict
+        encoder = IncrementalEncoder(spec)
+        assert naive_deduce(encoder).conflict
+        assert deduce_order(encoder).conflict
 
     def test_max_pairs_caps_the_work(self, edith_spec):
-        encoding = encode_specification(edith_spec)
-        capped = naive_deduce(encoding, max_pairs=1)
+        encoder = IncrementalEncoder(edith_spec)
+        capped = naive_deduce(encoder, max_pairs=1)
         assert capped.sat_calls <= 2
-
-
-class TestExtraLiterals:
-    def test_injected_facts_drive_further_deduction(self, george_spec):
-        encoding = encode_specification(george_spec)
-        baseline = deduce_order(encoding)
-        assert not baseline.holds("AC", "312", "212")
-        literal = encoding.order_literal("status", "unemployed", "retired")
-        if literal is None:
-            literal = encoding.literal(
-                __import__("repro.encoding", fromlist=["OrderLiteral"]).OrderLiteral(
-                    "status", "unemployed", "retired"
-                )
-            )
-        enriched = deduce_order(encoding, extra_literals=[literal])
-        assert enriched.holds("status", "unemployed", "retired")
 
 
 class TestFixpoint:
@@ -122,9 +106,11 @@ class TestFixpoint:
         for attribute, following in zip(attributes, attributes[1:]):
             cnf.add_clause([-up[attribute], -down[following]])
         encoding = SpecificationEncoding(
-            specification=None, omega=InstanceConstraintSet(), registry=registry, cnf=cnf
+            specification=None, omega=InstanceConstraintSet(), registry=registry
         )
-        deduced = deduce_order(encoding)
+        # No encoding of the package reaches the feedback loop, so Φ is built
+        # by hand and run on a stand-in encoder.
+        deduced = deduce_order(ColdEncoding(encoding, cnf))
         assert not deduced.conflict
         assert [a for a in attributes if deduced.holds(a, "lo", "hi")] == attributes
 
@@ -136,8 +122,8 @@ class TestFixpoint:
 @settings(max_examples=40, deadline=None)
 def test_deduced_orders_are_sound(spec):
     """Every order deduced by DeduceOrder holds in every valid completion (soundness)."""
-    encoding = encode_specification(spec)
-    deduced = deduce_order(encoding)
+    encoder = IncrementalEncoder(spec)
+    deduced = deduce_order(encoder)
     if deduced.conflict or not spec.is_valid_brute_force():
         return
     completions = list(spec.valid_completions())
@@ -167,8 +153,8 @@ def test_deduced_true_values_match_brute_force(spec):
             return
     if not spec.is_valid_brute_force():
         return
-    encoding = encode_specification(spec)
-    deduced = deduce_order(encoding)
+    encoder = IncrementalEncoder(spec)
+    deduced = deduce_order(encoder)
     derived = extract_true_values(spec, deduced)
     reference = spec.true_attributes_brute_force()
     for attribute, value in derived.values.items():
@@ -225,7 +211,7 @@ def _closure_pairs(deduced):
 @given(specs_with_deltas())
 @settings(max_examples=100, deadline=None)
 def test_deduce_matches_the_standalone_propagator_fixpoint(case):
-    """Cold and on the encoder's session (guards, deltas), O_d is the old fixpoint's."""
+    """On the cold reference Φ and on the encoder's session (guards, deltas), O_d is the old fixpoint's."""
     spec, deltas = case
     cold = encode_specification(spec)
     assert _closure_pairs(deduce_order(cold)) == _reference_deduce(cold.cnf, cold.registry)
@@ -233,9 +219,7 @@ def test_deduce_matches_the_standalone_propagator_fixpoint(case):
     for delta in [None] + deltas:
         if delta is not None:
             encoder.apply_delta(delta)
-        deduced = deduce_order(
-            encoder.encoding, extra_literals=encoder.assumptions, session=encoder.session
-        )
+        deduced = deduce_order(encoder)
         expected = _reference_deduce(
             encoder.session.cnf, encoder.encoding.registry, encoder.assumptions
         )
@@ -261,11 +245,10 @@ def test_deduce_does_not_depend_on_what_the_session_solved_before():
     gamma = [ConstantCFD({"arena": "A"}, "capacity", 15000)]
     spec = Specification.from_rows(schema, rows, sigma, gamma)
     encoder = IncrementalEncoder(spec)
-    encoding, session = encoder.encoding, encoder.session
-    before = deduce_order(encoding, extra_literals=encoder.assumptions, session=session)
-    x = encoding.order_literal("arena", "A", "R")
-    refutation = session.solve(list(encoder.assumptions) + [-x])
+    before = deduce_order(encoder)
+    x = encoder.encoding.order_literal("arena", "A", "R")
+    refutation = encoder.session.solve(list(encoder.assumptions) + [-x])
     assert not refutation.satisfiable and refutation.conflicts > 0
-    after = deduce_order(encoding, extra_literals=encoder.assumptions, session=session)
+    after = deduce_order(encoder)
     assert _closure_pairs(after) == _closure_pairs(before) == {}
     assert _closure_pairs(deduce_order(encode_specification(spec))) == {}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import TrueValueAssignment, values_equal
-from repro.encoding import encode_specification
+from repro.encoding import IncrementalEncoder
 from repro.resolution import deduce_order, derive_rules, extract_true_values
 from repro.resolution.derivation import DerivationRule
 from repro.resolution.suggest import derive_candidate_values
@@ -11,12 +11,12 @@ from repro.resolution.suggest import derive_candidate_values
 
 @pytest.fixture
 def george_context(george_spec):
-    encoding = encode_specification(george_spec)
-    deduced = deduce_order(encoding)
+    encoder = IncrementalEncoder(george_spec)
+    deduced = deduce_order(encoder)
     known = extract_true_values(george_spec, deduced)
     candidates = derive_candidate_values(george_spec, deduced, known)
-    rules = derive_rules(encoding, candidates, known)
-    return encoding, deduced, known, candidates, rules
+    rules = derive_rules(encoder.encoding, candidates, known)
+    return encoder, deduced, known, candidates, rules
 
 
 class TestDerivationRuleObject:
@@ -86,11 +86,11 @@ class TestGeorgeRules:
 
 class TestRuleFiltering:
     def test_cfd_rules_respect_known_values(self, george_spec):
-        encoding = encode_specification(george_spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(george_spec)
+        deduced = deduce_order(encoder)
         known = TrueValueAssignment({"AC": "401"})
         candidates = derive_candidate_values(george_spec, deduced, known)
-        rules = derive_rules(encoding, candidates, known)
+        rules = derive_rules(encoder.encoding, candidates, known)
         # ψ2 (AC=212 → city=NY) is incompatible with the known AC=401.
         assert not any(
             rule.target_attribute == "city" and values_equal(rule.target_value, "NY")

@@ -1,12 +1,14 @@
-"""The session-less path solves on recycled solvers and must not notice.
+"""Encoders solve on recycled solvers and must not notice.
 
-Without a solver session, ``IsValid``, ``DeduceOrder``, ``NaiveDeduce`` and
-the MaxSAT probes of ``GetSug`` draw their solvers from the per-process pool
-of :mod:`repro.solvers.arena`.  Whatever an earlier formula left behind in a
-pooled solver, every answer — verdicts, deduced orders, suggestions and the
-solver counters the round reports record — must equal a fresh solver's.
-Each check runs once on a pool that hands out only fresh solvers and once on
-a pool stocked with solvers dirtied by a larger, conflict-heavy formula.
+Every :class:`~repro.solvers.session.ArenaSession`, and so every
+:class:`~repro.encoding.incremental.IncrementalEncoder`, draws its solver
+from the per-process pool of :mod:`repro.solvers.arena`; ``IsValid``,
+``DeduceOrder``, ``NaiveDeduce`` and the MaxSAT probes of ``GetSug`` all run
+on it.  Whatever an earlier formula left behind in a pooled solver, every
+answer — verdicts, deduced orders, suggestions and the solver counters the
+round reports record — must equal a fresh solver's.  Each check builds its
+encoders once on a pool that hands out only fresh solvers and once on a pool
+stocked with solvers dirtied by a larger, conflict-heavy formula.
 """
 
 import random
@@ -14,11 +16,13 @@ import random
 import pytest
 
 from repro.core import TrueValueAssignment
-from repro.encoding import encode_specification
+from repro.encoding import IncrementalEncoder
 from repro.evaluation.interaction import ReluctantOracle
 from repro.resolution import ConflictResolver, ResolverOptions, check_validity, deduce_order, naive_deduce
 from repro.resolution.suggest import suggest
-from repro.solvers import CNF, ArenaSolver, arena
+from repro.solvers import ArenaSolver, arena
+
+from tests.solvers._cnf_reference import CNF, loaded
 
 
 def dirty_solver(seed: int) -> ArenaSolver:
@@ -28,7 +32,7 @@ def dirty_solver(seed: int) -> ArenaSolver:
     for _ in range(252):
         variables = rng.sample(range(1, 61), 3)
         cnf.add_clause([v if rng.random() < 0.5 else -v for v in variables])
-    solver = ArenaSolver(cnf)
+    solver = loaded(cnf)
     solver.solve()
     assert solver.total_conflicts > 0
     return solver
@@ -69,7 +73,7 @@ def fresh_and_recycled(monkeypatch, compute):
 
 def test_validity_reports_match(entities, monkeypatch):
     def compute():
-        reports = [check_validity(spec) for _entity, spec in entities]
+        reports = [check_validity(IncrementalEncoder(spec)) for _entity, spec in entities]
         return [(r.valid, r.conflicts, r.decisions) for r in reports]
 
     fresh, recycled = fresh_and_recycled(monkeypatch, compute)
@@ -81,30 +85,28 @@ def _orders(deduced):
 
 
 def test_deduce_order_matches(entities, monkeypatch):
-    encodings = [encode_specification(spec) for _entity, spec in entities]
     fresh, recycled = fresh_and_recycled(
-        monkeypatch, lambda: [_orders(deduce_order(encoding)) for encoding in encodings]
+        monkeypatch,
+        lambda: [_orders(deduce_order(IncrementalEncoder(spec))) for _entity, spec in entities],
     )
     assert recycled == fresh
 
 
 def test_naive_deduce_matches(entities, monkeypatch):
-    encodings = [encode_specification(spec) for _entity, spec in entities]
     fresh, recycled = fresh_and_recycled(
-        monkeypatch, lambda: [_orders(naive_deduce(encoding)) for encoding in encodings]
+        monkeypatch,
+        lambda: [_orders(naive_deduce(IncrementalEncoder(spec))) for _entity, spec in entities],
     )
     assert recycled == fresh
     assert all(sat_calls > 1 for *_rest, sat_calls in fresh)
 
 
 def test_suggestions_match(entities, monkeypatch):
-    encodings = [encode_specification(spec) for _entity, spec in entities]
-
     def compute():
-        suggestions = [
-            suggest(encoding, deduce_order(encoding), TrueValueAssignment())
-            for encoding in encodings
-        ]
+        suggestions = []
+        for _entity, spec in entities:
+            encoder = IncrementalEncoder(spec)
+            suggestions.append(suggest(encoder, deduce_order(encoder), TrueValueAssignment()))
         return [
             (s.attributes, s.candidates, s.derivable_attributes, s.kept_rules, s.sat_calls)
             for s in suggestions
@@ -114,9 +116,14 @@ def test_suggestions_match(entities, monkeypatch):
     assert recycled == fresh
 
 
-def test_cold_resolution_matches(entities, monkeypatch):
-    """Whole cold resolutions, round reports and their solver counters included."""
-    options = ResolverOptions(max_rounds=2, fallback="none", incremental=False)
+@pytest.mark.parametrize("incremental", [False, True], ids=["from_scratch", "incremental"])
+def test_resolution_matches(entities, monkeypatch, incremental):
+    """Whole resolutions, with a fresh encoder per round or one per entity.
+
+    The round reports are compared too, with the session counters they
+    carry on the incremental path.
+    """
+    options = ResolverOptions(max_rounds=2, fallback="none", incremental=incremental)
 
     def compute():
         results = [

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import CurrencyConstraint, RelationSchema, Specification, TrueValueAssignment
-from repro.encoding import encode_specification
+from repro.encoding import IncrementalEncoder
 from repro.resolution import (
     deduce_order,
     derive_candidate_values,
@@ -15,15 +15,15 @@ from repro.resolution.suggest import SuggestOptions
 
 @pytest.fixture
 def george_pipeline(george_spec):
-    encoding = encode_specification(george_spec)
-    deduced = deduce_order(encoding)
+    encoder = IncrementalEncoder(george_spec)
+    deduced = deduce_order(encoder)
     known = extract_true_values(george_spec, deduced)
-    return george_spec, encoding, deduced, known
+    return george_spec, encoder, deduced, known
 
 
 class TestDeriveVR:
     def test_candidates_exclude_dominated_values(self, george_pipeline):
-        spec, encoding, deduced, known = george_pipeline
+        spec, encoder, deduced, known = george_pipeline
         candidates = derive_candidate_values(spec, deduced, known)
         # Example 12: V(status) = {retired, unemployed} (working is dominated).
         assert set(candidates["status"]) == {"retired", "unemployed"}
@@ -31,16 +31,16 @@ class TestDeriveVR:
         assert "name" not in candidates and "kids" not in candidates
 
     def test_candidates_for_edith_are_empty(self, edith_spec):
-        encoding = encode_specification(edith_spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(edith_spec)
+        deduced = deduce_order(encoder)
         known = extract_true_values(edith_spec, deduced)
         assert derive_candidate_values(edith_spec, deduced, known) == {}
 
 
 class TestSuggestOnGeorge:
     def test_suggestion_matches_example_12(self, george_pipeline):
-        spec, encoding, deduced, known = george_pipeline
-        suggestion = suggest(encoding, deduced, known)
+        spec, encoder, deduced, known = george_pipeline
+        suggestion = suggest(encoder, deduced, known)
         # The paper's suggestion is exactly {status} with candidates {retired, unemployed}.
         assert suggestion.attributes == ("status",)
         assert set(suggestion.candidates["status"]) == {"retired", "unemployed"}
@@ -48,22 +48,22 @@ class TestSuggestOnGeorge:
         assert "status" in str(suggestion)
 
     def test_derivable_attributes_cover_the_rest(self, george_pipeline):
-        spec, encoding, deduced, known = george_pipeline
-        suggestion = suggest(encoding, deduced, known)
+        spec, encoder, deduced, known = george_pipeline
+        suggestion = suggest(encoder, deduced, known)
         expected_rest = set(spec.schema.attribute_names) - set(known.known_attributes()) - {"status"}
         assert set(suggestion.derivable_attributes) == expected_rest
 
     def test_kept_rules_are_conflict_free(self, george_pipeline):
-        spec, encoding, deduced, known = george_pipeline
-        suggestion = suggest(encoding, deduced, known)
+        spec, encoder, deduced, known = george_pipeline
+        suggestion = suggest(encoder, deduced, known)
         assert suggestion.kept_rules
         targets = [rule.target_attribute for rule in suggestion.kept_rules]
         assert len(targets) == len(set(targets))
 
     def test_greedy_options_still_produce_sufficient_suggestion(self, george_pipeline):
-        spec, encoding, deduced, known = george_pipeline
+        spec, encoder, deduced, known = george_pipeline
         options = SuggestOptions(clique_method="greedy", maxsat_strategy="greedy")
-        suggestion = suggest(encoding, deduced, known, options)
+        suggestion = suggest(encoder, deduced, known, options)
         covered = set(suggestion.attributes) | set(suggestion.derivable_attributes) | set(known.known_attributes())
         assert covered == set(spec.schema.attribute_names)
 
@@ -74,18 +74,18 @@ class TestSuggestEdgeCases:
         spec = Specification.from_rows(
             schema, [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
         )
-        encoding = encode_specification(spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(spec)
+        deduced = deduce_order(encoder)
         known = extract_true_values(spec, deduced)
-        suggestion = suggest(encoding, deduced, known)
+        suggestion = suggest(encoder, deduced, known)
         assert set(suggestion.attributes) == {"a", "b"}
         assert suggestion.derivable_attributes == ()
 
     def test_fully_resolved_specification_yields_empty_suggestion(self, edith_spec):
-        encoding = encode_specification(edith_spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(edith_spec)
+        deduced = deduce_order(encoder)
         known = extract_true_values(edith_spec, deduced)
-        suggestion = suggest(encoding, deduced, known)
+        suggestion = suggest(encoder, deduced, known)
         assert suggestion.is_empty()
         assert str(suggestion) == "(no input needed)"
 
@@ -97,9 +97,9 @@ class TestSuggestEdgeCases:
             [{"status": "a", "job": "x"}, {"status": "b", "job": "y"}],
             sigma,
         )
-        encoding = encode_specification(spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(spec)
+        deduced = deduce_order(encoder)
         known = extract_true_values(spec, deduced)
-        suggestion = suggest(encoding, deduced, known)
+        suggestion = suggest(encoder, deduced, known)
         assert "status" in suggestion.attributes
         assert set(suggestion.candidates["status"]) == {"a", "b"}

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConstantCFD, CurrencyConstraint, RelationSchema, Specification
-from repro.encoding import encode_specification
+from repro.encoding import IncrementalEncoder
 from repro.encoding.variables import canonical_value
 from repro.resolution import deduce_order, extract_true_values, true_value_of_attribute
 from repro.resolution.deduce import DeducedOrders
@@ -20,8 +20,8 @@ def schema():
 
 class TestTrueValueExtraction:
     def test_edith_full_true_tuple(self, edith_spec):
-        encoding = encode_specification(edith_spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(edith_spec)
+        deduced = deduce_order(encoder)
         truth = extract_true_values(edith_spec, deduced)
         assert truth.values == {
             "name": "Edith Shain",
@@ -35,8 +35,8 @@ class TestTrueValueExtraction:
         }
 
     def test_george_partial_true_values(self, george_spec):
-        encoding = encode_specification(george_spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(george_spec)
+        deduced = deduce_order(encoder)
         truth = extract_true_values(george_spec, deduced)
         # Example 3: only name and kids are derivable automatically.
         assert set(truth.known_attributes()) == {"name", "kids"}
@@ -44,8 +44,8 @@ class TestTrueValueExtraction:
 
     def test_single_value_attribute_is_trivially_true(self, schema):
         spec = Specification.from_rows(schema, [{"status": "a", "city": "NY", "AC": "1"}])
-        encoding = encode_specification(spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(spec)
+        deduced = deduce_order(encoder)
         assert true_value_of_attribute(spec, deduced, "status") == "a"
 
     def test_undetermined_attribute_returns_none(self, schema):
@@ -56,8 +56,8 @@ class TestTrueValueExtraction:
                 {"status": "b", "city": "LA", "AC": "2"},
             ],
         )
-        encoding = encode_specification(spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(spec)
+        deduced = deduce_order(encoder)
         assert true_value_of_attribute(spec, deduced, "status") is None
 
     def test_cfd_repair_value_outside_active_domain(self, schema):
@@ -74,14 +74,14 @@ class TestTrueValueExtraction:
         ]
         gamma = [ConstantCFD({"AC": "213"}, "city", "LA")]
         spec = Specification.from_rows(schema, rows, sigma, gamma)
-        encoding = encode_specification(spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(spec)
+        deduced = deduce_order(encoder)
         assert true_value_of_attribute(spec, deduced, "city") == "LA"
 
     def test_null_can_be_the_true_value_of_an_all_null_attribute(self, schema):
         spec = Specification.from_rows(schema, [{"status": "a"}, {"status": "b"}])
-        encoding = encode_specification(spec)
-        deduced = deduce_order(encoding)
+        encoder = IncrementalEncoder(spec)
+        deduced = deduce_order(encoder)
         value = true_value_of_attribute(spec, deduced, "city")
         from repro.core import is_null
 

@@ -10,7 +10,7 @@ from repro.core import (
     RelationSchema,
     Specification,
 )
-from repro.encoding import InstantiationOptions, encode_specification
+from repro.encoding import IncrementalEncoder, InstantiationOptions
 from repro.resolution import check_validity, is_valid
 
 
@@ -50,15 +50,15 @@ class TestIsValid:
         assert not is_valid(Specification.from_rows(vj_schema, rows, sigma, gamma))
 
     def test_report_exposes_encoding(self, edith_spec):
-        report = check_validity(edith_spec)
+        report = check_validity(IncrementalEncoder(edith_spec))
         assert report.valid
         assert bool(report) is True
         assert report.encoding.statistics()["clauses"] > 0
 
     def test_existing_encoding_is_reused(self, edith_spec):
-        encoding = encode_specification(edith_spec)
-        report = check_validity(edith_spec, encoding=encoding)
-        assert report.encoding is encoding
+        encoder = IncrementalEncoder(edith_spec)
+        report = check_validity(encoder)
+        assert report.encoding is encoder.encoding
 
     def test_validity_under_naive_instantiation(self, edith_spec):
         assert is_valid(edith_spec, InstantiationOptions(mode="naive"))

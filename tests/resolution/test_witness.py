@@ -17,11 +17,10 @@ from hypothesis import event, given, settings
 from repro.core import ConstantCFD, CurrencyConstraint, RelationSchema, Specification
 from repro.core.completion import Completion
 from repro.core.values import values_equal
-from repro.encoding import IncrementalEncoder, encode_specification
+from repro.encoding import IncrementalEncoder
 from repro.encoding.variables import canonical_value
 from repro.resolution import deduce_order
 from repro.resolution.true_values import extract_true_values
-from repro.solvers import solve
 
 from tests.encoding.test_order_axioms import specs_with_deltas
 from tests.resolution.test_validity import random_specification
@@ -94,12 +93,12 @@ def decode_witness(encoding, model) -> Completion:
     return Completion(spec.temporal_instance, orders)
 
 
-def check_witness(encoding, model, session=None, assumptions=()) -> None:
+def check_witness(encoder, model) -> None:
     """The decoded completion is valid and agrees with every deduced true value."""
-    spec = encoding.specification
-    completion = decode_witness(encoding, model)
+    spec = encoder.encoding.specification
+    completion = decode_witness(encoder.encoding, model)
     assert completion.is_valid_for(spec.currency_constraints, spec.cfds)
-    deduced = deduce_order(encoding, extra_literals=assumptions, session=session)
+    deduced = deduce_order(encoder)
     assert not deduced.conflict
     current = completion.current_tuple()
     for attribute, value in extract_true_values(spec, deduced).values.items():
@@ -109,14 +108,14 @@ def check_witness(encoding, model, session=None, assumptions=()) -> None:
 UNREPRESENTABLE = "skipped: a CFD repairs to a constant outside the active domain"
 
 
-def check_cold(spec: Specification) -> Optional[bool]:
-    """Check *spec*'s cold Φ; ``None`` when its models are not representable."""
+def check_full_encode(spec: Specification) -> Optional[bool]:
+    """Check the Φ of a fresh encoder of *spec*; ``None`` when its models are not representable."""
     if not representable(spec):
         return None
-    encoding = encode_specification(spec)
-    result = solve(encoding.cnf)
+    encoder = IncrementalEncoder(spec)
+    result = encoder.session.solve(encoder.assumptions)
     if result.satisfiable:
-        check_witness(encoding, result.model)
+        check_witness(encoder, result.model)
     return result.satisfiable
 
 
@@ -147,7 +146,7 @@ def test_the_totality_gap_repro_is_invalid():
 @given(random_specification())
 @settings(max_examples=100, deadline=None)
 def test_models_of_random_specifications_are_valid_completions(spec):
-    satisfiable = check_cold(spec)
+    satisfiable = check_full_encode(spec)
     if satisfiable is None:
         event(UNREPRESENTABLE)
     else:
@@ -170,12 +169,7 @@ def test_session_models_are_valid_completions_after_every_delta(case):
             encoder.apply_delta(delta)
         result = encoder.session.solve(encoder.assumptions)
         if result.satisfiable:
-            check_witness(
-                encoder.encoding,
-                result.model,
-                session=encoder.session,
-                assumptions=encoder.assumptions,
-            )
+            check_witness(encoder, result.model)
 
 
 @pytest.mark.parametrize(
@@ -185,7 +179,7 @@ def test_dataset_entities_have_valid_witnesses(request, fixture):
     dataset = request.getfixturevalue(fixture)
     checked = skipped = 0
     for _, spec in dataset.specifications():
-        satisfiable = check_cold(spec)
+        satisfiable = check_full_encode(spec)
         if satisfiable is None:
             skipped += 1
             continue

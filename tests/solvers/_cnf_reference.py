@@ -1,9 +1,12 @@
-"""Propositional formulas in conjunctive normal form.
+"""Propositional formulas in conjunctive normal form, kept as a test reference.
 
 Literals follow the DIMACS convention: variables are positive integers
 ``1, 2, ...``; a literal is a variable (positive occurrence) or its negation
 (negative integer).  A clause is a tuple of literals; a :class:`CNF` is a list
-of clauses plus the variable count.
+of clauses plus the variable count.  The package keeps Φ only in solver
+sessions; the solver tests build formulas with :class:`CNF`, and
+:func:`loaded` and :func:`solve` put one on a fresh
+:class:`~repro.solvers.arena.ArenaSolver`.
 """
 
 from __future__ import annotations
@@ -11,38 +14,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import SolverError
-
-__all__ = ["Clause", "CNF", "VariablePool"]
+from repro.solvers.arena import ArenaSolver, SATResult
+from repro.solvers.budget import SolverBudget
 
 Clause = Tuple[int, ...]
-
-
-class VariablePool:
-    """Allocates fresh propositional variables and keeps optional labels."""
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._labels: Dict[int, object] = {}
-
-    @property
-    def count(self) -> int:
-        """Number of variables allocated so far."""
-        return self._count
-
-    def new_variable(self, label: object | None = None) -> int:
-        """Allocate and return a fresh variable, optionally attaching *label*."""
-        self._count += 1
-        if label is not None:
-            self._labels[self._count] = label
-        return self._count
-
-    def label(self, variable: int) -> object | None:
-        """Return the label attached to *variable* (or ``None``)."""
-        return self._labels.get(variable)
-
-    def labels(self) -> Dict[int, object]:
-        """Return a copy of the variable → label mapping."""
-        return dict(self._labels)
 
 
 class CNF:
@@ -140,37 +115,22 @@ class CNF:
                 undecided = True
         return None if undecided else True
 
-    # -- DIMACS I/O -------------------------------------------------------------
-
-    def to_dimacs(self) -> str:
-        """Serialise to the standard DIMACS CNF format."""
-        lines = [f"p cnf {self._num_variables} {len(self._clauses)}"]
-        for clause in self._clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_dimacs(cls, text: str) -> "CNF":
-        """Parse a DIMACS CNF document."""
-        formula = cls()
-        declared_variables = 0
-        for raw_line in text.splitlines():
-            line = raw_line.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
-                    raise SolverError(f"malformed DIMACS problem line: {line!r}")
-                declared_variables = int(parts[2])
-                continue
-            literals = [int(token) for token in line.split()]
-            if literals and literals[-1] == 0:
-                literals = literals[:-1]
-            formula.add_clause(literals)
-        if declared_variables > formula.num_variables:
-            formula.num_variables = declared_variables
-        return formula
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"CNF(variables={self._num_variables}, clauses={len(self._clauses)})"
+
+
+def loaded(cnf: CNF) -> ArenaSolver:
+    """A fresh :class:`ArenaSolver` loaded with *cnf*."""
+    solver = ArenaSolver()
+    solver.load_clauses(cnf.clauses, cnf.num_variables)
+    return solver
+
+
+def solve(
+    cnf: CNF,
+    assumptions: Sequence[int] = (),
+    conflict_limit: Optional[int] = None,
+    budget: Optional[SolverBudget] = None,
+) -> SATResult:
+    """Solve *cnf* under *assumptions* on a fresh :class:`ArenaSolver`."""
+    return loaded(cnf).solve(assumptions, conflict_limit=conflict_limit, budget=budget)

@@ -1,22 +1,21 @@
-"""A small DPLL solver used as a reference implementation.
+"""A small DPLL solver and its solver session, kept as a test reference.
 
-The CDCL solver in :mod:`repro.solvers.arena` is the work-horse; this
-explicit-stack DPLL solver exists for two reasons:
-
-* it is simple enough to be obviously correct, so the test suite uses it to
-  cross-check the CDCL solver on randomly generated formulas, and
-* the ablation benchmark compares the two to show that clause learning matters
-  even at entity scale.
+The CDCL solver in :mod:`repro.solvers.arena` is the package's one solver;
+this explicit-stack DPLL solver is simple enough to be obviously correct, so
+the tests cross-check the CDCL solver against it on random formulas and run
+whole resolutions on :class:`DPLLSession` to check the arena session's
+verdicts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.solvers.cnf import CNF
-from repro.solvers.arena import SATResult
+from repro.core.errors import SolverError
+from repro.solvers.arena import SATResult, acquire_solver, release_solver
+from repro.solvers.session import SolverSession
 
-__all__ = ["dpll_solve"]
+from tests.solvers._cnf_reference import CNF
 
 
 def _unit_propagate(
@@ -99,3 +98,39 @@ def dpll_solve(cnf: CNF, assumptions: Sequence[int] = ()) -> SATResult:
         return SATResult(False)
     complete = {variable: model.get(variable, False) for variable in range(1, cnf.num_variables + 1)}
     return SATResult(True, model=complete)
+
+
+class DPLLSession(SolverSession):
+    """Stateless reference session: every call re-solves the stored CNF.
+
+    Nothing carries over between calls (DPLL has no learning), but the session
+    interface lets the same resolution code run against the simple,
+    obviously-correct solver, e.g. through
+    ``IncrementalEncoder(spec, session=DPLLSession())``.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.cnf = CNF()
+
+    def _load_clauses(self, clauses: Sequence[Sequence[int]], num_variables: int) -> None:
+        self.cnf.add_clauses(clauses)
+        if num_variables > self.cnf.num_variables:
+            self.cnf.num_variables = num_variables
+
+    def _solve(self, assumptions: Sequence[int], conflict_limit: Optional[int]) -> SATResult:
+        if conflict_limit is not None or self.budget is not None:
+            raise SolverError("the DPLL reference supports neither conflict limits nor budgets")
+        highest = max((abs(int(lit)) for lit in assumptions), default=0)
+        if highest > self.cnf.num_variables:
+            self.cnf.num_variables = highest
+        return dpll_solve(self.cnf, assumptions)
+
+    def propagate(self, assumptions: Sequence[int] = ()) -> Tuple[List[int], bool]:
+        """Propagate the stored CNF on a pooled arena solver (DPLL has no trail to reuse)."""
+        solver = acquire_solver()
+        try:
+            solver.load_clauses(self.cnf.clauses, self.cnf.num_variables)
+            return solver.propagate(assumptions)
+        finally:
+            release_solver(solver)

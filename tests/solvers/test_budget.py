@@ -2,9 +2,16 @@
 
 import pytest
 
+from repro.core import TrueValueAssignment
 from repro.core.errors import BudgetExceededError, ReproError, SolverError
-from repro.solvers import CNF, ArenaSolver, SolverBudget, solve
-from repro.solvers.session import create_session
+from repro.encoding import IncrementalEncoder
+from repro.resolution import check_validity, deduce_order, naive_deduce
+from repro.resolution.suggest import suggest
+from repro.solvers import ArenaSession, SolverBudget
+from repro.solvers.arena import acquire_solver, release_solver
+
+from tests.solvers._cnf_reference import CNF, loaded
+from tests.solvers._dpll_reference import DPLLSession
 
 
 def pigeonhole_cnf(pigeons=6, holes=5) -> CNF:
@@ -22,9 +29,19 @@ def pigeonhole_cnf(pigeons=6, holes=5) -> CNF:
     return CNF(clauses)
 
 
+def pooled_solver_solve(cnf, budget=None):
+    """A budgeted solve on a solver from the pool, where every session gets its solver."""
+    solver = acquire_solver()
+    try:
+        solver.load_clauses(cnf.clauses, cnf.num_variables)
+        return solver.solve(budget=budget)
+    finally:
+        release_solver(solver)
+
+
 def fresh_solver_solve(cnf, budget=None):
-    """A budgeted solve on a new solver: the path every session takes."""
-    return ArenaSolver(cnf).solve(budget=budget)
+    """A budgeted solve on a new solver."""
+    return loaded(cnf).solve(budget=budget)
 
 
 def recycled_solver_solve(cnf, budget=None):
@@ -34,18 +51,17 @@ def recycled_solver_solve(cnf, budget=None):
     against lifetime totals rather than this call's counters would trip at
     once on the recycled solver.
     """
-    solver = ArenaSolver(pigeonhole_cnf(7, 6))
+    solver = loaded(pigeonhole_cnf(7, 6))
     assert solver.solve(budget=SolverBudget(max_conflicts=200)).budget_exceeded
     solver.reset()
-    solver.load(cnf)
+    solver.load_clauses(cnf.clauses, cnf.num_variables)
     return solver.solve(budget=budget)
 
 
-#: ``solve`` draws its solver from the pool; the other two pin the fresh and
-#: the recycled solver it may hand out.
+#: The pool may hand out a fresh or a recycled solver; the other two pin each.
 BUDGETED_SOLVERS = pytest.mark.parametrize(
     "solver",
-    [solve, fresh_solver_solve, recycled_solver_solve],
+    [pooled_solver_solve, fresh_solver_solve, recycled_solver_solve],
     ids=["arena", "fresh-solver", "recycled-solver"],
 )
 
@@ -106,26 +122,25 @@ class TestBudgetedSolve:
 
 
 class TestBudgetedSessions:
-    @pytest.mark.parametrize("backend", ["arena"])
-    def test_session_raises_and_stays_usable(self, backend):
+    def test_session_raises_and_stays_usable(self):
         # Acceptance: a budget blowout must leave the session reusable — the
         # same session, budget lifted, reaches the same verdict as a fresh one.
         cnf = pigeonhole_cnf()
-        session = create_session(backend=backend, budget=SolverBudget(max_conflicts=1))
-        session.add_clauses(cnf.clauses)
+        session = ArenaSession(SolverBudget(max_conflicts=1))
+        session.load_clauses(cnf.clauses, cnf.num_variables)
         with pytest.raises(BudgetExceededError):
             session.solve()
         session.budget = None
         reused = session.solve()
 
-        fresh = create_session(backend=backend)
-        fresh.add_clauses(cnf.clauses)
+        fresh = ArenaSession()
+        fresh.load_clauses(cnf.clauses, cnf.num_variables)
         assert reused.satisfiable == fresh.solve().satisfiable is False
 
-    @pytest.mark.parametrize("backend", ["arena"])
-    def test_budget_applies_per_solve_call(self, backend):
-        session = create_session(backend=backend)
-        session.add_clauses(pigeonhole_cnf().clauses)
+    def test_budget_applies_per_solve_call(self):
+        session = ArenaSession()
+        cnf = pigeonhole_cnf()
+        session.load_clauses(cnf.clauses, cnf.num_variables)
         session.budget = SolverBudget(max_conflicts=1)
         with pytest.raises(BudgetExceededError):
             session.solve()
@@ -133,12 +148,36 @@ class TestBudgetedSessions:
             session.solve()  # still budgeted, still clean
 
     def test_unbounded_budget_not_installed(self):
-        session = create_session(backend="arena", budget=SolverBudget())
-        assert session.budget is None
+        assert ArenaSession(SolverBudget()).budget is None
 
     def test_dpll_rejects_budgets(self):
-        session = create_session(backend="dpll")
+        # The DPLL reference cannot stop early: a budgeted solve is refused,
+        # never run unbounded.
+        session = DPLLSession()
         session.budget = SolverBudget(max_conflicts=1)
-        session.add_clauses([[1]])
-        with pytest.raises(SolverError, match="dpll"):
+        session.load_clauses([[1]], 1)
+        with pytest.raises(SolverError, match="DPLL"):
             session.solve()
+
+
+#: The consumers that solve on the encoder's session (DeduceOrder only propagates).
+SOLVING_CONSUMERS = {
+    "check_validity": lambda encoder: check_validity(encoder).valid,
+    "naive_deduce": lambda encoder: naive_deduce(encoder).orders,
+    "suggest": lambda encoder: suggest(
+        encoder, deduce_order(encoder), TrueValueAssignment()
+    ).attributes,
+}
+
+
+class TestEncoderBudget:
+    @pytest.mark.parametrize("consumer", list(SOLVING_CONSUMERS))
+    def test_session_budget_bounds_the_consumer(self, george_spec, consumer):
+        # The budget rides on the encoder's session, the one way a consumer
+        # gets one; once lifted, the same encoder answers like an unbudgeted one.
+        run = SOLVING_CONSUMERS[consumer]
+        encoder = IncrementalEncoder(george_spec, budget=SolverBudget(max_propagations=1))
+        with pytest.raises(BudgetExceededError):
+            run(encoder)
+        encoder.session.budget = None
+        assert run(encoder) == run(IncrementalEncoder(george_spec))

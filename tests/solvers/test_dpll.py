@@ -1,6 +1,7 @@
 """Tests for the reference DPLL solver."""
 
-from repro.solvers import CNF, dpll_solve
+from tests.solvers._cnf_reference import CNF
+from tests.solvers._dpll_reference import dpll_solve
 
 
 class TestDPLL:

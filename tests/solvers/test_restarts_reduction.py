@@ -2,8 +2,11 @@
 
 import random
 
-from repro.solvers import CNF, ArenaSession, ArenaSolver, dpll_solve
+from repro.solvers import ArenaSession, ArenaSolver
 from repro.solvers.arena import _luby
+
+from tests.solvers._cnf_reference import CNF, loaded
+from tests.solvers._dpll_reference import dpll_solve
 
 
 def random_cnf(rng: random.Random, num_vars: int, num_clauses: int) -> CNF:
@@ -62,7 +65,7 @@ class TestBranchingHeap:
         assert solver._pick_branch_variable() == 0
 
     def test_backtrack_reinserts_variables(self):
-        solver = ArenaSolver(CNF([[1, 2], [-1, 2]]))
+        solver = loaded(CNF([[1, 2], [-1, 2]]))
         assert solver.solve().satisfiable
         # After a solve everything is assigned; a fresh solve must still be
         # able to branch (variables resurface through backtracking).
@@ -73,7 +76,7 @@ class TestBranchingHeap:
         for trial in range(30):
             cnf = random_cnf(rng, num_vars=12, num_clauses=45)
             expected = dpll_solve(cnf).satisfiable
-            result = ArenaSolver(cnf).solve()
+            result = loaded(cnf).solve()
             assert result.satisfiable == expected
             if result.satisfiable:
                 assert cnf.evaluate(result.model) is True
@@ -81,8 +84,8 @@ class TestBranchingHeap:
     def test_determinism(self):
         rng = random.Random(11)
         cnf = random_cnf(rng, num_vars=20, num_clauses=80)
-        first = ArenaSolver(cnf).solve()
-        second = ArenaSolver(cnf).solve()
+        first = loaded(cnf).solve()
+        second = loaded(cnf).solve()
         assert first.satisfiable == second.satisfiable
         assert first.model == second.model
         assert first.decisions == second.decisions
@@ -93,7 +96,7 @@ class TestLearnedDatabaseReduction:
     def test_reduction_triggers_and_keeps_solver_sound(self):
         # Pigeonhole 6→5 produces ~150 conflicts; a tiny budget forces many
         # reductions and the answer must remain UNSAT.
-        solver = ArenaSolver(pigeonhole(6, 5))
+        solver = loaded(pigeonhole(6, 5))
         solver._max_learned = 5
         result = solver.solve()
         assert not result.satisfiable
@@ -105,7 +108,7 @@ class TestLearnedDatabaseReduction:
         rng = random.Random(5)
         for trial in range(15):
             cnf = random_cnf(rng, num_vars=14, num_clauses=56)
-            solver = ArenaSolver(cnf)
+            solver = loaded(cnf)
             solver._max_learned = 2
             result = solver.solve()
             assert result.satisfiable == dpll_solve(cnf).satisfiable
@@ -115,19 +118,16 @@ class TestLearnedDatabaseReduction:
     def test_reduction_preserves_incrementality(self):
         # Clauses added after a reduction must combine soundly with whatever
         # learned clauses were kept.
-        solver = ArenaSolver()
         # A satisfiable conflict-heavy prefix: pigeonhole 5→5 (permutations).
-        for clause in pigeonhole(5, 5).clauses:
-            solver.add_clause(clause)
+        solver = loaded(pigeonhole(5, 5))
         solver._max_learned = 5
         assert solver.solve().satisfiable
-        solver.add_clause([1, 2])
-        solver.add_clause([-1, 2])
+        solver.load_clauses([[1, 2], [-1, 2]], 0)
         assert not solver.solve(assumptions=[-2]).satisfiable  # -2 forces 1 ∧ ¬1
         assert solver.solve().satisfiable  # still SAT without the assumption
 
     def test_reduction_grows_budget(self):
-        solver = ArenaSolver(pigeonhole(6, 5))
+        solver = loaded(pigeonhole(6, 5))
         solver._max_learned = 5
         solver.solve()
         assert solver.db_reductions >= 1
@@ -135,8 +135,7 @@ class TestLearnedDatabaseReduction:
 
     def test_reduction_counters_surface_in_session_statistics(self):
         session = ArenaSession()
-        for clause in pigeonhole(6, 5).clauses:
-            session.add_clause(clause)
+        session.load_clauses(pigeonhole(6, 5).clauses, 0)
         session.solver._max_learned = 5
         session.solve()
         stats = session.statistics()
@@ -149,6 +148,6 @@ class TestRestarts:
     def test_restart_counter_advances_on_conflict_heavy_instance(self):
         # Pigeonhole 6→5 generates enough conflicts to cross several Luby
         # intervals (64·1, 64·1, 64·2, …).
-        result = ArenaSolver(pigeonhole(6, 5)).solve()
+        result = loaded(pigeonhole(6, 5)).solve()
         assert not result.satisfiable
         assert result.restarts >= 1

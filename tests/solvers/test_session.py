@@ -1,100 +1,56 @@
-"""Tests for the incremental solver sessions and the backend registry."""
+"""Tests for the incremental solver sessions, with the DPLL session as the reference."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SolverError
-from repro.solvers import (
-    CNF,
-    ArenaSession,
-    DPLLSession,
-    SolverSession,
-    available_backends,
-    create_session,
-    dpll_solve,
-    register_backend,
-)
+from repro.solvers import ArenaSession
+
+from tests.solvers._cnf_reference import CNF
+from tests.solvers._dpll_reference import DPLLSession, dpll_solve
 
 
-class TestBackendRegistry:
-    def test_arena_resolves_by_name(self):
-        session = create_session("arena")
-        assert isinstance(session, ArenaSession)
-        assert session.backend == "arena"
-        assert session.reuses_clauses
-
-    def test_dpll_resolves_by_name(self):
-        session = create_session("dpll")
-        assert isinstance(session, DPLLSession)
-        assert session.backend == "dpll"
-        assert not session.reuses_clauses
-
-    def test_default_backend_is_arena(self):
-        assert isinstance(create_session(), ArenaSession)
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(SolverError, match="unknown solver backend"):
-            create_session("minisat")
-
-    def test_registry_lists_builtin_backends(self):
-        assert available_backends() == ("arena", "dpll")
-
-    def test_custom_backend_registration(self):
-        class EchoSession(DPLLSession):
-            backend = "echo"
-
-        register_backend("echo", EchoSession)
-        try:
-            assert isinstance(create_session("echo"), EchoSession)
-            assert "echo" in available_backends()
-        finally:
-            import repro.solvers.session as session_module
-
-            session_module._BACKENDS.pop("echo", None)
-
-
-@pytest.mark.parametrize("backend", ["arena", "dpll"])
+@pytest.mark.parametrize("session_type", [ArenaSession, DPLLSession], ids=["arena", "dpll"])
 class TestSessionSemantics:
-    def test_empty_session_is_satisfiable(self, backend):
-        assert create_session(backend).solve().satisfiable
+    def test_empty_session_is_satisfiable(self, session_type):
+        assert session_type().solve().satisfiable
 
-    def test_assumption_conflict_is_per_call(self, backend):
-        session = create_session(backend)
-        session.add_clauses([[1, 2], [-1, 2]])
+    def test_assumption_conflict_is_per_call(self, session_type):
+        session = session_type()
+        session.load_clauses([[1, 2], [-1, 2]], 0)
         # UNSAT under the assumption ¬2, but the formula itself stays SAT.
         assert not session.solve(assumptions=[-2]).satisfiable
         assert session.solve(assumptions=[2]).satisfiable
         assert session.solve().satisfiable
 
-    def test_contradictory_assumptions(self, backend):
-        session = create_session(backend)
-        session.add_clause([1, 2])
+    def test_contradictory_assumptions(self, session_type):
+        session = session_type()
+        session.load_clauses([[1, 2]], 0)
         assert not session.solve(assumptions=[1, -1]).satisfiable
         assert session.solve().satisfiable
 
-    def test_clauses_persist_across_solve_calls(self, backend):
-        session = create_session(backend)
-        session.add_clause([1, 2])
+    def test_clauses_persist_across_solve_calls(self, session_type):
+        session = session_type()
+        session.load_clauses([[1, 2]], 0)
         first = session.solve(assumptions=[-1])
         assert first.satisfiable and first.model[2] is True
         # New clauses added after a solve() are honoured by the next one.
-        session.add_clause([-2])
+        session.load_clauses([[-2]], 0)
         second = session.solve()
         assert second.satisfiable and second.model[1] is True and second.model[2] is False
-        session.add_clause([-1])
+        session.load_clauses([[-1]], 0)
         assert not session.solve().satisfiable
 
-    def test_assumptions_on_fresh_variables(self, backend):
-        session = create_session(backend)
-        session.add_clause([1])
+    def test_assumptions_on_fresh_variables(self, session_type):
+        session = session_type()
+        session.load_clauses([[1]], 0)
         result = session.solve(assumptions=[7])
         assert result.satisfiable
         assert result.model[7] is True
 
-    def test_statistics_track_solve_calls(self, backend):
-        session = create_session(backend)
-        session.add_clauses([[1, 2], [2, 3]])
+    def test_statistics_track_solve_calls(self, session_type):
+        session = session_type()
+        session.load_clauses([[1, 2], [2, 3]], 0)
         session.solve()
         session.solve(assumptions=[-2])
         stats = session.statistics()
@@ -110,13 +66,13 @@ class TestCDCLRetention:
         def var(i, h):
             return 3 * i + h + 1
 
-        session = create_session("arena")
+        session = ArenaSession()
         for i in range(4):
-            session.add_clause([var(i, h) for h in range(3)])
+            session.load_clauses([[var(i, h) for h in range(3)]], 0)
         for h in range(3):
             for i in range(4):
                 for j in range(i + 1, 4):
-                    session.add_clause([-var(i, h), -var(j, h)])
+                    session.load_clauses([[-var(i, h), -var(j, h)]], 0)
         clauses = session.solver.num_clauses
         assert not session.solve().satisfiable
         assert session.statistics()["conflicts"] > 0
@@ -124,10 +80,10 @@ class TestCDCLRetention:
         assert session.solver.num_clauses == clauses
 
     def test_incremental_solves_reuse_clauses(self):
-        session = create_session("arena")
-        session.add_clauses([[-1, 2], [-2, 3], [-3, 4]])
+        session = ArenaSession()
+        session.load_clauses([[-1, 2], [-2, 3], [-3, 4]], 0)
         session.solve(assumptions=[1])
-        session.add_clause([-4, 5])
+        session.load_clauses([[-4, 5]], 0)
         session.solve(assumptions=[1])
         stats = session.statistics()
         assert stats["cold_solves"] == 1
@@ -136,8 +92,8 @@ class TestCDCLRetention:
         assert stats["clauses_reused"] >= 3
 
     def test_unsat_under_assumptions_leaves_propagation_unchanged(self):
-        session = create_session("arena")
-        session.add_clauses([[1, 2], [-1, 2]])
+        session = ArenaSession()
+        session.load_clauses([[1, 2], [-1, 2]], 0)
         before = session.propagate()
         assert not session.solve(assumptions=[-2]).satisfiable
         # The refutation learned that 2 is forced, but unit propagation over
@@ -180,11 +136,11 @@ def test_incremental_session_agrees_with_from_scratch(payload):
     """After every batch of added clauses, the incremental arena session and a
     fresh DPLL solve of the accumulated formula agree on satisfiability."""
     num_variables, batches = payload
-    session = create_session("arena")
-    session.ensure_variables(num_variables)
+    session = ArenaSession()
+    session.load_clauses([], num_variables)
     accumulated = CNF(num_variables=num_variables)
     for clauses, assumptions in batches:
-        session.add_clauses(clauses)
+        session.load_clauses(clauses, num_variables)
         accumulated.add_clauses(clauses)
         incremental = session.solve(assumptions)
         reference = dpll_solve(accumulated, assumptions)

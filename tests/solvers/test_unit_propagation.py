@@ -12,17 +12,18 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.solvers import CNF, create_session, solve
+from repro.solvers import ArenaSession
 
+from tests.solvers._cnf_reference import CNF, solve
+from tests.solvers._dpll_reference import DPLLSession
 from tests.solvers._unit_propagation_reference import propagate_units
 
-BACKENDS = ("arena", "dpll")
+BACKENDS = (ArenaSession, DPLLSession)
 
 
 def _session(backend, cnf):
-    session = create_session(backend)
-    session.ensure_variables(cnf.num_variables)
-    session.add_clauses(cnf)
+    session = backend()
+    session.load_clauses(cnf.clauses, cnf.num_variables)
     return session
 
 

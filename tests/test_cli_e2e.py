@@ -86,26 +86,17 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert "does not exist" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["resolve", "pipeline"])
-    def test_unknown_solver_backend_rejected(self, command, people_csv, capsys):
+    @pytest.mark.parametrize("command", ["resolve", "pipeline", "serve"])
+    def test_solver_backend_option_is_gone(self, command, people_csv, requests_jsonl, capsys):
+        """One solver, no selector: ``--solver-backend`` is refused before any entity resolves."""
+        if command == "serve":
+            source = ["--schema", "name,status", "--input", str(requests_jsonl)]
+        else:
+            source = [str(people_csv), "--entity-key", "name"]
         with pytest.raises(SystemExit) as excinfo:
-            main(
-                [command, str(people_csv), "--entity-key", "name",
-                 "--solver-backend", "chaff"]
-            )
+            main([command, *source, "--solver-backend", "dpll", "--entity-timeout", "5"])
         assert excinfo.value.code == 2
-        message = capsys.readouterr().err
-        assert "unknown solver backend 'chaff'" in message
-        assert "arena" in message and "dpll" in message
-
-    def test_serve_unknown_solver_backend_rejected(self, requests_jsonl, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["serve", "--schema", "name,status", "--input", str(requests_jsonl),
-                 "--solver-backend", "chaff"]
-            )
-        assert excinfo.value.code == 2
-        assert "unknown solver backend 'chaff'" in capsys.readouterr().err
+        assert "unrecognized arguments: --solver-backend dpll" in capsys.readouterr().err
 
     def test_serve_tcp_rejects_stdio_flags(self, requests_jsonl, capsys):
         """--tcp would silently ignore the stdio-loop flags; refuse instead."""

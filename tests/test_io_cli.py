@@ -175,31 +175,6 @@ class TestCLI:
         assert exit_code == 0
         assert "true values deduced" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("backend", ["arena", "dpll"])
-    def test_resolve_accepts_registered_solver_backends(self, people_csv, constraints_file, backend, capsys):
-        exit_code = main(
-            [
-                "resolve",
-                str(people_csv),
-                "--entity-key",
-                "name",
-                "--constraints",
-                str(constraints_file),
-                "--solver-backend",
-                backend,
-            ]
-        )
-        assert exit_code == 0
-        assert "true values deduced" in capsys.readouterr().out
-
-    def test_unknown_solver_backend_rejected_with_choices(self, people_csv, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["resolve", str(people_csv), "--entity-key", "name", "--solver-backend", "minisat"])
-        assert excinfo.value.code == 2
-        message = capsys.readouterr().err
-        assert "unknown solver backend 'minisat'" in message
-        assert "arena" in message and "dpll" in message
-
     def test_pipeline_command_streams_jsonl(self, people_csv, constraints_file, tmp_path, capsys):
         import json
 
