@@ -13,6 +13,12 @@
 NULL handling follows the paper: a tuple whose ``A`` value is missing is
 ranked lowest in the currency order for ``A``; :class:`TemporalInstance`
 materialises those pairs automatically unless told otherwise.
+
+Instances are immutable, and a round of the interactive loop extends one by
+a few tuples, so extension costs the delta: :meth:`EntityInstance.with_tuples`
+checks only the new tuples and extends the active domains the instance has
+already computed, and :meth:`TemporalInstance.extend` derives NULL-lowest
+pairs only for the new tuples.
 """
 
 from __future__ import annotations
@@ -33,23 +39,42 @@ class EntityInstance:
 
     Tuples without an identifier receive consecutive identifiers
     ``"t0", "t1", ...`` in input order; identifiers must be unique.
+
+    An instance is immutable: its tuples are kept as one tuple, and each
+    attribute's active domain is computed on first use and kept.
+    :meth:`with_tuples` extends both by the new tuples instead of scanning
+    the old ones again.  Pickles carry only the tuples, never the kept
+    domains.
     """
 
     def __init__(self, schema: RelationSchema, tuples: Sequence[EntityTuple]) -> None:
         self._schema = schema
-        assigned: List[EntityTuple] = []
-        seen_tids: set = set()
-        for position, item in enumerate(tuples):
+        self._tuples: Dict[str | int, EntityTuple] = {}
+        self._order: List[str | int] = []
+        self._append(tuples)
+
+    def _append(self, tuples: Sequence[EntityTuple]) -> None:
+        """Check and add *tuples* after the current ones; set the kept tuple of all of them."""
+        schema, by_tid, order = self._schema, self._tuples, self._order
+        for position, item in enumerate(tuples, start=len(order)):
             if item.schema != schema:
                 raise SchemaError("all tuples of an entity instance must share the instance schema")
             if item.tid is None:
                 item = item.with_tid(f"t{position}")
-            if item.tid in seen_tids:
+            if item.tid in by_tid:
                 raise SchemaError(f"duplicate tuple identifier {item.tid!r} in entity instance")
-            seen_tids.add(item.tid)
-            assigned.append(item)
-        self._tuples: Dict[str | int, EntityTuple] = {t.tid: t for t in assigned}
-        self._order: List[str | int] = [t.tid for t in assigned]
+            by_tid[item.tid] = item
+            order.append(item.tid)
+        self._items: tuple[EntityTuple, ...] = tuple(by_tid[tid] for tid in order)
+        self._domains: Dict[str, tuple[Value, ...]] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {"_schema": self._schema, "_tuples": self._tuples, "_order": self._order}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._items = tuple(self._tuples[tid] for tid in self._order)
+        self._domains = {}
 
     # -- basic access ----------------------------------------------------
 
@@ -61,7 +86,7 @@ class EntityInstance:
     @property
     def tuples(self) -> tuple[EntityTuple, ...]:
         """The tuples of the instance, in insertion order."""
-        return tuple(self._tuples[tid] for tid in self._order)
+        return self._items
 
     @property
     def tids(self) -> tuple[str | int, ...]:
@@ -72,7 +97,7 @@ class EntityInstance:
         return len(self._order)
 
     def __iter__(self) -> Iterator[EntityTuple]:
-        return iter(self.tuples)
+        return iter(self._items)
 
     def __getitem__(self, tid: str | int) -> EntityTuple:
         try:
@@ -92,14 +117,11 @@ class EntityInstance:
         participates in currency orders (it ranks lowest).  The result is
         deterministic (insertion order of first occurrence).
         """
-        self._schema.require([attribute])
-        # Tuple values are normalised (NULL is the interned marker, never
-        # ``None``), so dict identity-by-``hash``/``==`` dedup matches the
-        # pairwise ``values_equal`` scan while staying O(n).
-        seen: dict[Value, None] = {}
-        for item in self.tuples:
-            seen.setdefault(item[attribute])
-        return tuple(seen)
+        domain = self._domains.get(attribute)
+        if domain is None:
+            self._schema.require([attribute])
+            domain = self._domains[attribute] = _distinct(self._items, attribute, {})
+        return domain
 
     def conflicting_attributes(self) -> tuple[str, ...]:
         """Attributes for which the instance holds more than one distinct value."""
@@ -110,11 +132,39 @@ class EntityInstance:
         )
 
     def with_tuples(self, extra: Sequence[EntityTuple]) -> "EntityInstance":
-        """Return a new instance containing this instance's tuples plus *extra*."""
-        return EntityInstance(self._schema, list(self.tuples) + list(extra))
+        """Return a new instance containing this instance's tuples plus *extra*.
+
+        Only *extra* is checked, and the active domains this instance has
+        computed are extended by the values *extra* adds.
+        """
+        extended = EntityInstance.__new__(EntityInstance)
+        extended._schema = self._schema
+        extended._tuples = dict(self._tuples)
+        extended._order = list(self._order)
+        extended._append(extra)
+        added = extended._items[len(self._items):]
+        for attribute, domain in self._domains.items():
+            extended._domains[attribute] = domain + _distinct(added, attribute, dict.fromkeys(domain))
+        return extended
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"EntityInstance(schema={self._schema.name!r}, tuples={len(self)})"
+
+
+def _distinct(items: Sequence[EntityTuple], attribute: str, seen: Dict[Value, None]) -> tuple[Value, ...]:
+    """The values of *attribute* in *items* that *seen* lacks, in first-occurrence order.
+
+    Tuple values are normalised (NULL is the interned marker, never
+    ``None``), so dict dedup by ``hash``/``==`` matches the pairwise
+    ``values_equal`` scan while staying O(n).
+    """
+    fresh: List[Value] = []
+    for item in items:
+        value = item[attribute]
+        if value not in seen:
+            seen[value] = None
+            fresh.append(value)
+    return tuple(fresh)
 
 
 class TemporalInstance:
@@ -139,33 +189,21 @@ class TemporalInstance:
         orders: Mapping[str, PartialOrder] | None = None,
         *,
         rank_nulls_lowest: bool = True,
-        _adopt_orders: bool = False,
     ) -> None:
         self._instance = instance
         schema = instance.schema
         provided = dict(orders or {})
         schema.require(provided.keys())
         self._orders: Dict[str, PartialOrder] = {}
+        tids = instance.tids
         for attribute in schema.attribute_names:
-            order = provided.get(attribute, PartialOrder())
-            if not _adopt_orders:
-                order = order.copy()
-            for tid in instance.tids:
+            order = provided.get(attribute, PartialOrder()).copy()
+            for tid in tids:
                 order.add_element(tid)
             self._orders[attribute] = order
-        for smaller_tid, larger_tid, attribute in self._null_pairs() if rank_nulls_lowest else ():
-            self._orders[attribute].try_add(smaller_tid, larger_tid)
-
-    def _null_pairs(self) -> Iterator[tuple[str | int, str | int, str]]:
-        """Yield (null-tuple, non-null-tuple, attribute) pairs implied by NULL-lowest."""
-        for attribute in self._instance.schema.attribute_names:
-            null_tids = [t.tid for t in self._instance if is_null(t[attribute])]
-            if not null_tids:
-                continue
-            nonnull_tids = [t.tid for t in self._instance if not is_null(t[attribute])]
-            for null_tid in null_tids:
-                for other_tid in nonnull_tids:
-                    yield (null_tid, other_tid, attribute)
+            if rank_nulls_lowest:
+                for smaller_tid, larger_tid in _null_pairs((), instance.tuples, attribute, False):
+                    order.try_add(smaller_tid, larger_tid)
 
     # -- access ----------------------------------------------------------
 
@@ -200,40 +238,66 @@ class TemporalInstance:
     # -- extension (S_e ⊕ O_t) -------------------------------------------
 
     def extend(self, delta: "TemporalOrderDelta") -> "TemporalInstance":
-        """Return a new temporal instance enriched with *delta* (the ``⊕`` operator)."""
-        new_instance = self._instance.with_tuples(delta.new_tuples) if delta.new_tuples else self._instance
-        merged: Dict[str, PartialOrder] = {}
+        """Return a new temporal instance enriched with *delta* (the ``⊕`` operator).
+
+        Only the delta is walked.  Each order is copied (a copy keeps every
+        successor list in insertion order), *delta*'s edges and the new
+        tuples are appended to it, and NULL-lowest pairs are derived for the
+        new tuples alone: pairs among the old tuples are settled in the
+        copies already (edges are only ever added, so a pair rejected for a
+        cycle stays rejected and an accepted one is present).  The new pairs
+        are tried in the order the constructor's full derivation tries them,
+        so the result is the instance that derivation would build.
+        """
+        old = self._instance
+        instance = old.with_tuples(delta.new_tuples) if delta.new_tuples else old
+        # Read the new tuples from the extended instance: a tuple appended
+        # with ``tid=None`` only gets its identifier there.
+        added = instance.tuples[len(old):]
+        extended = TemporalInstance.__new__(TemporalInstance)
+        extended._instance = instance
+        extended._orders = {}
         for attribute in self.schema.attribute_names:
             order = self._orders[attribute].copy()
             extra = delta.orders.get(attribute)
             if extra is not None:
                 order.update(extra)
-            merged[attribute] = order
-        # The merged orders were built fresh above, so the constructor may
-        # adopt them instead of copying each a second time.  NULL-lowest
-        # pairs are re-derived incrementally below instead of in the
-        # constructor: pairs among pre-existing tuples are already settled in
-        # the copied orders (edges are only ever added, so a pair that was
-        # rejected for a cycle stays rejected and an accepted one is already
-        # present) — only pairs involving a tuple *delta* introduces can be
-        # new.  Attempting those in the constructor's iteration order, with
-        # the settled pairs skipped as the no-ops they are, reproduces the
-        # full re-derivation exactly.
-        extended = TemporalInstance(new_instance, merged, rank_nulls_lowest=False, _adopt_orders=True)
-        if delta.new_tuples:
-            # Diff against the old instance instead of reading the delta
-            # tuples' own tids: a tuple appended with ``tid=None`` only gets
-            # its identifier assigned (on a copy) inside the new instance,
-            # so ``item.tid`` would still read ``None`` here.
-            existing = set(self._instance.tids)
-            new_tids = {tid for tid in new_instance.tids if tid not in existing}
-            for smaller_tid, larger_tid, attribute in extended._null_pairs():
-                if smaller_tid in new_tids or larger_tid in new_tids:
-                    extended._orders[attribute].try_add(smaller_tid, larger_tid)
+            for item in added:
+                order.add_element(item.tid)
+            if added:
+                old_has_null = any(is_null(value) for value in old.active_domain(attribute))
+                for smaller_tid, larger_tid in _null_pairs(old.tuples, added, attribute, old_has_null):
+                    order.try_add(smaller_tid, larger_tid)
+            extended._orders[attribute] = order
         return extended
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"TemporalInstance(tuples={len(self._instance)}, edges={self.size()})"
+
+
+def _null_pairs(
+    old: Sequence[EntityTuple], added: Sequence[EntityTuple], attribute: str, old_has_null: bool
+) -> Iterator[tuple[str | int, str | int]]:
+    """The NULL-lowest pairs on *attribute* that involve a tuple of *added*, which follows *old*.
+
+    Every tuple with a NULL value goes below every tuple without one, each
+    side in instance order.  With no *old* tuples these are all the pairs
+    of *added*; otherwise *old* is read only when *old_has_null* says it
+    holds a NULL or a new value is NULL.
+    """
+    new_nulls = [item.tid for item in added if is_null(item[attribute])]
+    new_others = [item.tid for item in added if not is_null(item[attribute])]
+    if new_others and old_has_null:
+        for item in old:
+            if is_null(item[attribute]):
+                for other_tid in new_others:
+                    yield (item.tid, other_tid)
+    if new_nulls:
+        others = [item.tid for item in old if not (old_has_null and is_null(item[attribute]))]
+        others.extend(new_others)
+        for null_tid in new_nulls:
+            for other_tid in others:
+                yield (null_tid, other_tid)
 
 
 class TemporalOrderDelta:

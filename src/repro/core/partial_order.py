@@ -155,7 +155,7 @@ class PartialOrder:
             return False
         successors = self._successors
         direct = successors.get(smaller)
-        if not direct or larger not in self._predecessors:
+        if not direct or not self._predecessors.get(larger):
             return False
         if larger in direct:
             return True
@@ -171,18 +171,6 @@ class PartialOrder:
                     seen.add(successor)
                     frontier.append(successor)
         return False
-
-    def above(self, element: Hashable) -> Set[Hashable]:
-        """Every ``x`` with ``element ≺ x``: the successors of *element*, walked once."""
-        seen: Set[Hashable] = set()
-        frontier: List[Hashable] = [element]
-        successors = self._successors
-        while frontier:
-            for successor in successors.get(frontier.pop(), ()):
-                if successor not in seen:
-                    seen.add(successor)
-                    frontier.append(successor)
-        return seen
 
     def comparable(self, a: Hashable, b: Hashable) -> bool:
         """Return ``True`` when *a* and *b* are ordered one way or the other."""

@@ -265,14 +265,17 @@ class _Rows:
 
     The index of a position maps each value to the ``(row index, row)``
     entries holding it, in row order; it is built on first use and kept
-    current by :meth:`extend`.
+    current by :meth:`extend`.  ``seen`` is the set :func:`_project` filled
+    while projecting the rows; projecting later tuples against it drops the
+    rows the projection already holds.
     """
 
-    __slots__ = ("rows", "entries", "_index")
+    __slots__ = ("rows", "entries", "seen", "_index")
 
-    def __init__(self, rows: Iterable[Row] = ()) -> None:
+    def __init__(self, rows: Iterable[Row] = (), seen: Optional[Set[Row]] = None) -> None:
         self.rows: List[Row] = []
         self.entries: List[Tuple[int, Row]] = []
+        self.seen: Set[Row] = set() if seen is None else seen
         self._index: Dict[int, Dict[Value, List[Tuple[int, Row]]]] = {}
         self.extend(rows)
 
@@ -533,8 +536,8 @@ def _cfd_instances(
 
 def stamp(
     spec: Specification, program: CompiledConstraintProgram
-) -> Tuple[InstanceConstraintSet, List[Hashable]]:
-    """Build Ω(S_e) by stamping *program* onto *spec*; return it with each record's key.
+) -> Tuple[InstanceConstraintSet, List[Hashable], Dict[Tuple[str, ...], _Rows]]:
+    """Build Ω(S_e) by stamping *program* onto *spec*; return it with each record's key and the projections.
 
     Ω lists the currency-order facts, the currency-constraint instances, the
     CFD instances and the closure of the ground facts, in that order,
@@ -542,7 +545,11 @@ def stamp(
     otherwise the body atoms as a set and the head; see
     :func:`~repro.encoding.instance_constraints._record_key`).  The second
     list holds the key each record was admitted under, in record order.
-    ``used_values`` is noted as records are admitted.
+    ``used_values`` is noted as records are admitted.  The third value maps
+    each currency group's attribute list (see
+    :attr:`CompiledConstraintProgram.currency_groups`) to the rows the stamp
+    projected and indexed, which a delta encode extends instead of
+    projecting the entity again.
     """
     program.instantiations += 1
     records: List[Record] = []
@@ -596,8 +603,9 @@ def stamp(
     for compiled in program.currency:
         rows = projections.get(compiled.attributes)
         if rows is None:
+            projected_rows: Set[Row] = set()
             rows = projections[compiled.attributes] = _Rows(
-                _project(instance, compiled.attributes, projected, set())
+                _project(instance, compiled.attributes, projected, projected_rows), projected_rows
             )
         seconds = rows.side(compiled.second_equalities)
         if not seconds:
@@ -650,4 +658,4 @@ def stamp(
             key = _record_key((), head)
             if key not in seen:
                 admit("closure", attribute, (), head, key)
-    return omega, keys
+    return omega, keys, projections

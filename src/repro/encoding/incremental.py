@@ -12,13 +12,16 @@ only thing ``IsValid``, ``DeduceOrder`` and ``Suggest`` query — and, given a
 clauses:
 
 * **currency-order facts** — the diff of the per-attribute tuple orders
-  (including the NULL-lowest edges the extended temporal instance adds);
+  (including the NULL-lowest edges the extended temporal instance adds),
+  read as the tail of each tuple's successor list past its old length;
 * **currency-constraint instances** — only the tuple/projection pairs that
   involve a projection first contributed by the delta, evaluated by the
-  compiled program's positional evaluators;
+  compiled program's positional evaluators against the projections the
+  full encode's stamp built (kept, and extended by each delta);
 * **ground-fact closure** — maintained per attribute, emitting only the
-  closure pairs the new facts introduce (a cycle marks the specification
-  inherently invalid, exactly as in the full encode);
+  closure pairs the new facts introduce: the closure is walked once and
+  each pair looked up in the set of pairs already closed (a cycle marks the
+  specification inherently invalid, exactly as in the full encode);
 * **order axioms** — the two total-order clauses of every value triple whose
   newest value the delta first uses, written straight into Φ as integer
   clauses (they are not part of Ω; see
@@ -47,10 +50,18 @@ value triple's order axioms once, which makes the incremental Φ logically
 equivalent to a full encode of the extended specification.  Resolving from
 scratch (``ResolverOptions(incremental=False)``) builds a fresh encoder
 every round instead of applying the delta.
+
+A delta walks the delta, not the entity: the new tuples are projected once
+per currency group, each tuple's old successor list is read once (for its
+length), and :meth:`~repro.core.instance.TemporalInstance.extend` derives
+NULL-lowest pairs for the new tuples alone.  What remains linear in the
+entity is copying its tuple orders, which keeps every specification of the
+loop immutable.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from time import perf_counter
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
@@ -69,7 +80,6 @@ from repro.encoding.cnf_encoder import (
 )
 from repro.encoding.compiled import (
     CompiledConstraintProgram,
-    Row,
     _cfd_instances,
     _project,
     _Rows,
@@ -135,8 +145,8 @@ class IncrementalEncoder:
         self._guard_records: Dict[Hashable, Record] = {}
         self._retired_guards = 0
         self._projections: Dict[Tuple[str, ...], _Rows] = {}
-        self._projection_seen: Dict[Tuple[str, ...], Set[Row]] = {}
         self._fact_orders: Dict[str, PartialOrder] = {}
+        self._fact_closures: Dict[str, Set[Tuple[Hashable, Hashable]]] = {}
         self._used_values: Dict[str, List[Value]] = {}
         self._used_keys: Dict[str, Set[Hashable]] = {}
         self._adom_keys: Dict[str, Set[Hashable]] = {}
@@ -220,7 +230,7 @@ class IncrementalEncoder:
 
     def _guarded_clause(self, record: Record, key: Hashable) -> List[int]:
         """A CFD record's clause under a fresh guard literal, registered before its atoms."""
-        guard = self._registry.auxiliary_variable(label=("guard", record[1]))
+        guard = self._registry.auxiliary_variable()
         self._guards[key] = guard
         self._guard_records[key] = record
         return [-guard] + _record_clause(self._registry, record[2], record[3])
@@ -234,7 +244,7 @@ class IncrementalEncoder:
 
     def _full_encode(self) -> None:
         spec = self._spec
-        omega, keys = stamp(spec, self._program)
+        omega, keys, projections = stamp(spec, self._program)
         self._encoding.omega = omega
         self._used_values = omega.used_values
 
@@ -251,19 +261,39 @@ class IncrementalEncoder:
         self._load(clauses, initial=True)
         if omega.inherently_invalid:
             return  # the encoding is permanently unsatisfiable; no delta state needed
+        self._seed_delta_state(projections)
 
-        # Seed the delta-tracking state so apply_delta() can diff against it.
+    def _seed_delta_state(self, projections: Dict[Tuple[str, ...], _Rows]) -> None:
+        """Keep what apply_delta() diffs against: used values, ground facts, domains, projections.
+
+        The ground-fact order of each attribute holds Ω's unguarded facts
+        (closure facts included), and its closure set every pair it orders.
+        Stamp closed the facts together with the guarded CFD facts, so a
+        pair the order reaches but does not hold is one such CFD fact: those
+        are the only pairs looked up to seed the closure.
+        """
+        spec = self._spec
         for attribute, values in self._used_values.items():
             self._used_keys[attribute] = {canonical_value(value) for value in values}
-        for kind, _, body, head in omega.records:
-            if kind == "cfd" or body:
+        guarded_facts: List[Tuple[str, Hashable, Hashable]] = []
+        for kind, _, body, head in self._omega.records:
+            if body:
+                continue
+            if kind == "cfd":
+                guarded_facts.append(head)
                 continue
             order = self._fact_orders.setdefault(head[0], PartialOrder())
             order.try_add(head[1], head[2])
+            self._fact_closures.setdefault(head[0], set()).add((head[1], head[2]))
+        for attribute, older, newer in guarded_facts:
+            order = self._fact_orders.get(attribute)
+            if order is not None and order.precedes(older, newer):
+                self._fact_closures[attribute].add((older, newer))
         for attribute in spec.schema.attribute_names:
             self._adom_keys[attribute] = {
                 canonical_value(value) for value in spec.instance.active_domain(attribute)
             }
+        self._projections = projections
 
     # -- delta application -----------------------------------------------------
 
@@ -334,21 +364,31 @@ class IncrementalEncoder:
         new_spec: Specification,
         out: List[Record],
     ) -> None:
-        instance = new_spec.instance
+        """Admit a fact for every tuple-order edge *new_spec* adds to *old_spec*.
+
+        The extended orders are copies with edges appended (edges are only
+        ever added, and a copy keeps each successor list in insertion order),
+        so a tuple's new successors are the tail of its list past the length
+        of its old one: one old entry is read per tuple, and no old edge.
+        """
+        instance, keys = new_spec.instance, self._keys
         for attribute in new_spec.schema.attribute_names:
             old_map = old_spec.temporal_instance.order_for(attribute).successor_map()
             new_map = new_spec.temporal_instance.order_for(attribute).successor_map()
             for older_tid, newer_tids in new_map.items():
-                known = old_map.get(older_tid) or ()
+                known = len(old_map.get(older_tid, ()))
+                if len(newer_tids) == known:
+                    continue
                 older_value = instance[older_tid][attribute]
-                for newer_tid in newer_tids:
-                    if newer_tid in known:
-                        continue
+                for newer_tid in islice(newer_tids, known, None):
                     newer_value = instance[newer_tid][attribute]
                     if older_value == newer_value:
                         continue
                     head = (attribute, older_value, newer_value)
-                    self._admit(("order", f"{older_tid}≺{newer_tid}", (), head), _record_key((), head), out)
+                    key = _record_key((), head)
+                    if key not in keys:  # most edges repeat a known fact: name only the new ones
+                        keys.add(key)
+                        out.append(("order", f"{older_tid}≺{newer_tid}", (), head))
 
     # -- delta: currency constraints ---------------------------------------------
 
@@ -362,12 +402,9 @@ class IncrementalEncoder:
             return
         projected = self._options.mode == "projected"
         for attributes, group in self._program.currency_groups:
-            # The rows are seeded lazily from the *old* instance: new tuples
-            # are already part of new_spec, so seed from old rows only.
-            if attributes not in self._projections:
-                self._seed_projection(new_spec, delta, attributes)
+            # The full encode's projection, extended by every earlier delta.
             old = self._projections[attributes]
-            fresh_rows = _project(delta.new_tuples, attributes, projected, self._projection_seen[attributes])
+            fresh_rows = _project(delta.new_tuples, attributes, projected, old.seen)
             if not fresh_rows:
                 continue
             for compiled in group:
@@ -378,19 +415,6 @@ class IncrementalEncoder:
                         body, head = instantiated
                         self._admit(("currency", source_name, body, head), _record_key(body, head), out)
             old.extend(fresh_rows)
-
-    def _seed_projection(
-        self, new_spec: Specification, delta: TemporalOrderDelta, attributes: Tuple[str, ...]
-    ) -> None:
-        # The delta's tuples live at the tail of the extended instance (and a
-        # tuple appended with ``tid=None`` only gets its identifier inside
-        # the instance), so "old" is the positional prefix, not a tid match.
-        items = list(new_spec.instance)
-        seen: Set[Row] = set()
-        old_items = items[: len(items) - len(delta.new_tuples)]
-        projected = self._options.mode == "projected"
-        self._projections[attributes] = _Rows(_project(old_items, attributes, projected, seen))
-        self._projection_seen[attributes] = seen
 
     # -- delta: constant CFDs ------------------------------------------------------
 
@@ -456,7 +480,7 @@ class IncrementalEncoder:
         closure_facts: List[Record] = []
         for attribute, edges in new_edges.items():
             order = self._fact_orders.setdefault(attribute, PartialOrder())
-            before = set(order.transitive_closure_pairs())
+            closed = self._fact_closures.setdefault(attribute, set())
             try:
                 for older, newer in edges:
                     order.add(older, newer)
@@ -469,10 +493,14 @@ class IncrementalEncoder:
                 self._omega.records.append(("conflict", attribute, (), None))
                 clauses.append([])
                 return False
-            for older, newer in order.transitive_closure_pairs():
-                if (older, newer) in before or (older, newer) in edges:
+            direct = set(edges)
+            for pair in order.transitive_closure_pairs():
+                if pair in closed:
                     continue
-                head = (attribute, older, newer)
+                closed.add(pair)
+                if pair in direct:
+                    continue
+                head = (attribute, pair[0], pair[1])
                 self._admit(("closure", attribute, (), head), _record_key((), head), closure_facts)
         fresh.extend(closure_facts)
         return True

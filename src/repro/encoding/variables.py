@@ -66,31 +66,20 @@ class OrderLiteral:
 
 
 class VariablePool:
-    """Allocates fresh propositional variables ``1, 2, …`` and keeps optional labels."""
+    """Allocates fresh propositional variables ``1, 2, …``: one counter bump each."""
 
     def __init__(self) -> None:
         self._count = 0
-        self._labels: Dict[int, object] = {}
 
     @property
     def count(self) -> int:
         """Number of variables allocated so far."""
         return self._count
 
-    def new_variable(self, label: object | None = None) -> int:
-        """Allocate and return a fresh variable, optionally attaching *label*."""
+    def new_variable(self) -> int:
+        """Allocate and return a fresh variable."""
         self._count += 1
-        if label is not None:
-            self._labels[self._count] = label
         return self._count
-
-    def label(self, variable: int) -> object | None:
-        """Return the label attached to *variable* (or ``None``)."""
-        return self._labels.get(variable)
-
-    def labels(self) -> Dict[int, object]:
-        """Return a copy of the variable → label mapping."""
-        return dict(self._labels)
 
 
 class OrderVariableRegistry:
@@ -114,24 +103,24 @@ class OrderVariableRegistry:
         return self.variable_for(literal.attribute, literal.older, literal.newer, literal)
 
     def variable_for(
-        self, attribute: str, older: Hashable, newer: Hashable, label: Optional[OrderLiteral] = None
+        self, attribute: str, older: Hashable, newer: Hashable, atom: Optional[OrderLiteral] = None
     ) -> int:
         """Return the signed literal for ``older ≺ newer`` on *attribute*.
 
         A pair seen for the first time gets a new variable with this
         orientation as its positive literal.  The values must be canonical
         and distinct.  Only a new variable builds an :class:`OrderLiteral`,
-        as its label, when no *label* is given.
+        its canonical atom, when no *atom* is given.
         """
         existing = self._by_literal.get((attribute, older, newer))
         if existing is not None:
             return existing
-        if label is None:
-            label = OrderLiteral._trusted(attribute, older, newer)
-        variable = self._pool.new_variable(label=label)
+        if atom is None:
+            atom = OrderLiteral._trusted(attribute, older, newer)
+        variable = self._pool.new_variable()
         self._by_literal[(attribute, older, newer)] = variable
         self._by_literal[(attribute, newer, older)] = -variable
-        self._by_variable[variable] = label
+        self._by_variable[variable] = atom
         return variable
 
     def find(self, literal: OrderLiteral) -> Optional[int]:
@@ -145,7 +134,7 @@ class OrderVariableRegistry:
         """
         return self._by_literal.get((attribute, older, newer))
 
-    def auxiliary_variable(self, label: object | None = None) -> int:
+    def auxiliary_variable(self) -> int:
         """Allocate a fresh variable that does *not* stand for an ordering atom.
 
         The incremental encoder uses these as guard (selector) literals for
@@ -154,7 +143,7 @@ class OrderVariableRegistry:
         them, which is how the deduction algorithms tell guards apart from
         ordering variables.
         """
-        return self._pool.new_variable(label=label)
+        return self._pool.new_variable()
 
     def decode(self, variable: int) -> OrderLiteral:
         """Return the canonical atom of *variable* (its positive literal)."""

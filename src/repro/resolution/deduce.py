@@ -13,6 +13,15 @@ that holds Φ(S_e) (see
 :meth:`~repro.solvers.session.SolverSession.propagate`) and then transitively
 closes the per-attribute orders.
 
+O_d is kept closed: :class:`DeducedOrders` holds, per attribute, each
+value's set of values above it, which is the closure ``DeduceOrder``
+computes anyway, and :meth:`DeducedOrders.add` keeps it closed as pairs come
+in (the incremental transitive closure of Italiano, 1986).  Every query of
+O_d — :meth:`~DeducedOrders.holds`, the dominated values that ``Suggest``
+reads, and true-value extraction — is then a set lookup, and a
+:class:`~repro.core.partial_order.PartialOrder` is built only when
+:meth:`~DeducedOrders.order_for` asks for one.
+
 ``NaiveDeduce`` is the baseline the paper compares against: for every ordered
 pair of values it asks the SAT solver whether Φ(S_e) ∧ ¬x is unsatisfiable
 (Lemma 6), i.e. one SAT call per candidate order, on the same session.
@@ -24,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Set
 
-from repro.core.errors import CyclicOrderError
 from repro.core.partial_order import PartialOrder
 from repro.core.values import Value
 from repro.encoding.incremental import IncrementalEncoder
@@ -33,15 +41,22 @@ from repro.encoding.variables import OrderLiteral, canonical_value
 __all__ = ["DeducedOrders", "deduce_order", "naive_deduce"]
 
 
+#: Per attribute, each value → the values deduced more current than it.
+_Successors = Dict[Hashable, Set[Hashable]]
+
+
 @dataclass
 class DeducedOrders:
-    """The deduced partial temporal order O_d (value-level, per attribute).
+    """The deduced partial temporal order O_d (value-level, per attribute), kept closed.
 
     Attributes
     ----------
-    orders:
-        Per-attribute :class:`PartialOrder` over canonical values; an edge
-        ``a1 ≺ a2`` means every valid completion ranks ``a2`` as more current.
+    above:
+        Per attribute, each canonical value → the set of values deduced more
+        current than it.  The sets are transitively closed (``b`` in
+        ``above[A][a]`` and ``c`` in ``above[A][b]`` put ``c`` in
+        ``above[A][a]``), so every query is a set lookup; a value with
+        nothing above it has no entry.
     conflict:
         ``True`` when deduction exposed that the specification is invalid.
     forced_literals:
@@ -50,74 +65,90 @@ class DeducedOrders:
         Number of SAT-solver invocations (0 for ``DeduceOrder``).
     """
 
-    orders: Dict[str, PartialOrder] = field(default_factory=dict)
+    above: Dict[str, _Successors] = field(default_factory=dict)
     conflict: bool = False
     forced_literals: List[int] = field(default_factory=list)
     sat_calls: int = 0
 
+    @property
+    def orders(self) -> Dict[str, PartialOrder]:
+        """Each attribute with a deduced order → that order, built on each read (see :meth:`order_for`)."""
+        return {attribute: self.order_for(attribute) for attribute in self.above}
+
     def order_for(self, attribute: str) -> PartialOrder:
-        """Return the deduced order for *attribute* (empty when nothing is known)."""
-        return self.orders.setdefault(attribute, PartialOrder())
+        """The deduced order of *attribute* as a new :class:`PartialOrder` (empty when nothing is known).
+
+        Its direct edges are the closed pairs; changing it leaves this
+        object as it is.
+        """
+        return PartialOrder.from_acyclic(self.above.get(attribute, {}))
 
     def holds(self, attribute: str, older: Value, newer: Value) -> bool:
         """Return ``True`` when ``older ≺ newer`` was deduced for *attribute*."""
-        return self.order_for(attribute).precedes(canonical_value(older), canonical_value(newer))
+        return canonical_value(newer) in self.above.get(attribute, {}).get(canonical_value(older), ())
 
     def add(self, attribute: str, older: Value, newer: Value) -> bool:
-        """Record ``older ≺ newer``; returns ``False`` when it contradicts O_d."""
-        try:
-            self.order_for(attribute).add(canonical_value(older), canonical_value(newer))
-            return True
-        except CyclicOrderError:
+        """Record ``older ≺ newer`` and keep the order closed; ``False`` when it contradicts O_d.
+
+        A contradiction (``newer ≺ older`` holds already, or the two values
+        are equal) sets ``conflict`` and records nothing.  Otherwise every
+        value at or below ``older`` gains ``newer`` and what lies above it.
+        """
+        older, newer = canonical_value(older), canonical_value(newer)
+        above = self.above.get(attribute, {})
+        if older == newer or older in above.get(newer, ()):
             self.conflict = True
             return False
+        if newer in above.get(older, ()):
+            return True
+        gained = {newer} | above.get(newer, set())
+        for reached in above.values():
+            if older in reached:
+                reached |= gained
+        above.setdefault(older, set()).update(gained)
+        self.above[attribute] = above
+        return True
 
     def size(self) -> int:
-        """Total number of deduced order edges."""
-        return sum(len(order) for order in self.orders.values())
+        """Total number of deduced pairs ``a ≺ b`` (the closed order's size)."""
+        return sum(len(reached) for above in self.above.values() for reached in above.values())
 
     def dominated_values(self, attribute: str, domain: Iterable[Value]) -> List[Value]:
         """Values of *domain* that are known to be less current than some other value."""
-        order = self.order_for(attribute)
+        above = self.above.get(attribute, {})
         domain = list(domain)
-        keys = [canonical_value(value) for value in domain]
+        keys = {canonical_value(value) for value in domain}
         dominated = []
-        for value, key in zip(domain, keys):
-            if any(other != key and order.precedes(key, other) for other in keys):
+        for value in domain:
+            reached = above.get(canonical_value(value))
+            if reached is not None and not reached.isdisjoint(keys):
                 dominated.append(value)
         return dominated
 
     def undominated_values(self, attribute: str, domain: Iterable[Value]) -> List[Value]:
         """Values of *domain* not known to be dominated (the candidate true values)."""
+        domain = list(domain)
         dominated = {canonical_value(value) for value in self.dominated_values(attribute, domain)}
         return [value for value in domain if canonical_value(value) not in dominated]
 
 
-#: Per attribute, each value → the values deduced more current than it.
-_Successors = Dict[Hashable, Set[Hashable]]
+def _close(above: _Successors) -> bool:
+    """Close *above* in place, each value's set taking in the sets of the values in it; ``True`` if any grew.
 
-
-def _closure(successors: _Successors) -> Optional[_Successors]:
-    """Each value's successors in the transitive closure; ``None`` on a cycle."""
-    closure: _Successors = {}
-    for start, direct in successors.items():
-        reached: Set[Hashable] = set()
-        stack = list(direct)
-        while stack:
-            node = stack.pop()
-            if node not in reached:
-                reached.add(node)
-                stack.extend(successors.get(node, ()))
-        if start in reached:
-            return None
-        closure[start] = reached
-    return closure
-
-
-def _close_orders(result: DeducedOrders) -> None:
-    """Transitively close the deduced per-attribute orders (acyclic by construction)."""
-    for attribute, order in result.orders.items():
-        result.orders[attribute] = PartialOrder.from_acyclic(_closure(order.successor_map()))
+    Sweeps repeat until no set grows.  With Φ's order axioms, propagation
+    forces orders that are closed already, so the usual run is one sweep of
+    subset checks that adds nothing.
+    """
+    grew, sweep = False, True
+    while sweep:
+        sweep = False
+        for reached in above.values():
+            for value in tuple(reached):
+                further = above.get(value)
+                if further is not None and not further <= reached:
+                    reached |= further
+                    grew = sweep = True
+    return grew
 
 
 def deduce_order(encoder: IncrementalEncoder) -> DeducedOrders:
@@ -150,35 +181,45 @@ def deduce_order(encoder: IncrementalEncoder) -> DeducedOrders:
     rounds.
     """
     session, registry = encoder.session, encoder.encoding.registry
+    atom_of = registry.get
     injected = set(encoder.assumptions)
     recorded: Set[int] = set()
-    successors: Dict[str, _Successors] = {}
-    closures: Dict[str, _Successors] = {}
+    above: Dict[str, _Successors] = {}
     while True:
         forced, conflict = session.propagate(sorted(injected))
         if conflict:
             return DeducedOrders(conflict=True, forced_literals=forced)
+        new = [literal for literal in forced if literal not in recorded]
+        recorded.update(new)
         touched: Set[str] = set()
-        for literal in forced:
-            if literal in recorded:
-                continue
-            recorded.add(literal)
-            atom = registry.get(abs(literal))
+        for literal in new:
+            atom = atom_of(abs(literal))
             if atom is None:
                 # Guard/auxiliary literal of the incremental encoding: carries
                 # no ordering information.
                 continue
             # ¬(a1 ≺ a2) is the literal of a2 ≺ a1.
             older, newer = (atom.older, atom.newer) if literal > 0 else (atom.newer, atom.older)
-            successors.setdefault(atom.attribute, {}).setdefault(older, set()).add(newer)
-            touched.add(atom.attribute)
+            attribute = atom.attribute
+            values = above.get(attribute)
+            if values is None:
+                values = above[attribute] = {}
+            reached = values.get(older)
+            if reached is None:
+                values[older] = {newer}
+            else:
+                reached.add(newer)
+            touched.add(attribute)
         fed_back: List[int] = []
         for attribute in touched:
-            closure = _closure(successors[attribute])
-            if closure is None:
+            closed = above[attribute]
+            # A pair the closure does not add was forced now or handled by
+            # an earlier round, so only a growing closure has pairs to feed back.
+            if not _close(closed):
+                continue
+            if any(value in reached for value, reached in closed.items()):
                 return DeducedOrders(conflict=True, forced_literals=forced)
-            closures[attribute] = closure
-            for older, reached in closure.items():
+            for older, reached in closed.items():
                 for newer in reached:
                     literal = registry.find_for(attribute, older, newer)
                     if literal is not None and literal not in recorded:
@@ -186,12 +227,7 @@ def deduce_order(encoder: IncrementalEncoder) -> DeducedOrders:
         if not fed_back:
             break
         injected.update(fed_back)
-    return DeducedOrders(
-        orders={
-            attribute: PartialOrder.from_acyclic(closure) for attribute, closure in closures.items()
-        },
-        forced_literals=forced,
-    )
+    return DeducedOrders(above=above, forced_literals=forced)
 
 
 def naive_deduce(encoder: IncrementalEncoder, max_pairs: Optional[int] = None) -> DeducedOrders:
@@ -222,7 +258,6 @@ def naive_deduce(encoder: IncrementalEncoder, max_pairs: Optional[int] = None) -
                 if canonical_value(older) == canonical_value(newer):
                     continue
                 if max_pairs is not None and examined >= max_pairs:
-                    _close_orders(result)
                     return result
                 examined += 1
                 variable = encoding.find_literal(OrderLiteral(attribute, older, newer))
@@ -233,5 +268,4 @@ def naive_deduce(encoder: IncrementalEncoder, max_pairs: Optional[int] = None) -
                 result.sat_calls += 1
                 if not refutation.satisfiable:
                     result.add(attribute, older, newer)
-    _close_orders(result)
     return result

@@ -4,19 +4,26 @@ A value ``a`` is the *true value* of attribute ``A`` when every other value of
 the active domain is deduced to be less current than ``a``.  Attributes whose
 active domain is a singleton are trivially resolved (their only value must be
 the current one in every completion).
+
+The deduced order comes closed (:class:`~repro.resolution.deduce.DeducedOrders`
+keeps, per value, the set of values above it), so the check is a count: walk
+the sets above the active values once, count for each value how many active
+values lie below it, and a candidate qualifies when that count covers every
+active value other than itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Set
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set
 
-from repro.core.partial_order import PartialOrder
 from repro.core.specification import Specification, TrueValueAssignment
 from repro.core.values import Value
-from repro.encoding.variables import canonical_value
 from repro.resolution.deduce import DeducedOrders
 
 __all__ = ["true_value_of_attribute", "extract_true_values"]
+
+_NOTHING: frozenset = frozenset()
+_EMPTY: Mapping[Hashable, Set[Hashable]] = {}
 
 
 def true_value_of_attribute(
@@ -32,37 +39,32 @@ def true_value_of_attribute(
     true value exists only when exactly one remains.
     """
     return _true_value(
-        spec.instance.active_domain(attribute), spec.value_domain(attribute), deduced.order_for(attribute)
+        spec.instance.active_domain(attribute),
+        spec.value_domain(attribute),
+        deduced.above.get(attribute, _EMPTY),
     )
 
 
-def _true_value(active: Iterable[Value], domain: Iterable[Value], order: PartialOrder) -> Optional[Value]:
-    """The one undominated qualifier of *domain* over *active* in *order* (see above).
+def _true_value(
+    active: Sequence[Value], candidates: Iterable[Value], above: Mapping[Hashable, Set[Hashable]]
+) -> Optional[Value]:
+    """The one undominated qualifier among *active*, then *candidates*, in the closed order *above*.
 
-    Each value's successors are walked once: what lies above it is a set,
-    and every "is ``a`` below ``b``" question a set lookup.
+    Instance values and Γ's constants are normalised, so each value is its
+    own canonical key, and the active values are distinct.  A value is
+    never above itself, so an active value qualifies when the other
+    ``len(active) - 1`` active values lie below it, and any other candidate
+    when all of them do.
     """
-    active_keys = dict.fromkeys(canonical_value(value) for value in active)
-    candidates: Dict[Hashable, Value] = {}
-    for value in domain:
-        candidates.setdefault(canonical_value(value), value)
-    above: Dict[Hashable, Set[Hashable]] = {}
-
-    def above_of(key: Hashable) -> Set[Hashable]:
-        found = above.get(key)
-        if found is None:
-            found = above[key] = order.above(key)
-        return found
-
-    qualifiers: Dict[Hashable, Value] = {}
-    for candidate_key, candidate in candidates.items():
-        if all(other == candidate_key or candidate_key in above_of(other) for other in active_keys):
-            qualifiers[candidate_key] = candidate
-    undominated: List[Value] = [
-        value
-        for key, value in qualifiers.items()
-        if not any(other != key and other in above_of(key) for other in qualifiers)
-    ]
+    below: Dict[Hashable, int] = {}
+    for value in active:
+        for higher in above.get(value, ()):
+            below[higher] = below.get(higher, 0) + 1
+    needed = len(active)
+    qualifiers: List[Value] = [value for value in active if below.get(value, 0) == needed - 1]
+    if needed in below.values():
+        qualifiers += dict.fromkeys(value for value in candidates if below.get(value, 0) == needed)
+    undominated = [value for value in qualifiers if above.get(value, _NOTHING).isdisjoint(qualifiers)]
     return undominated[0] if len(undominated) == 1 else None
 
 
@@ -80,9 +82,10 @@ def extract_true_values(spec: Specification, deduced: DeducedOrders) -> TrueValu
             constants.setdefault(attribute, []).append(value)
     values: Dict[str, Value] = {}
     for attribute in spec.schema.attribute_names:
-        active = spec.instance.active_domain(attribute)
         value = _true_value(
-            active, [*active, *constants.get(attribute, ())], deduced.order_for(attribute)
+            spec.instance.active_domain(attribute),
+            constants.get(attribute, ()),
+            deduced.above.get(attribute, _EMPTY),
         )
         if value is not None:
             values[attribute] = value

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, List, Sequence, Tuple
 
-from repro.core.partial_order import PartialOrder
 from repro.core.values import Value
 from repro.encoding.compiled import stamp
 from repro.encoding.incremental import IncrementalEncoder
@@ -27,7 +26,7 @@ from repro.encoding.instance_constraints import (
     InstantiationOptions,
     Record,
 )
-from repro.encoding.variables import OrderLiteral, OrderVariableRegistry, canonical_value
+from repro.encoding.variables import OrderLiteral, OrderVariableRegistry
 
 from tests.encoding._instantiate_reference import reference_instantiate
 from tests.solvers._cnf_reference import CNF
@@ -97,13 +96,13 @@ class ReferenceIncrementalEncoder(IncrementalEncoder):
 
     def _full_encode(self) -> None:
         spec = self._spec
-        omega, keys = stamp(spec, self._program)
+        omega, keys, projections = stamp(spec, self._program)
         self._encoding.omega = omega
         self._used_values = omega.used_values
         clauses = []
         for record, key, constraint in zip(omega.records, keys, omega.constraints):
             if record[0] == "cfd":
-                guard = self._registry.auxiliary_variable(label=("guard", record[1]))
+                guard = self._registry.auxiliary_variable()
                 self._guards[key] = guard
                 self._guard_records[key] = record
                 clauses.append([-guard] + constraint_clause(constraint, self._registry))
@@ -115,20 +114,7 @@ class ReferenceIncrementalEncoder(IncrementalEncoder):
         self._load(clauses, initial=True)
         if self._omega.inherently_invalid:
             return
-
-        for attribute, values in self._used_values.items():
-            self._used_keys[attribute] = {canonical_value(value) for value in values}
-        for constraint in self._omega.constraints:
-            if constraint.source_kind == "cfd" or not constraint.is_fact():
-                continue
-            order = self._fact_orders.setdefault(constraint.head.attribute, PartialOrder())
-            order.try_add(
-                canonical_value(constraint.head.older), canonical_value(constraint.head.newer)
-            )
-        for attribute in spec.schema.attribute_names:
-            self._adom_keys[attribute] = {
-                canonical_value(value) for value in spec.instance.active_domain(attribute)
-            }
+        self._seed_delta_state(projections)
 
     def _delta_order_axioms(self, new_records: List[Record], clauses: List) -> int:
         new_counts = {}

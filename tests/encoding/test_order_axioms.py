@@ -36,6 +36,7 @@ from repro.encoding.variables import OrderLiteral, OrderVariableRegistry
 from repro.resolution.framework import ResolverOptions
 
 from tests.encoding._cold_encoder_reference import encode_specification
+from tests.encoding._delta_facts_reference import ReferenceFactsEncoder
 from tests.encoding._order_axioms_reference import (
     ReferenceIncrementalEncoder,
     constraint_clause,
@@ -238,3 +239,119 @@ def test_full_encode_builds_at_most_three_literals_per_variable(pool, literal_co
         assert literal_counter[0] <= LITERALS_PER_ORDERED_PAIR * ordered_pairs, (
             f"{entity.name}: {literal_counter[0]} literals for {ordered_pairs} ordered pairs"
         )
+
+
+# -- a delta's facts and closure against whole-order diffs --------------------------
+
+
+@st.composite
+def specs_with_answer_deltas(draw):
+    """``specs_with_deltas`` whose new tuples are named and, on drawn attributes, above drawn tuples."""
+    spec, deltas = draw(specs_with_deltas())
+    tids = list(spec.instance.tids)
+    answered = []
+    for index, delta in enumerate(deltas):
+        user = delta.new_tuples[0].with_tid(f"user_{index}")
+        orders = {}
+        for attribute in draw(st.lists(st.sampled_from(spec.schema.attribute_names), unique=True)):
+            below = draw(st.lists(st.sampled_from(tids), min_size=1, unique=True))
+            orders[attribute] = PartialOrder((tid, user.tid) for tid in below)
+        answered.append(TemporalOrderDelta(orders, [user]))
+        tids.append(user.tid)
+    return spec, answered
+
+
+def _assert_same_facts(spec, deltas):
+    encoder = IncrementalEncoder(spec, session=RecordingSession())
+    reference = ReferenceFactsEncoder(spec, session=RecordingSession())
+    for delta in deltas:
+        assert encoder.apply_delta(delta) == reference.apply_delta(delta)
+        assert encoder.encoding.omega.records == reference.encoding.omega.records
+        assert encoder.encoding.omega.inherently_invalid == reference.encoding.omega.inherently_invalid
+        _assert_same_encoder(encoder, reference)
+
+
+@given(specs_with_answer_deltas())
+@settings(max_examples=300, deadline=None)
+def test_delta_facts_and_closure_match_the_whole_order_diffs(case):
+    """The successor-tail facts and the kept closure set admit the reference's records and clauses."""
+    _assert_same_facts(*case)
+
+
+@st.composite
+def fact_chains(draw):
+    """Tuple orders that chain value facts, Γ that may hold some of them, and answers above drawn tuples.
+
+    Each attribute ranks its values (NULL lowest) and links drawn tuples in
+    rank order, one edge per consecutive pair, so the value facts form
+    chains that the full encode closes.  A's values may all be ``p``, which
+    leaves a CFD on ``A = p`` with an empty body: its facts can hold pairs
+    the chains reach.  Each answer is above drawn tuples of no higher rank,
+    so its facts extend the chains and the delta has closure pairs to find.
+    """
+    attributes = ("A", "B")
+    schema = RelationSchema("r", list(attributes))
+    values = {"A": draw(st.sampled_from([["p"], ["p", "q"]])), "B": ["b", "m", "r", "w"]}
+    rank = {a: {v: i + 1 for i, v in enumerate(draw(st.permutations(values[a])))} for a in attributes}
+    value = {a: st.sampled_from(values[a] * 3 + [None]) for a in attributes}
+    rows = [{a: draw(value[a]) for a in attributes} for _ in range(draw(st.integers(2, 6)))]
+
+    def level(row, attribute):
+        return 0 if row[attribute] is None else rank[attribute][row[attribute]]
+
+    tids = [f"t{i}" for i in range(len(rows))]
+    orders = {}
+    for attribute in attributes:
+        chain = draw(st.lists(st.sampled_from(range(len(rows))), unique=True))
+        chain.sort(key=lambda i: level(rows[i], attribute))
+        for i, j in zip(chain, chain[1:]):
+            orders.setdefault(attribute, PartialOrder()).try_add(tids[i], tids[j])
+    gamma = [
+        ConstantCFD({"A": draw(st.sampled_from(values["A"]))}, "B", draw(st.sampled_from(values["B"])))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    instance = EntityInstance(schema, [EntityTuple(schema, row) for row in rows])
+    spec = Specification(TemporalInstance(instance, orders), cfds=gamma)
+    deltas = []
+    for index in range(draw(st.integers(1, 3))):
+        row = {a: draw(value[a]) for a in attributes}
+        user = EntityTuple(schema, row, tid=f"user_{index}")
+        delta_orders = {}
+        for attribute in attributes:
+            lower = [tid for tid, old in zip(tids, rows) if level(old, attribute) <= level(row, attribute)]
+            below = draw(st.lists(st.sampled_from(lower), unique=True)) if lower else []
+            if below:
+                delta_orders[attribute] = PartialOrder((tid, user.tid) for tid in below)
+        deltas.append(TemporalOrderDelta(delta_orders, [user]))
+        tids.append(user.tid)
+        rows.append(row)
+    return spec, deltas
+
+
+@given(fact_chains())
+@settings(max_examples=300, deadline=None)
+def test_delta_closure_over_fact_chains_matches_the_whole_order_diffs(case):
+    _assert_same_facts(*case)
+
+
+def test_a_pair_only_a_guarded_fact_held_is_not_admitted_again():
+    """A pair the fact order reaches but only a CFD fact holds is closed already: no closure fact for it.
+
+    ``b ≺ m`` and ``m ≺ r`` are tuple-order facts; the CFD ``A = p → B = r``
+    (its body is empty, since ``p`` is A's only value) holds ``b ≺ r``, so
+    the full encode admits no closure fact for it.  A delta above every
+    tuple touches B's closure, which must still count ``b ≺ r`` as closed.
+    """
+    schema = RelationSchema("r", ["A", "B"])
+    rows = [EntityTuple(schema, {"A": "p", "B": value}) for value in ("b", "m", "r")]
+    orders = {"B": PartialOrder([("t0", "t1"), ("t1", "t2")])}
+    spec = Specification(
+        TemporalInstance(EntityInstance(schema, rows), orders), cfds=[ConstantCFD({"A": "p"}, "B", "r")]
+    )
+    user = EntityTuple(schema, {"A": "p", "B": "w"}, tid="user_1")
+    delta = TemporalOrderDelta({"B": PartialOrder((tid, "user_1") for tid in ("t0", "t1", "t2"))}, [user])
+    encoder = IncrementalEncoder(spec, session=RecordingSession())
+    assert ("cfd", str(spec.cfds[0]), (), ("B", "b", "r")) in encoder.encoding.omega.records
+    encoder.apply_delta(delta)
+    assert not [record for record in encoder.encoding.omega.records if record[0] == "closure"]
+    _assert_same_facts(spec, [delta])

@@ -34,12 +34,14 @@ class TestVariablePool:
         assert pool.new_variable() == 2
         assert pool.count == 2
 
-    def test_labels_round_trip(self):
-        pool = VariablePool()
-        variable = pool.new_variable(label="x")
-        assert pool.label(variable) == "x"
-        assert pool.label(999) is None
-        assert pool.labels() == {variable: "x"}
+    def test_guards_and_pairs_count_on_one_counter(self):
+        """A guard and a value pair each take the next number; only the pair decodes."""
+        registry = OrderVariableRegistry()
+        guard = registry.auxiliary_variable()
+        pair = registry.variable_for("a", 1, 2)
+        assert (guard, pair, registry.auxiliary_variable()) == (1, 2, 3)
+        assert registry.num_variables == len(registry) == 3
+        assert registry.get(guard) is None and registry.get(pair) == OrderLiteral("a", 1, 2)
 
 
 class TestCanonicalValue:

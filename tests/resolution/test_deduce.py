@@ -201,11 +201,11 @@ def _reference_deduce(cnf, registry, extra_literals=()):
 def _closure_pairs(deduced):
     if deduced.conflict:
         return None
-    return {
-        attribute: set(order.transitive_closure_pairs())
-        for attribute, order in deduced.orders.items()
-        if len(order)
+    pairs = {
+        attribute: set(deduced.order_for(attribute).transitive_closure_pairs())
+        for attribute in deduced.above
     }
+    return {attribute: closed for attribute, closed in pairs.items() if closed}
 
 
 @given(specs_with_deltas())

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ConstantCFD, CurrencyConstraint, RelationSchema, Specification
+from repro.core import ConstantCFD, CurrencyConstraint, PartialOrder, RelationSchema, Specification
+from repro.core.errors import CyclicOrderError
 from repro.encoding import IncrementalEncoder
 from repro.encoding.variables import canonical_value
 from repro.resolution import deduce_order, extract_true_values, true_value_of_attribute
@@ -97,8 +98,8 @@ _OUTSIDE = ("x", "y", 9)
 
 
 @st.composite
-def _specs_with_orders(draw):
-    """A spec with Γ constants inside and outside adom, and a deduced order that is not closed."""
+def _specs_with_adds(draw):
+    """A spec with Γ constants inside and outside adom, and ``add`` calls of an order left unclosed."""
     schema = RelationSchema("r", list(_ATTRIBUTES))
     value = st.one_of(st.none(), st.sampled_from(_VALUES))
     rows = [
@@ -112,7 +113,7 @@ def _specs_with_orders(draw):
         lhs = draw(st.sampled_from([a for a in _ATTRIBUTES if a != rhs]))
         gamma.append(ConstantCFD({lhs: draw(constant)}, rhs, draw(constant)))
     spec = Specification.from_rows(schema, rows, cfds=gamma)
-    deduced = DeducedOrders()
+    adds = []
     for attribute in _ATTRIBUTES:
         # Direct edges between positions of a drawn permutation point upward
         # only, so the order is acyclic; chains are left unclosed.
@@ -123,8 +124,20 @@ def _specs_with_orders(draw):
                 break
             low = draw(st.integers(0, len(keys) - 2))
             high = draw(st.integers(low + 1, len(keys) - 1))
-            deduced.add(attribute, keys[low], keys[high])
-    return spec, deduced
+            adds.append((attribute, keys[low], keys[high]))
+    return spec, adds
+
+
+def _replayed(adds):
+    deduced = DeducedOrders()
+    for attribute, older, newer in adds:
+        deduced.add(attribute, older, newer)
+    return deduced
+
+
+def _specs_with_orders():
+    """A spec and a deduced order built by ``add`` calls that do not close it themselves."""
+    return _specs_with_adds().map(lambda case: (case[0], _replayed(case[1])))
 
 
 @given(_specs_with_orders())
@@ -135,3 +148,54 @@ def test_extraction_matches_the_reachability_reference(case):
     assert extract_true_values(spec, deduced).values == expected.values
     for attribute in spec.schema.attribute_names:
         assert true_value_of_attribute(spec, deduced, attribute) == reference_true_value(spec, deduced, attribute)
+
+
+# -- the closed order against a PartialOrder of the same adds -----------------------
+
+
+def _assert_answers_like(deduced, orders, spec):
+    for attribute in _ATTRIBUTES:
+        order = orders.get(attribute, PartialOrder())
+        domain = list(spec.value_domain(attribute))
+        keys = list(dict.fromkeys(canonical_value(value) for value in domain))
+        for older in keys:
+            for newer in keys:
+                assert deduced.holds(attribute, older, newer) == order.precedes(older, newer)
+        dominated = [
+            value
+            for value in domain
+            if any(order.precedes(canonical_value(value), other) for other in keys)
+        ]
+        assert deduced.dominated_values(attribute, domain) == dominated
+        assert deduced.undominated_values(attribute, domain) == [
+            value for value in domain if not any(value is other for other in dominated)
+        ]
+        assert set(deduced.order_for(attribute).transitive_closure_pairs()) == set(
+            order.transitive_closure_pairs()
+        )
+
+
+@given(_specs_with_adds(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_closed_orders_answer_like_a_partial_order_of_the_same_adds(case, data):
+    """holds, (un)dominated values and the closure pairs match; a contradiction sets ``conflict``."""
+    spec, adds = case
+    deduced, orders = DeducedOrders(), {}
+    for attribute, older, newer in adds:
+        assert deduced.add(attribute, older, newer)
+        orders.setdefault(attribute, PartialOrder()).add(older, newer)
+    assert not deduced.conflict
+    _assert_answers_like(deduced, orders, spec)
+    for _ in range(data.draw(st.integers(1, 6))):
+        attribute = data.draw(st.sampled_from(_ATTRIBUTES))
+        keys = list(dict.fromkeys(canonical_value(v) for v in spec.value_domain(attribute)))
+        older, newer = data.draw(st.sampled_from(keys)), data.draw(st.sampled_from(keys))
+        try:
+            orders.setdefault(attribute, PartialOrder()).add(older, newer)
+            raised = False
+        except CyclicOrderError:
+            raised = True
+        deduced.conflict = False
+        assert deduced.add(attribute, older, newer) is not raised
+        assert deduced.conflict is raised
+        _assert_answers_like(deduced, orders, spec)
